@@ -6,7 +6,8 @@ anti flag), and diagnostics.  `--output structured` emits JSON with sorted
 keys, so identical invocations are byte-identical.  Exit codes: 0 success,
 1 domain rejection, 2 usage error.  The environment variable
 PSEUDOREAL_APPROX_BITS (default 64) sets the precision of the certified
-decimal approximations included in reports.
+decimal approximations included in reports; a value that is not an
+integer is a usage error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .configurations import OmegaError, concircular_quadruples, equivalent, \
     make_config, symmetries, u_orbit
 from .family import ParameterError, analyze, genus, validate
 from .moduli import classify_sigma, field_of_moduli, stabilizer
-from .descent import extend_cyclic, cocycle_check, lift_to_monomial
+from .descent import check_order, extend_cyclic, cocycle_check, \
+    lift_to_monomial
 
 __all__ = ["main", "build_parser"]
 
@@ -33,17 +35,19 @@ EXIT_USAGE = 2
 
 
 def _approx_bits() -> int:
+    """PSEUDOREAL_APPROX_BITS (default 64, at least 8); ValueError if it is
+    not an integer."""
     raw = os.environ.get("PSEUDOREAL_APPROX_BITS", "64")
     try:
-        bits = int(raw)
+        return max(int(raw), 8)
     except ValueError:
-        bits = 64
-    return max(bits, 8)
+        raise ValueError(
+            f"PSEUDOREAL_APPROX_BITS must be an integer, got {raw!r}") from None
 
 
-def _elt_doc(e: CycElt) -> dict:
+def _elt_doc(e: CycElt, bits: int) -> dict:
     return {"canonical": str(e), "conductor": e.n,
-            "approx": str(approx(e, _approx_bits()))}
+            "approx": str(approx(e, bits))}
 
 
 def _point_str(p: SpherePoint) -> str:
@@ -72,10 +76,6 @@ def _parse_point(text: str, n: int) -> SpherePoint:
     return SpherePoint.of(make_element(text, n))
 
 
-def _parse_elt(text: str, n: int) -> CycElt:
-    return make_element(text, n)
-
-
 # -- subcommand handlers; each returns (exit_code, document) ---------------
 
 
@@ -87,7 +87,7 @@ def _cmd_crossratio(args):
     return EXIT_OK, {
         "inputs": {"conductor": n, "points": [_point_str(p) for p in pts]},
         "result": {
-            "cross_ratio": _elt_doc(value),
+            "cross_ratio": _elt_doc(value, args.approx_bits),
             "real": value.conjugate() == value,
             "orbit": [str(v) for v in orbit],
         },
@@ -121,8 +121,8 @@ def _cmd_orbit(args):
 
 def _cmd_equiv(args):
     n = args.conductor
-    c1 = make_config(*(_parse_elt(t, n) for t in args.first))
-    c2 = make_config(*(_parse_elt(t, n) for t in args.second))
+    c1 = make_config(*(make_element(t, n) for t in args.first))
+    c2 = make_config(*(make_element(t, n) for t in args.second))
     witness = equivalent(c1, c2)
     return EXIT_OK, {
         "inputs": {"conductor": n,
@@ -150,8 +150,7 @@ def _cmd_symmetries(args):
 
 
 def _cmd_validate(args):
-    p = validate(_parse_elt(args.lam, args.conductor),
-                 _parse_elt(args.mu, args.conductor), args.k)
+    p = _family_from(args)
     return EXIT_OK, {
         "inputs": _family_inputs(args),
         "result": {"valid": True, "lambda": str(p.lam), "mu": str(p.mu),
@@ -167,8 +166,7 @@ def _cmd_genus(args):
 
 
 def _cmd_analyze(args):
-    p = validate(_parse_elt(args.lam, args.conductor),
-                 _parse_elt(args.mu, args.conductor), args.k)
+    p = _family_from(args)
     rep = analyze(p)
     return EXIT_OK, {
         "inputs": _family_inputs(args),
@@ -186,8 +184,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_classify(args):
-    p = validate(_parse_elt(args.lam, args.conductor),
-                 _parse_elt(args.mu, args.conductor), args.k)
+    p = _family_from(args)
     cls = classify_sigma(p, GaloisElement(args.conductor, args.sigma))
     return EXIT_OK, {
         "inputs": {**_family_inputs(args), "sigma": args.sigma},
@@ -203,8 +200,7 @@ def _cmd_classify(args):
 
 
 def _cmd_stabilizer(args):
-    p = validate(_parse_elt(args.lam, args.conductor),
-                 _parse_elt(args.mu, args.conductor), args.k)
+    p = _family_from(args)
     stab = stabilizer(p, args.conductor)
     return EXIT_OK, {
         "inputs": _family_inputs(args),
@@ -214,8 +210,7 @@ def _cmd_stabilizer(args):
 
 
 def _cmd_moduli(args):
-    p = validate(_parse_elt(args.lam, args.conductor),
-                 _parse_elt(args.mu, args.conductor), args.k)
+    p = _family_from(args)
     res = field_of_moduli(p, args.conductor)
     return EXIT_OK, {
         "inputs": _family_inputs(args),
@@ -232,7 +227,7 @@ def _cmd_moduli(args):
 
 def _cmd_lift(args):
     n = args.conductor
-    p = validate(_parse_elt(args.lam, n), _parse_elt(args.mu, n), args.k)
+    p = _family_from(args)
     g = GaloisElement(n, args.sigma)
     cls = classify_sigma(p, g)
     if cls.witness is None:
@@ -258,8 +253,9 @@ def _cmd_lift(args):
 
 def _cmd_weil_check(args):
     n = args.conductor
-    p = validate(_parse_elt(args.lam, n), _parse_elt(args.mu, n), args.k)
+    p = _family_from(args)
     g = GaloisElement(n, args.generator)
+    check_order(args.generator, args.order, n)
     cls = classify_sigma(p, g)
     if cls.witness is None:
         return EXIT_REJECTED, {
@@ -298,8 +294,15 @@ def _cmd_weil_check(args):
 
 def _config_from(args):
     n = args.conductor
-    return make_config(_parse_elt(args.lambda1, n), _parse_elt(args.lambda2, n),
-                       _parse_elt(args.lambda3, n))
+    return make_config(make_element(args.lambda1, n),
+                       make_element(args.lambda2, n),
+                       make_element(args.lambda3, n))
+
+
+def _family_from(args):
+    n = args.conductor
+    return validate(make_element(args.lam, n), make_element(args.mu, n),
+                    args.k)
 
 
 def _config_inputs(args, cfg):
@@ -443,7 +446,12 @@ def _emit_human(doc: dict, out):
 
 def main(argv=None) -> int:
     parser = build_parser()
+    try:
+        bits = _approx_bits()
+    except ValueError as exc:
+        parser.exit(EXIT_USAGE, f"pseudoreal: {exc}\n")
     args = parser.parse_args(argv)
+    args.approx_bits = bits
     try:
         code, doc = args.handler(args)
     except (ParseError, ZeroDivisionError) as exc:

@@ -15,10 +15,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .cyclotomic import CycElt
+from .cyclotomic import CycElt, common_field
 from .moebius import INF, Moebius, SpherePoint, concircular, set_maps, \
     unify_points
-from .moebius import _apply_raw, _std_raw
+from .moebius import _normalized_triples
 
 __all__ = [
     "OmegaError",
@@ -66,13 +66,9 @@ class Configuration:
         return f"({self.lambda1}, {self.lambda2}, {self.lambda3})"
 
 
-def _as_elt(x) -> CycElt:
-    return x if isinstance(x, CycElt) else CycElt.from_rational(x)
-
-
 def make_config(l1, l2, l3) -> Configuration:
     """Validate a triple against the parameter region and build it."""
-    vals = [_as_elt(x) for x in (l1, l2, l3)]
+    _, vals = common_field((l1, l2, l3))
     for i, v in enumerate(vals, start=1):
         if v.is_zero():
             raise OmegaError("zero", f"lambda{i} = 0")
@@ -92,10 +88,7 @@ def u_orbit(cfg: Configuration) -> list:
     when the configuration has no symmetries)."""
     _, pts = unify_points(cfg.points())
     seen = {}
-    for chosen in itertools.permutations(pts, 3):
-        mat = _std_raw(*chosen)
-        rest = [p for p in pts if p not in chosen]
-        images = [_apply_raw(mat, p) for p in rest]
+    for _, images in _normalized_triples(pts):
         assert all(not q.is_infinity for q in images)
         for order in itertools.permutations(images):
             triple = tuple(q.value for q in order)

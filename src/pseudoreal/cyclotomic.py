@@ -39,6 +39,7 @@ __all__ = [
     "Subfield",
     "Box",
     "make_element",
+    "common_field",
     "conjugate",
     "galois_apply",
     "real_sign",
@@ -175,22 +176,26 @@ def is_subgroup(H: Iterable[int], n: int) -> bool:
     return all((a * b) % n in hs for a in hs for b in hs)
 
 
+def _cyclic(a: int, n: int) -> frozenset:
+    """The cyclic subgroup <a> of (Z/n)*."""
+    h = {1 % n}
+    x = a % n
+    while x not in h:
+        h.add(x)
+        x = (x * a) % n
+    return frozenset(h)
+
+
 def subgroups(n: int) -> list:
-    """All subgroups of (Z/n)* (closures of pairs; (Z/n)* is 2-generated
-    for every n this library exercises)."""
-    us = units(n)
-    found = set()
-    gens = [()] + [(a,) for a in us] + list(itertools.combinations(us, 2))
-    for g in gens:
-        h = {1 % n}
-        frontier = list(g)
-        while frontier:
-            x = frontier.pop()
-            if x in h:
-                continue
-            h.add(x)
-            frontier.extend((x * y) % n for y in h)
-        found.add(frozenset(h))
+    """All subgroups of (Z/n)*: the cyclic ones and their iterated joins
+    (in an abelian group the join of H and K is the product set HK)."""
+    cyclic = {_cyclic(a, n) for a in units(n)}
+    found = set(cyclic)
+    frontier = cyclic
+    while frontier:
+        frontier = {frozenset((h * c) % n for h in H for c in C)
+                    for H in frontier for C in cyclic} - found
+        found |= frontier
     return sorted(found, key=lambda h: (len(h), sorted(h)))
 
 
@@ -262,7 +267,7 @@ class CycElt:
     def _unify(self, other: "CycElt"):
         if self.n == other.n:
             return self, other
-        m = self.n * other.n // math.gcd(self.n, other.n)
+        m = math.lcm(self.n, other.n)
         return self.embed(m), other.embed(m)
 
     def in_conductor(self, m: int) -> "CycElt":
@@ -441,6 +446,8 @@ class CycElt:
     # -- comparison / hashing ----------------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.coeffs[0] == other and self.is_rational()
         o = self._coerce(other, self.n)
         if o is None:
             return NotImplemented
@@ -480,35 +487,52 @@ class CycElt:
         return f"CycElt({self.n}, {str(self)!r})"
 
 
-def _solve_exact(columns, target):
-    """Solve sum_j x_j * columns[j] = target over Q; None if inconsistent."""
-    rows = len(target)
-    ncols = len(columns)
-    mat = [[columns[j][i] for j in range(ncols)] + [target[i]]
-           for i in range(rows)]
+def common_field(values) -> tuple:
+    """Coerce ints and Fractions to CycElt and embed every value into
+    Q(zeta_m), m the lcm of their conductors; returns (m, list of values)."""
+    vals = [x if isinstance(x, CycElt) else CycElt.from_rational(x)
+            for x in values]
+    m = math.lcm(*(x.n for x in vals))
+    return m, [x.embed(m) for x in vals]
+
+
+def _echelon(rows):
+    """Reduced row echelon form of a matrix over a field; returns (nonzero
+    rows, pivot columns).  Entries may be Fractions or CycElts: only
+    `!= 0`, `*`, `-` and `1 / x` are used."""
+    mat = [list(r) for r in rows]
+    ncols = len(mat[0]) if mat else 0
     pivots = []
     r = 0
     for col in range(ncols):
-        piv = next((i for i in range(r, rows) if mat[i][col] != 0), None)
+        if r == len(mat):
+            break
+        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
         inv = 1 / mat[r][col]
         mat[r] = [v * inv for v in mat[r]]
-        for i in range(rows):
+        for i in range(len(mat)):
             if i != r and mat[i][col] != 0:
                 f = mat[i][col]
                 mat[i] = [u - f * v for u, v in zip(mat[i], mat[r])]
         pivots.append(col)
         r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if mat[i][ncols] != 0:
-            return None
+    return mat[:r], pivots
+
+
+def _solve_exact(columns, target):
+    """Solve sum_j x_j * columns[j] = target over Q; None if inconsistent."""
+    rows = len(target)
+    ncols = len(columns)
+    ech, pivots = _echelon([[columns[j][i] for j in range(ncols)] + [target[i]]
+                            for i in range(rows)])
+    if pivots and pivots[-1] == ncols:   # a pivot in the target column
+        return None
     sol = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        sol[col] = mat[i][ncols]
+    for row, col in zip(ech, pivots):
+        sol[col] = row[ncols]
     # verify (pivot-free columns were forced to zero)
     for i in range(rows):
         if sum(columns[j][i] * sol[j] for j in range(ncols)) != target[i]:
@@ -914,10 +938,7 @@ def fixing_subgroup(u: CycElt, n: Optional[int] = None) -> frozenset:
 
 def same_field(u: CycElt, v: CycElt, n: Optional[int] = None) -> bool:
     """True iff Q(u) = Q(v) inside Q(zeta_n), by comparing fixed subgroups."""
-    if n is None:
-        m = u.n * v.n // math.gcd(u.n, v.n)
-    else:
-        m = n
+    m = math.lcm(u.n, v.n) if n is None else n
     return fixing_subgroup(u, m) == fixing_subgroup(v, m)
 
 

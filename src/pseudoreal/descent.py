@@ -23,12 +23,13 @@ verifies this projectively together with curve transport for every map.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .cyclotomic import CycElt, GaloisElement, kth_roots, units
-from .moebius import INF, Moebius, SpherePoint
+from .cyclotomic import CycElt, GaloisElement, common_field, kth_roots, units
+from .cyclotomic import _echelon
+from .moebius import Moebius
+from .configurations import make_config
 from .family import FamilyParams
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "transports_curve",
     "lift_to_monomial",
     "compose_twist",
+    "check_order",
     "extend_cyclic",
     "cocycle_check",
 ]
@@ -60,16 +62,11 @@ class MonomialIso:
         perm = tuple(perm)
         if sorted(perm) != list(range(6)):
             raise ValueError("perm must be a permutation of 0..5")
-        vals = [x if isinstance(x, CycElt) else CycElt.from_rational(x)
-                for x in scales]
+        _, vals = common_field(scales)
         if len(vals) != 6:
             raise ValueError("need six scales")
         if any(v.is_zero() for v in vals):
             raise ValueError("scales must be nonzero")
-        m = 1
-        for v in vals:
-            m = m * v.n // math.gcd(m, v.n)
-        vals = [v.embed(m) for v in vals]
         lead = vals[0]
         vals = [v / lead for v in vals]
         object.__setattr__(self, "perm", perm)
@@ -141,29 +138,6 @@ def curve_rows(nu: CycElt, eta: CycElt):
         (eta, one, zero, zero, one, zero),
         (-eta, one, zero, zero, zero, one),
     )
-
-
-def _echelon(rows):
-    """Row-reduce a matrix of CycElts; returns (echelon rows, pivot cols)."""
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat))
-                    if not mat[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col].inverse()
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][col].is_zero():
-                f = mat[i][col]
-                mat[i] = [u - f * v for u, v in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    return mat[:r], pivots
 
 
 def _in_span(rows, vec) -> bool:
@@ -258,13 +232,8 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
     g = GaloisElement(m, _restrict(a, m))
     slam = lam.galois_apply(g)
     smu = mu.galois_apply(g)
-    src_branch = [INF, SpherePoint.of(CycElt.zero(m)),
-                  SpherePoint.of(CycElt.one(m)), SpherePoint.of(lam),
-                  SpherePoint.of(mu), SpherePoint.of(-mu)]
-    tgt_branch = [INF, SpherePoint.of(CycElt.zero(m)),
-                  SpherePoint.of(CycElt.one(m)), SpherePoint.of(slam),
-                  SpherePoint.of(smu), SpherePoint.of(-smu)]
-    images = [T.apply(b) for b in src_branch]
+    tgt_branch = make_config(slam, smu, -smu).points()
+    images = [T.apply(b) for b in make_config(lam, mu, -mu).points()]
     if frozenset(images) != frozenset(tgt_branch):
         raise ValueError("T does not carry the branch set onto its twist")
     # output slot i reads the source coordinate whose branch value T sends
@@ -353,15 +322,23 @@ class WeilDatum:
         return self.closure.is_identity
 
 
+def check_order(g: int, d: int, m: int) -> None:
+    """Raise ValueError unless the unit g has multiplicative order d mod m;
+    the order is found by at most m multiplications, whatever d is."""
+    x, order = g % m, 1
+    while x != 1 % m and order < m:
+        x, order = (x * g) % m, order + 1
+    if x != 1 % m or order != d:
+        raise ValueError(f"<{g}> does not have order {d} mod {m}")
+
+
 def extend_cyclic(f_gen: MonomialIso, g: int, d: int,
                   p: FamilyParams, m: int) -> WeilDatum:
     """Extend a generator map along the cyclic group <g> of order d inside
     (Z/m)* by f_{g^j} = (f_{g^(j-1)})^g o f_{g}; the datum carries
     f_{g^d}, which is the identity exactly when the cocycle closes."""
     gen = GaloisElement(m, g)
-    if pow(g, d, m) != 1 % m or any(pow(g, j, m) == 1 % m
-                                    for j in range(1, d)):
-        raise ValueError(f"<{g}> does not have order {d} mod {m}")
+    check_order(g, d, m)
     if not transports_curve(f_gen, p, gen):
         raise ValueError("generator map does not transport the curve")
     maps = {1 % m: MonomialIso.identity(p.k)}

@@ -21,10 +21,11 @@ alpha with alpha^k = lambda < 0, impossible for even k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cyclotomic import CycElt, real_sign
+from .cyclotomic import CycElt, common_field, real_sign
 from .moebius import INF, Moebius, cross_ratio, g_orbit
 from .configurations import Configuration, make_config, symmetries
 
@@ -55,8 +56,7 @@ class FamilyParams:
 
     @property
     def conductor(self) -> int:
-        a, b = self.lam._unify(self.mu)
-        return a.n
+        return math.lcm(self.lam.n, self.mu.n)
 
     def config(self) -> Configuration:
         return make_config(self.lam, self.mu, -self.mu)
@@ -66,10 +66,6 @@ class FamilyParams:
 
     def __str__(self):
         return f"(lambda={self.lam}, mu={self.mu}, k={self.k})"
-
-
-def _as_elt(x) -> CycElt:
-    return x if isinstance(x, CycElt) else CycElt.from_rational(x)
 
 
 def family_cross_ratios(lam: CycElt, mu: CycElt):
@@ -85,8 +81,7 @@ def family_cross_ratios(lam: CycElt, mu: CycElt):
 def validate(lam, mu, k: int) -> FamilyParams:
     """Check every admissibility clause; raise ParameterError naming the
     first violated one."""
-    lam = _as_elt(lam)
-    mu = _as_elt(mu)
+    _, (lam, mu) = common_field((lam, mu))
     if mu.is_zero():
         raise ParameterError("mu_zero", "mu = 0")
     if mu * mu.conjugate() != -lam:

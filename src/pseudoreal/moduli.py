@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cyclotomic import CycElt, GaloisElement, Subfield, fixed_field, \
-    min_poly, poly_eval, units
-from .moebius import Moebius, SpherePoint, INF, set_maps
+    fixing_subgroup, is_subgroup, min_poly, poly_eval, units
+from .moebius import Moebius, set_maps
+from .configurations import make_config
 from .family import FamilyParams
 
 __all__ = [
@@ -127,12 +128,6 @@ def row_targets(lam: CycElt, mu: CycElt):
     return rows
 
 
-def _six_points(lam: CycElt, mu: CycElt):
-    return frozenset((INF, SpherePoint.of(0), SpherePoint.of(1),
-                      SpherePoint.of(lam), SpherePoint.of(mu),
-                      SpherePoint.of(-mu)))
-
-
 def classify_sigma(p: FamilyParams, a) -> SigmaClassification:
     """Match sigma_a against the twelve shapes and verify against the
     brute-force map enumeration between the two six-point sets."""
@@ -146,8 +141,8 @@ def classify_sigma(p: FamilyParams, a) -> SigmaClassification:
     slam = lam.galois_apply(g)
     smu = mu.galois_apply(g)
 
-    source = _six_points(lam, mu)
-    target = _six_points(slam, smu)
+    source = make_config(lam, mu, -mu).point_set()
+    target = make_config(slam, smu, -smu).point_set()
 
     matches = []
     table_maps = {}
@@ -185,13 +180,8 @@ def stabilizer(p: FamilyParams, n: int) -> frozenset:
     hits = frozenset(
         a for a in units(n)
         if classify_sigma(p, GaloisElement(n, a)).in_stabilizer)
-    if 1 % n not in hits:
-        raise AssertionError("stabilizer misses the identity")
-    for a in hits:
-        for b in hits:
-            if (a * b) % n not in hits:
-                raise AssertionError(
-                    f"stabilizer not closed: {a}*{b} escapes")
+    if not is_subgroup(hits, n):
+        raise AssertionError(f"stabilizer {sorted(hits)} is not a subgroup")
     return hits
 
 
@@ -227,9 +217,7 @@ def field_of_moduli(p: FamilyParams, n: int) -> ModuliResult:
             "sigma(mu) = -mu")
     no_negation = by_minpoly
 
-    pointwise = frozenset(
-        a for a in units(n)
-        if lam.galois_apply(a) == lam and mu.galois_apply(a) == mu)
+    pointwise = fixing_subgroup(lam, n) & fixing_subgroup(mu, n)
     min_def = fixed_field(pointwise, n)
 
     if min_def.degree % moduli.degree != 0:

@@ -13,10 +13,9 @@ F(G(z)).
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Optional
 
-from .cyclotomic import CycElt
+from .cyclotomic import CycElt, common_field
 
 __all__ = [
     "SpherePoint",
@@ -93,12 +92,7 @@ class Moebius:
     __slots__ = ("a", "b", "c", "d", "conj_first")
 
     def __init__(self, a, b, c, d, conj_first: bool = False):
-        coeffs = [x if isinstance(x, CycElt) else CycElt.from_rational(x)
-                  for x in (a, b, c, d)]
-        m = 1
-        for x in coeffs:
-            m = m * x.n // math.gcd(m, x.n)
-        coeffs = [x.embed(m) for x in coeffs]
+        _, coeffs = common_field((a, b, c, d))
         det = coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2]
         if det.is_zero():
             raise ValueError("degenerate transformation (ad - bc = 0)")
@@ -127,14 +121,7 @@ class Moebius:
         p = SpherePoint.of(p)
         if self.conj_first:
             p = p.conjugate()
-        if p.is_infinity:
-            if self.c.is_zero():
-                return INF
-            return SpherePoint(self.a / self.c)
-        den = self.c * p.value + self.d
-        if den.is_zero():
-            return INF
-        return SpherePoint((self.a * p.value + self.b) / den)
+        return _apply_raw(self.coefficients(), p)
 
     __call__ = apply
 
@@ -293,13 +280,20 @@ def moebius_from_triple(src, dst) -> Moebius:
 def unify_points(points):
     """Embed points into one common cyclotomic field; returns (m, list)."""
     pts = [SpherePoint.of(p) for p in points]
-    m = 1
-    for p in pts:
-        if not p.is_infinity:
-            m = m * p.value.n // math.gcd(m, p.value.n)
-    out = [p if p.is_infinity else SpherePoint(p.value.embed(m))
-           for p in pts]
-    return m, out
+    m, values = common_field(p.value for p in pts if not p.is_infinity)
+    values = iter(values)
+    return m, [p if p.is_infinity else SpherePoint(next(values)) for p in pts]
+
+
+def _normalized_triples(pts):
+    """For each ordered triple of the points (itertools.permutations
+    order), the triple and the images of the other points, in their order,
+    under the map sending the triple to (inf, 0, 1)."""
+    for idx in itertools.permutations(range(len(pts)), 3):
+        triple = tuple(pts[i] for i in idx)
+        mat = _std_raw(*triple)
+        yield triple, [_apply_raw(mat, p)
+                       for i, p in enumerate(pts) if i not in idx]
 
 
 def _raw_key(p: SpherePoint):
@@ -328,17 +322,11 @@ def set_maps(S, T, anti: bool = False) -> list:
         raise ValueError("both sets must contain exactly six points")
     if anti:
         src = [p.conjugate() for p in src]
-    base = src[:3]
-    base_mat = _std_raw(*base)
-    rest = src[3:]
-    want = sorted(_raw_key(_apply_raw(base_mat, p)) for p in rest)
+    base, base_images = next(_normalized_triples(src))
+    want = sorted(map(_raw_key, base_images))
     found = {}
-    for triple in itertools.permutations(tgt, 3):
-        mat = _std_raw(*triple)
-        chosen = set(map(_raw_key, triple))
-        others = [p for p in tgt if _raw_key(p) not in chosen]
-        got = sorted(_raw_key(_apply_raw(mat, p)) for p in others)
-        if got != want:
+    for triple, images in _normalized_triples(tgt):
+        if sorted(map(_raw_key, images)) != want:
             continue
         m = moebius_from_triple(base, triple)
         if anti:

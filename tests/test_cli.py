@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -124,6 +125,22 @@ def test_weil_check(capsys):
     assert res["descends"] is True
 
 
+def test_weil_check_rejects_wrong_order_up_front(capsys):
+    # <3> has order 2 mod 8; the lift over Q(zeta_8) has missing roots, so
+    # no candidate would ever reach extend_cyclic
+    for order in ("7", "1000000000"):
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "weil-check", "--conductor", "8",
+                             "--k", "2", "--lambda", "-4", "--mu", "2*z",
+                             "--generator", "3", "--order", order)
+        assert time.perf_counter() - start < 10
+        assert code == 1
+        assert doc["status"] == "rejected"
+        assert doc["error"] == {"kind": "domain",
+                                "message": f"<3> does not have order {order} "
+                                           f"mod 8"}
+
+
 def test_structured_output_is_deterministic(capsys):
     _, out1 = run(capsys, "--output", "structured", "stabilizer",
                   "--conductor", "5", "--k", "2", "--lambda", "-4",
@@ -165,3 +182,9 @@ def test_approx_bits_env_var(capsys, monkeypatch):
     low = doc["result"]["cross_ratio"]["approx"]
     assert high != low  # interval width tracks the requested precision
     assert high.split("(")[0].startswith(low.split("(")[0][:6])
+    monkeypatch.setenv("PSEUDOREAL_APPROX_BITS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["genus", "--k", "2"])
+    assert exc.value.code == 2
+    assert "PSEUDOREAL_APPROX_BITS must be an integer, got 'abc'" in \
+        capsys.readouterr().err

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -218,6 +219,29 @@ def test_subgroup_utilities():
     got = {frozenset(h) for h in subgroups(8)}
     assert got == {frozenset({1}), frozenset({1, 3}), frozenset({1, 5}),
                    frozenset({1, 7}), frozenset({1, 3, 5, 7})}
+    # every (Z/n)* with n <= 60 has rank <= 3, so the closures of all sets
+    # of at most three generators, one per cyclic subgroup, are all the
+    # subgroups; (Z/24)* itself needs three
+    for n in range(1, 61):
+        gens = {}
+        for a in units(n):
+            gens.setdefault(_closure([a], n), a)
+        want = {_closure(c, n) for r in range(4)
+                for c in itertools.combinations(gens.values(), r)}
+        got = subgroups(n)
+        assert len(got) == len(want) and set(got) == want, n
+        assert all(is_subgroup(h, n) for h in got)
+
+
+def _closure(gens, n):
+    h = {1 % n}
+    frontier = [g % n for g in gens]
+    while frontier:
+        x = frontier.pop()
+        if x not in h:
+            h.add(x)
+            frontier.extend((x * y) % n for y in h)
+    return frozenset(h)
 
 
 def test_approx_boxes():

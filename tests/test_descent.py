@@ -8,6 +8,7 @@ from pseudoreal.moebius import Moebius
 from pseudoreal.descent import (
     MonomialIso,
     WeilDatum,
+    check_order,
     cocycle_check,
     compose_twist,
     curve_rows,
@@ -168,6 +169,11 @@ def test_extend_cyclic_validates_order():
         extend_cyclic(swap_iso(), 3, 2, p, 16)  # <3> has order 4 mod 16
     with pytest.raises(ValueError):
         extend_cyclic(MonomialIso.identity(2), 3, 4, p, 16)  # no transport
+    check_order(3, 4, 16)
+    check_order(5, 1, 1)
+    for g, d in ((3, 2), (3, 8), (3, 10 ** 12), (2, 4), (3, 0), (1, -1)):
+        with pytest.raises(ValueError, match="does not have order"):
+            check_order(g, d, 16)
 
 
 def test_all_four_sign_pairs_close():
