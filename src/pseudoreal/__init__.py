@@ -7,6 +7,7 @@ from .cyclotomic import (
     CycElt,
     CycError,
     GaloisElement,
+    LimitError,
     NonRealError,
     ParseError,
     SeedSearchExhausted,

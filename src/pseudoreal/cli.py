@@ -4,10 +4,13 @@ Every invocation prints one document: inputs echoed in canonical form,
 results, witnesses (Moebius maps as four canonical coefficients plus an
 anti flag), and diagnostics.  `--output structured` emits JSON with sorted
 keys, so identical invocations are byte-identical.  Exit codes: 0 success,
-1 domain rejection, 2 usage error.  The environment variable
-PSEUDOREAL_APPROX_BITS (default 64) sets the precision of the certified
-decimal approximations included in reports; a value that is not an
-integer is a usage error.
+1 domain rejection (including a conductor above MAX_CONDUCTOR, clause
+conductor_limit, and an element expression above MAX_SIZE_BITS, clause
+size_limit), 2 usage error, 3 internal error (a failed internal
+cross-check, reported with status and error kind internal_error).  The
+environment variable PSEUDOREAL_APPROX_BITS (default 64) sets the
+precision of the certified decimal approximations included in reports; a
+value that is not an integer is a usage error.
 """
 
 from __future__ import annotations
@@ -17,13 +20,15 @@ import json
 import os
 import sys
 
-from .cyclotomic import CycElt, CycError, GaloisElement, ParseError, \
-    approx, format_poly, make_element
-from .moebius import INF, Moebius, SpherePoint, cross_ratio, g_orbit
+from .cyclotomic import CycElt, CycError, GaloisElement, LimitError, \
+    ParseError, approx, format_poly, make_element
+from .moebius import INF, Moebius, SpherePoint, _triple_index, \
+    cross_ratio, g_orbit
 from .configurations import OmegaError, concircular_quadruples, equivalent, \
     make_config, symmetries, u_orbit
 from .family import ParameterError, analyze, genus, validate
-from .moduli import classify_sigma, field_of_moduli, stabilizer
+from .moduli import _row_targets, classify_sigma, field_of_moduli, \
+    stabilizer
 from .descent import check_order, extend_cyclic, cocycle_check, \
     lift_to_monomial
 
@@ -32,6 +37,7 @@ __all__ = ["main", "build_parser"]
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _approx_bits() -> int:
@@ -452,16 +458,24 @@ def main(argv=None) -> int:
         parser.exit(EXIT_USAGE, f"pseudoreal: {exc}\n")
     args = parser.parse_args(argv)
     args.approx_bits = bits
+    # one query, one process: nothing is remembered from an earlier query
+    _triple_index.cache_clear()
+    _row_targets.cache_clear()
     try:
         code, doc = args.handler(args)
     except (ParseError, ZeroDivisionError) as exc:
         parser.exit(EXIT_USAGE, f"pseudoreal: bad element expression: {exc}\n")
-    except (OmegaError, ParameterError) as exc:
-        clause = getattr(exc, "clause", "rejected")
+    except (OmegaError, ParameterError, LimitError) as exc:
         doc = {"command": args.command,
-               "error": {"kind": clause, "message": str(exc)},
+               "error": {"kind": exc.clause, "message": str(exc)},
                "status": "rejected"}
         code = EXIT_REJECTED
+    except AssertionError as exc:  # OracleDisagreement included
+        doc = {"command": args.command,
+               "error": {"kind": "internal_error",
+                         "message": f"{type(exc).__name__}: {exc}"},
+               "status": "internal_error"}
+        code = EXIT_INTERNAL
     except (CycError, ValueError) as exc:
         doc = {"command": args.command,
                "error": {"kind": "domain", "message": str(exc)},

@@ -22,6 +22,7 @@ cyclotomic field, and certified complex interval enclosures.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import itertools
 import math
@@ -34,6 +35,9 @@ __all__ = [
     "ParseError",
     "NonRealError",
     "SeedSearchExhausted",
+    "LimitError",
+    "MAX_CONDUCTOR",
+    "MAX_SIZE_BITS",
     "CycElt",
     "GaloisElement",
     "Subfield",
@@ -73,6 +77,14 @@ class NonRealError(CycError):
 
 class SeedSearchExhausted(CycError):
     """The bounded search for a primitive element of a fixed field failed."""
+
+
+class LimitError(CycError):
+    """An element expression passes a resource limit; `clause` names it."""
+
+    def __init__(self, clause: str, message: str):
+        super().__init__(message)
+        self.clause = clause
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +587,21 @@ class GaloisElement:
 # expression parser (grammar: integers, rationals p/q, z, + - * / ^,
 # parentheses, conj(...); whitespace insignificant)
 
+# Limits on parsed input, so that no expression runs unboundedly long:
+# the largest conductor (crossratio takes well under a second there), and
+# the largest size of an element, in bits (see _size_bits)
+MAX_CONDUCTOR = 120
+MAX_SIZE_BITS = 4096
+
+
+def _size_bits(u: CycElt) -> float:
+    """log2 of the larger of the common denominator D of the coefficients
+    and the sum of |numerators| over D: it bounds every coefficient's
+    numerator and denominator, and u^e has about e times as many bits."""
+    den = math.lcm(*(c.denominator for c in u.coeffs))
+    height = sum(abs(c.numerator) * (den // c.denominator) for c in u.coeffs)
+    return math.log2(max(height, den))
+
 
 class _Parser:
     def __init__(self, text: str, n: int):
@@ -610,10 +637,10 @@ class _Parser:
             ch = self.peek()
             if ch == "+":
                 self.pos += 1
-                v = v + self.term()
+                v = self.bounded(v + self.term())
             elif ch == "-":
                 self.pos += 1
-                v = v - self.term()
+                v = self.bounded(v - self.term())
             else:
                 return v
 
@@ -623,13 +650,13 @@ class _Parser:
             ch = self.peek()
             if ch == "*":
                 self.pos += 1
-                v = v * self.factor()
+                v = self.bounded(v * self.factor())
             elif ch == "/":
                 self.pos += 1
                 d = self.factor()
                 if d.is_zero():
                     raise ZeroDivisionError("division by zero element")
-                v = v / d
+                v = self.bounded(v / d)
             else:
                 return v
 
@@ -648,23 +675,41 @@ class _Parser:
         if self.peek() == "^":
             self.pos += 1
             e = self.signed_int()
-            if e < 0 and base.is_zero():
-                raise ZeroDivisionError("division by zero element")
+            if e < 0:
+                if base.is_zero():
+                    raise ZeroDivisionError("division by zero element")
+                base, e = base.inverse(), -e
+            if e > MAX_SIZE_BITS / max(1.0, _size_bits(base)):
+                raise LimitError(
+                    "size_limit", f"power ^{e} before position {self.pos} "
+                    f"would exceed {MAX_SIZE_BITS} bits")
             return base ** e
         return base
+
+    def bounded(self, v):
+        if _size_bits(v) > MAX_SIZE_BITS:
+            raise LimitError("size_limit", f"value before position "
+                             f"{self.pos} exceeds {MAX_SIZE_BITS} bits")
+        return v
 
     def signed_int(self):
         sign = 1
         if self.peek() == "-":
             self.pos += 1
             sign = -1
-        ch = self.peek()
-        if not ch.isdigit():
+        if not self.peek().isdigit():
             self.error("expected integer exponent")
+        return sign * self.integer()
+
+    def integer(self):
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        return sign * int(self.text[start:self.pos])
+        # a decimal digit carries more than 3 bits
+        if 3 * (self.pos - start) > MAX_SIZE_BITS:
+            raise LimitError("size_limit", f"integer at position {start} "
+                             f"exceeds {MAX_SIZE_BITS} bits")
+        return int(self.text[start:self.pos])
 
     def atom(self):
         ch = self.peek()
@@ -674,10 +719,7 @@ class _Parser:
             self.eat(")")
             return v
         if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return CycElt.from_rational(int(self.text[start:self.pos]), self.n)
+            return CycElt.from_rational(self.integer(), self.n)
         if self.text.startswith("conj", self.pos):
             self.pos += 4
             self.eat("(")
@@ -691,9 +733,15 @@ class _Parser:
 
 
 def make_element(expr: str, n: int) -> CycElt:
-    """Parse an element expression; `z` binds to zeta_n = exp(2*pi*i/n)."""
+    """Parse an element expression; `z` binds to zeta_n = exp(2*pi*i/n).
+    LimitError (clause conductor_limit or size_limit) when n exceeds
+    MAX_CONDUCTOR or a literal, power, sum, product or quotient in the
+    expression exceeds MAX_SIZE_BITS."""
     if n < 1:
         raise ValueError("conductor must be positive")
+    if n > MAX_CONDUCTOR:
+        raise LimitError("conductor_limit", f"conductor {n} exceeds the "
+                         f"maximum {MAX_CONDUCTOR}")
     return _Parser(expr, n).parse()
 
 
@@ -734,7 +782,16 @@ class Box:
 
     def __str__(self):
         rm, im = self.midpoint()
-        return f"{float(rm):.12g} + {float(im):.12g}i (+/- {float(self.width()):.3g})"
+        return (f"{_fmt(rm, '.12g')} + {_fmt(im, '.12g')}i "
+                f"(+/- {_fmt(self.width(), '.3g')})")
+
+
+def _fmt(x: Fraction, spec: str) -> str:
+    """format(float(x), spec), also for |x| beyond the float range."""
+    try:
+        return format(float(x), spec)
+    except OverflowError:
+        return format(decimal.Decimal(x.numerator) / x.denominator, spec)
 
 
 def _mpf_to_fraction(x):

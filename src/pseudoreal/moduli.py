@@ -23,12 +23,13 @@ candidate Q(lambda, mu).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 from .cyclotomic import CycElt, GaloisElement, Subfield, fixed_field, \
     fixing_subgroup, is_subgroup, min_poly, poly_eval, units
-from .moebius import Moebius, set_maps
+from .moebius import Moebius, _same_points, set_maps
 from .configurations import make_config
 from .family import FamilyParams
 
@@ -79,6 +80,14 @@ def row_targets(lam: CycElt, mu: CycElt):
     """The twelve (row, sign, sigma_lambda, sigma_mu, witness-builder)
     shapes evaluated at (lambda, mu).  Builders take the actual
     (sigma_lambda, sigma_mu) and produce the table's Moebius map."""
+    return list(_row_targets(lam.n, lam.coeffs, mu.n, mu.coeffs))
+
+
+@functools.lru_cache(maxsize=1)
+def _row_targets(n_lam, lam_coeffs, n_mu, mu_coeffs):
+    # one entry, keyed on exact coefficients: the phi(n) calls of one
+    # stabilizer share the table
+    lam, mu = CycElt(n_lam, lam_coeffs), CycElt(n_mu, mu_coeffs)
     one = CycElt.one(lam.n)
     p = (one - mu) / (one + mu)        # (1-mu)/(1+mu)
     q = (lam + mu) / (lam - mu)        # (lambda+mu)/(lambda-mu)
@@ -125,7 +134,7 @@ def row_targets(lam: CycElt, mu: CycElt):
     rows.append((10, None, pq, q, t_minus))
     rows.append((11, None, inv_pq, -one / p, t_minus_neg))
     rows.append((12, None, pq, -q, t_minus_neg))
-    return rows
+    return tuple(rows)
 
 
 def classify_sigma(p: FamilyParams, a) -> SigmaClassification:
@@ -141,16 +150,15 @@ def classify_sigma(p: FamilyParams, a) -> SigmaClassification:
     slam = lam.galois_apply(g)
     smu = mu.galois_apply(g)
 
-    source = make_config(lam, mu, -mu).point_set()
-    target = make_config(slam, smu, -smu).point_set()
+    source = make_config(lam, mu, -mu).points()
+    target = make_config(slam, smu, -smu).points()
 
     matches = []
     table_maps = {}
     for row, sign, want_l, want_m, builder in row_targets(lam, mu):
         if slam == want_l and smu == want_m:
             t = builder(slam, smu)
-            image = frozenset(t.apply(pt) for pt in source)
-            if image != target:
+            if not _same_points(map(t.apply, source), target):
                 raise OracleDisagreement(
                     f"row ({row}) matched but its map does not carry the "
                     f"six-point set")

@@ -12,6 +12,7 @@ F(G(z)).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Optional
 
@@ -286,14 +287,38 @@ def unify_points(points):
 
 
 def _normalized_triples(pts):
-    """For each ordered triple of the points (itertools.permutations
+    """For each ordered triple (p, q, s) of the points (itertools.permutations
     order), the triple and the images of the other points, in their order,
-    under the map sending the triple to (inf, 0, 1)."""
-    for idx in itertools.permutations(range(len(pts)), 3):
-        triple = tuple(pts[i] for i in idx)
-        mat = _std_raw(*triple)
-        yield triple, [_apply_raw(mat, p)
-                       for i, p in enumerate(pts) if i not in idx]
+    under the map sending the triple to (inf, 0, 1):
+
+        x -> ((x - q)/(x - p)) * ((s - p)/(s - q)),
+
+    each factor that holds infinity dropped.  The ratios (x - a)/(x - b)
+    are tabulated first, so six points cost at most 15 inversions, not
+    360."""
+    k = len(pts)
+    diff, inv = {}, {}
+    for i, j in itertools.combinations(range(k), 2):
+        if not (pts[i].is_infinity or pts[j].is_infinity):
+            d = pts[i].value - pts[j].value
+            diff[i, j], diff[j, i] = d, -d
+            inv[i, j] = d.inverse()
+            inv[j, i] = -inv[i, j]
+    ratio = {}
+    for x, a, b in itertools.permutations(range(k), 3):
+        if pts[x].is_infinity:
+            ratio[x, a, b] = CycElt.one()
+        elif pts[a].is_infinity:
+            ratio[x, a, b] = inv[x, b]
+        elif pts[b].is_infinity:
+            ratio[x, a, b] = diff[x, a]
+        else:
+            ratio[x, a, b] = diff[x, a] * inv[x, b]
+    for idx in itertools.permutations(range(k), 3):
+        p, q, s = idx
+        yield tuple(pts[i] for i in idx), [
+            SpherePoint(ratio[x, q, p] * ratio[s, p, q])
+            for x in range(k) if x not in idx]
 
 
 def _raw_key(p: SpherePoint):
@@ -301,34 +326,66 @@ def _raw_key(p: SpherePoint):
     return (0,) if p.is_infinity else (1, p.value.coeffs)
 
 
+def _same_points(A, B) -> bool:
+    """Whether A and B hold the same points, decided on exact coefficients
+    in one common field (no minimal forms, unlike hashing)."""
+    a, b = list(A), list(B)
+    _, pts = unify_points(a + b)
+    return ({_raw_key(p) for p in pts[:len(a)]}
+            == {_raw_key(p) for p in pts[len(a):]})
+
+
+def _sparsity(p: SpherePoint):
+    if p.is_infinity:
+        return (0,)
+    return (1, sum(1 for c in p.value.coeffs if c), p.value.coeffs)
+
+
+@functools.lru_cache(maxsize=1)
+def _triple_index(n: int, keys: tuple) -> dict:
+    """The six points with raw keys `keys` at conductor n, indexed for
+    set_maps: each ordered triple is filed under the sorted raw keys of
+    the images of the other three points when the triple goes to
+    (inf, 0, 1).  One entry, so the phi(n) calls of one stabilizer share
+    the source's normalization."""
+    pts = [INF if key == (0,) else SpherePoint(CycElt(n, key[1]))
+           for key in keys]
+    index = {}
+    for triple, images in _normalized_triples(pts):
+        spots = tuple(sorted(map(_raw_key, images)))
+        index.setdefault(spots, []).append(triple)
+    return index
+
+
 def set_maps(S, T, anti: bool = False) -> list:
     """All Moebius (or anti-Moebius) maps sending the six-point set S onto
-    the six-point set T, by enumerating the 120 ordered triples of T as
-    images of a fixed triple of S; duplicate-free and canonically sorted.
-    An empty list means no such map exists.
+    the six-point set T; duplicate-free and canonically sorted.  An empty
+    list means no such map exists.
 
-    A candidate triple survives iff normalizing it to (inf, 0, 1) puts the
-    three remaining target points at the same spots as the three remaining
-    source points under the source normalization; the witness matrix is
-    only assembled for survivors.
+    Every map sends some ordered triple of S to a fixed base triple of T,
+    and it does so iff normalizing both triples to (inf, 0, 1) puts the
+    remaining three points of each set at the same spots.  So the 120
+    ordered triples of S are normalized once (and kept for the next call
+    with the same source) and looked up by the spots of T's base triple;
+    the witness matrix is only assembled for the triples found.
     """
     s_in, t_in = list(S), list(T)
-    _, everything = unify_points(s_in + t_in)
-    src = sorted({_raw_key(p): p for p in everything[:len(s_in)]}.values(),
-                 key=_raw_key)
-    tgt = sorted({_raw_key(p): p for p in everything[len(s_in):]}.values(),
-                 key=_raw_key)
-    if len(src) != 6 or len(tgt) != 6:
-        raise ValueError("both sets must contain exactly six points")
+    n, everything = unify_points(s_in + t_in)
+    src = everything[:len(s_in)]
     if anti:
         src = [p.conjugate() for p in src]
-    base, base_images = next(_normalized_triples(src))
-    want = sorted(map(_raw_key, base_images))
+    src = tuple(sorted({_raw_key(p) for p in src}))
+    # the base triple is T's first: infinity and the sparsest values, whose
+    # normalization costs least
+    tgt = sorted({_raw_key(p): p for p in everything[len(s_in):]}.values(),
+                 key=_sparsity)
+    if len(src) != 6 or len(tgt) != 6:
+        raise ValueError("both sets must contain exactly six points")
+    base, mat = tgt[:3], _std_raw(*tgt[:3])
+    spots = tuple(sorted(_raw_key(_apply_raw(mat, p)) for p in tgt[3:]))
     found = {}
-    for triple, images in _normalized_triples(tgt):
-        if sorted(map(_raw_key, images)) != want:
-            continue
-        m = moebius_from_triple(base, triple)
+    for triple in _triple_index(n, src).get(spots, ()):
+        m = moebius_from_triple(triple, base)
         if anti:
             m = Moebius(*m.coefficients(), conj_first=True)
         key = (m.conj_first, m.a.coeffs, m.b.coeffs, m.c.coeffs, m.d.coeffs)

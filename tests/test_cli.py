@@ -4,7 +4,7 @@ import time
 import pytest
 
 from pseudoreal.cli import main
-from pseudoreal.cyclotomic import make_element
+from pseudoreal.cyclotomic import MAX_CONDUCTOR, MAX_SIZE_BITS, make_element
 
 
 def run(capsys, *argv):
@@ -188,3 +188,46 @@ def test_approx_bits_env_var(capsys, monkeypatch):
     assert exc.value.code == 2
     assert "PSEUDOREAL_APPROX_BITS must be an integer, got 'abc'" in \
         capsys.readouterr().err
+
+
+def test_internal_error_is_structured(capsys, monkeypatch):
+    # an enumeration that finds no map contradicts the table's row (1)
+    monkeypatch.setattr("pseudoreal.moduli.set_maps", lambda *a, **k: [])
+    code, doc = run_json(capsys, "classify", "--conductor", "5", "--k", "2",
+                         "--lambda", "-4", "--mu", "2*z", "--sigma", "1")
+    assert code == 3
+    assert doc["status"] == "internal_error"
+    assert doc["error"]["kind"] == "internal_error"
+    assert doc["error"]["message"].startswith("OracleDisagreement: ")
+
+
+@pytest.mark.parametrize("conductor, points, clause", [
+    ("5000", ("inf", "0", "1", "z"), "conductor_limit"),
+    (str(MAX_CONDUCTOR + 1), ("inf", "0", "1", "z"), "conductor_limit"),
+    ("1", ("inf", "0", "1", "2^3000000"), "size_limit"),
+    ("1", ("inf", "0", "1", "2^-3000000"), "size_limit"),
+    ("5", ("inf", "0", "1", "z^5000"), "size_limit"),
+    ("1", ("inf", "0", "1", "(2^4000)*(2^4000)"), "size_limit"),
+    ("1", ("inf", "0", "1", "3" * 5000), "size_limit"),
+])
+def test_resource_limits_reject_at_once(capsys, conductor, points, clause):
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "crossratio", "--conductor", conductor,
+                         "--", *points)
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert doc["status"] == "rejected"
+    assert doc["error"]["kind"] == clause
+
+
+def test_resource_limits_admit_their_maximum(capsys):
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "crossratio", "--conductor",
+                         str(MAX_CONDUCTOR), "--", "inf", "0", "1", "z")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and doc["result"]["real"] is False
+    code, doc = run_json(capsys, "crossratio", "--conductor", "1",
+                         "--", "inf", "0", "1", f"2^{MAX_SIZE_BITS}")
+    assert code == 0
+    assert doc["result"]["cross_ratio"]["canonical"] == \
+        str(2 ** MAX_SIZE_BITS)

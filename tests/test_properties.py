@@ -1,13 +1,22 @@
-"""Property tests for the shared elimination, field embedding and
-(anti-)Moebius application."""
+"""Property tests for the shared elimination, field embedding,
+(anti-)Moebius application, and differential tests of set_maps and the
+stabilizer against the enumeration that set_maps replaced."""
 
+import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pseudoreal.cyclotomic import CycElt, _echelon, _solve_exact, euler_phi
+from pseudoreal.configurations import OmegaError, make_config
+from pseudoreal.cyclotomic import CycElt, GaloisElement, _echelon, \
+    _solve_exact, euler_phi, make_element, units
 from pseudoreal.descent import _in_span, _nullspace
-from pseudoreal.moebius import INF, Moebius, SpherePoint
+from pseudoreal.family import validate
+from pseudoreal.moduli import classify_sigma, stabilizer
+from pseudoreal.moebius import INF, Moebius, SpherePoint, _apply_raw, \
+    _normalized_triples, _raw_key, _std_raw, moebius_from_triple, set_maps, \
+    unify_points
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -126,3 +135,135 @@ def test_anti_map_conjugates_then_applies(case):
     anti = Moebius(a, b, c, d, conj_first=True)
     plain = Moebius(a, b, c, d)
     assert anti.apply(p) == plain.apply(p.conjugate())
+
+
+# -- set_maps against the enumeration it replaced ----------------------------
+
+
+def reference_triples(pts):
+    """Each ordered triple and the other points' images, by one matrix per
+    triple (three inversions each)."""
+    for idx in itertools.permutations(range(len(pts)), 3):
+        triple = tuple(pts[i] for i in idx)
+        mat = _std_raw(*triple)
+        yield triple, [_apply_raw(mat, p)
+                       for i, p in enumerate(pts) if i not in idx]
+
+
+def reference_set_maps(S, T, anti=False):
+    """The earlier set_maps: normalize S's first triple, then try all 120
+    ordered triples of T as its image."""
+    s_in, t_in = list(S), list(T)
+    _, everything = unify_points(s_in + t_in)
+    src = sorted({_raw_key(p): p for p in everything[:len(s_in)]}.values(),
+                 key=_raw_key)
+    tgt = sorted({_raw_key(p): p for p in everything[len(s_in):]}.values(),
+                 key=_raw_key)
+    assert len(src) == len(tgt) == 6
+    if anti:
+        src = [p.conjugate() for p in src]
+    base, base_images = next(reference_triples(src))
+    want = sorted(map(_raw_key, base_images))
+    found = {}
+    for triple, images in reference_triples(tgt):
+        if sorted(map(_raw_key, images)) == want:
+            m = moebius_from_triple(base, triple)
+            m = Moebius(*m.coefficients(), conj_first=anti)
+            found[_map_key(m)] = m
+    return [found[k] for k in sorted(found)]
+
+
+def _map_key(m):
+    return (m.conj_first,) + tuple(x.coeffs for x in m.coefficients())
+
+
+def assert_matches_reference(S, T, anti):
+    got = set_maps(S, T, anti=anti)
+    assert [_map_key(m) for m in got] == \
+        [_map_key(m) for m in reference_set_maps(S, T, anti)]
+    return got
+
+
+small_elements = st.sampled_from([1, 3, 4, 5, 8, 12]).flatmap(
+    lambda n: st.lists(elements(n, small), min_size=7, max_size=7))
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_elements, st.booleans(), st.booleans())
+def test_set_maps_matches_reference_and_finds_the_map(values, anti, moved):
+    l1, l2, l3, a, b, c, d = values
+    try:
+        cfg = make_config(l1, l2, l3)
+    except OmegaError:
+        assume(False)
+    assume(not (a * d - b * c).is_zero())
+    M = Moebius(a, b, c, d, conj_first=anti)
+    S = cfg.points()
+    # the image of S, or S itself, which M usually does not preserve
+    T = [M.apply(p) for p in S] if moved else S
+    got = assert_matches_reference(S, T, anti)
+    if moved:
+        assert M in got
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_elements, st.booleans())
+def test_normalized_triples_match_one_matrix_per_triple(values, with_inf):
+    _, pts = unify_points(values[:5] + [INF if with_inf else values[5]])
+    pts = list({_raw_key(p): p for p in pts}.values())
+    got = list(_normalized_triples(pts))
+    ref = list(reference_triples(pts))
+    assert [t for t, _ in got] == [t for t, _ in ref]
+    assert [[_raw_key(q) for q in images] for _, images in got] == \
+        [[_raw_key(q) for q in images] for _, images in ref]
+
+
+# the moduli-sweep parameter forms: mu = q zeta^j with lambda = -q^2, and
+# mu = beta zeta^j with beta = a + zeta + zeta^-1 real and lambda = -beta^2
+SWEEP = ([(n, "-4", "2*z") for n in (3, 5, 8, 12, 16, 24)]
+         + [(n, "-(1 + z + z^-1)^2", "(1 + z + z^-1)*z")
+            for n in (5, 8, 12, 16, 24)])
+
+
+@pytest.mark.parametrize("n, lam, mu", SWEEP)
+def test_stabilizer_and_witnesses_match_reference(n, lam, mu):
+    p = validate(make_element(lam, n), make_element(mu, n), 2)
+    source = make_config(p.lam, p.mu, -p.mu).points()
+    hits = set()
+    for a in units(n):
+        cls = classify_sigma(p, GaloisElement(n, a))
+        target = make_config(cls.sigma_lambda, cls.sigma_mu,
+                             -cls.sigma_mu).points()
+        ref = reference_set_maps(source, target)
+        assert cls.in_stabilizer == bool(ref)
+        assert (_map_key(cls.witness) if cls.witness else None) == \
+            (_map_key(ref[0]) if ref else None)
+        if ref:
+            hits.add(a)
+    assert stabilizer(p, n) == hits
+
+
+def _points(n, *vectors):
+    return make_config(*(CycElt(n, v) for v in vectors)).points()
+
+
+def test_set_maps_memo_is_keyed_on_exact_source():
+    maps = (Moebius(1, 2, 0, 1), Moebius(0, 1, 1, 0))
+    # sources A, B, A, each with two targets in a row (a miss, then a hit)
+    A = _points(8, (0, 1), (2, 0, 1), (0, 0, 0, 3))
+    B = _points(8, (0, 1), (2, 0, 1), (0, 0, 0, -3))
+    for S in (A, B, A):
+        for M in maps:
+            assert M in assert_matches_reference(S, [M(p) for p in S], False)
+    # one coefficient vector at conductors 5 and 8, phi = 4 for both
+    for n in (5, 8, 5):
+        S = _points(n, (0, 1), (1, 1), (0, 2, 0, 1))
+        for M in maps:
+            assert M in assert_matches_reference(S, [M(p) for p in S], False)
+    # plain, then anti, on one non-real source
+    S = _points(12, (0, 1), (3,), (1, 0, 2))
+    anti = Moebius(0, 1, 1, 0, conj_first=True)
+    assert maps[0] in assert_matches_reference(
+        S, [maps[0](p) for p in S], False)
+    assert anti in assert_matches_reference(S, [anti(p) for p in S], True)
+    assert_matches_reference(S, S, True)
