@@ -5,12 +5,13 @@ results, witnesses (Moebius maps as four canonical coefficients plus an
 anti flag), and diagnostics.  `--output structured` emits JSON with sorted
 keys, so identical invocations are byte-identical.  Exit codes: 0 success,
 1 domain rejection (including a conductor above MAX_CONDUCTOR, clause
-conductor_limit, and an element expression above MAX_SIZE_BITS, clause
-size_limit), 2 usage error, 3 internal error (a failed internal
-cross-check, reported with status and error kind internal_error).  The
+conductor_limit, and an element expression above MAX_SIZE_BITS or a
+result too large to print, clause size_limit), 2 usage error, 3 internal
+error (a failed internal cross-check, reported with status and error kind
+internal_error).  Every exit-1 document has status rejected.  The
 environment variable PSEUDOREAL_APPROX_BITS (default 64) sets the
 precision of the certified decimal approximations included in reports; a
-value that is not an integer is a usage error.
+value that is not an integer or exceeds MAX_APPROX_BITS is a usage error.
 """
 
 from __future__ import annotations
@@ -39,25 +40,30 @@ EXIT_REJECTED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
+# the largest PSEUDOREAL_APPROX_BITS: a crossratio query at MAX_CONDUCTOR
+# takes about 0.4 s there, and the enclosure's cost grows faster than the
+# bits (a million bits did not finish in 20 s)
+MAX_APPROX_BITS = 16384
+
 
 def _approx_bits() -> int:
     """PSEUDOREAL_APPROX_BITS (default 64, at least 8); ValueError if it is
-    not an integer."""
+    not an integer or exceeds MAX_APPROX_BITS."""
     raw = os.environ.get("PSEUDOREAL_APPROX_BITS", "64")
     try:
-        return max(int(raw), 8)
+        bits = int(raw)
     except ValueError:
         raise ValueError(
             f"PSEUDOREAL_APPROX_BITS must be an integer, got {raw!r}") from None
+    if bits > MAX_APPROX_BITS:
+        raise ValueError(f"PSEUDOREAL_APPROX_BITS must be at most "
+                         f"{MAX_APPROX_BITS}, got {bits}")
+    return max(bits, 8)
 
 
 def _elt_doc(e: CycElt, bits: int) -> dict:
     return {"canonical": str(e), "conductor": e.n,
             "approx": str(approx(e, bits))}
-
-
-def _point_str(p: SpherePoint) -> str:
-    return "inf" if p.is_infinity else str(p.value)
 
 
 def _map_doc(m: Moebius) -> dict:
@@ -91,7 +97,7 @@ def _cmd_crossratio(args):
     value = cross_ratio(*pts)
     orbit = g_orbit(value)
     return EXIT_OK, {
-        "inputs": {"conductor": n, "points": [_point_str(p) for p in pts]},
+        "inputs": {"conductor": n, "points": [str(p) for p in pts]},
         "result": {
             "cross_ratio": _elt_doc(value, args.approx_bits),
             "real": value.conjugate() == value,
@@ -107,7 +113,7 @@ def _cmd_circles(args):
         "inputs": _config_inputs(args, cfg),
         "result": {
             "count": len(quads),
-            "concircular_quadruples": [[_point_str(p) for p in q]
+            "concircular_quadruples": [[str(p) for p in q]
                                        for q in quads],
         },
     }
@@ -231,23 +237,30 @@ def _cmd_moduli(args):
     }
 
 
-def _cmd_lift(args):
-    n = args.conductor
-    p = _family_from(args)
-    g = GaloisElement(n, args.sigma)
+def _lift_witness(p, g, inputs, message):
+    """Classify sigma_g and lift its Moebius witness over Q(zeta_n):
+    (witness, lift, None), or (None, None, the no_witness rejection)."""
     cls = classify_sigma(p, g)
     if cls.witness is None:
-        return EXIT_REJECTED, {
-            "inputs": {**_family_inputs(args), "sigma": args.sigma},
-            "error": {"kind": "no_witness",
-                      "message": "sigma does not preserve the configuration "
-                                 "class; nothing to lift"},
-        }
-    lift = lift_to_monomial(cls.witness, p, g, n)
+        return None, None, (EXIT_REJECTED, {
+            "inputs": inputs,
+            "error": {"kind": "no_witness", "message": message}})
+    return cls.witness, lift_to_monomial(cls.witness, p, g, g.conductor), None
+
+
+def _cmd_lift(args):
+    p = _family_from(args)
+    g = GaloisElement(args.conductor, args.sigma)
+    inputs = {**_family_inputs(args), "sigma": args.sigma}
+    witness, lift, rejected = _lift_witness(
+        p, g, inputs, "sigma does not preserve the configuration class; "
+                      "nothing to lift")
+    if rejected:
+        return rejected
     return EXIT_OK, {
-        "inputs": {**_family_inputs(args), "sigma": args.sigma},
+        "inputs": inputs,
         "result": {
-            "mobius_witness": _map_doc(cls.witness),
+            "mobius_witness": _map_doc(witness),
             "coordinate_permutation": [i + 1 for i in lift.perm],
             "scale_powers": [str(v) for v in lift.powers],
             "count": len(lift.isos),
@@ -262,16 +275,12 @@ def _cmd_weil_check(args):
     p = _family_from(args)
     g = GaloisElement(n, args.generator)
     check_order(args.generator, args.order, n)
-    cls = classify_sigma(p, g)
-    if cls.witness is None:
-        return EXIT_REJECTED, {
-            "inputs": {**_family_inputs(args), "generator": args.generator,
-                       "order": args.order},
-            "error": {"kind": "no_witness",
-                      "message": "generator does not preserve the "
-                                 "configuration class"},
-        }
-    lift = lift_to_monomial(cls.witness, p, g, n)
+    inputs = {**_family_inputs(args), "generator": args.generator,
+              "order": args.order}
+    witness, lift, rejected = _lift_witness(
+        p, g, inputs, "generator does not preserve the configuration class")
+    if rejected:
+        return rejected
     candidates = []
     closing = 0
     for f in lift.isos:
@@ -285,10 +294,9 @@ def _cmd_weil_check(args):
             "failing_pair": list(chk.failing) if chk.failing else None,
         })
     return EXIT_OK, {
-        "inputs": {**_family_inputs(args), "generator": args.generator,
-                   "order": args.order},
+        "inputs": inputs,
         "result": {
-            "mobius_witness": _map_doc(cls.witness),
+            "mobius_witness": _map_doc(witness),
             "candidates": candidates,
             "candidate_count": len(candidates),
             "closing_count": closing,
@@ -482,7 +490,8 @@ def main(argv=None) -> int:
                "status": "rejected"}
         code = EXIT_REJECTED
     else:
-        doc = {"command": args.command, "status": "ok", **doc}
+        status = "ok" if code == EXIT_OK else "rejected"
+        doc = {"command": args.command, "status": status, **doc}
 
     if args.output == "structured":
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

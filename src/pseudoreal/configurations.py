@@ -100,7 +100,7 @@ def u_orbit(cfg: Configuration) -> list:
 
 def equivalent(c1: Configuration, c2: Configuration) -> Optional[Moebius]:
     """A Moebius witness carrying c1's six-point set onto c2's, if any."""
-    maps = set_maps(c1.point_set(), c2.point_set(), anti=False)
+    maps = set_maps(c1.points(), c2.points(), anti=False)
     return maps[0] if maps else None
 
 
@@ -118,7 +118,7 @@ class SymmetryReport:
 def symmetries(cfg: Configuration) -> SymmetryReport:
     """All (anti-)Moebius maps preserving the six-point set; anticonformal
     maps come with their squares so involutions are visible."""
-    pts = cfg.point_set()
+    pts = cfg.points()
     conf = tuple(set_maps(pts, pts, anti=False))
     anti = tuple(set_maps(pts, pts, anti=True))
     return SymmetryReport(conformal=conf, anticonformal=anti,

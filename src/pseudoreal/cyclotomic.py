@@ -26,6 +26,7 @@ import decimal
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -269,11 +270,15 @@ class CycElt:
             return self
         if m % self.n != 0:
             raise ValueError(f"cannot embed conductor {self.n} into {m}")
-        step = m // self.n
+        return self._scatter(m // self.n, m)
+
+    def _scatter(self, mult: int, m: int) -> "CycElt":
+        """sum_i c_i zeta_m^(i * mult) for the coefficients c_i of self:
+        the embedding (mult = m/n) and the Galois action (m = n)."""
         out = [Fraction(0)] * m
         for i, c in enumerate(self.coeffs):
             if c:
-                out[(i * step) % m] += c
+                out[(i * mult) % m] += c
         return CycElt(m, out)
 
     def _unify(self, other: "CycElt"):
@@ -299,11 +304,8 @@ class CycElt:
         cached = object.__getattribute__(self, "_min")
         if cached is not None:
             return cached
-        result = None
-        for d in _divisors(self.n):
-            if d == self.n:
-                result = (self.n, self.coeffs)
-                break
+        result = (self.n, self.coeffs)
+        for d in _divisors(self.n)[:-1]:
             # the element lies in Q(zeta_d) iff it is fixed by every unit
             # a = 1 mod d of (Z/n)*
             kernel = [a for a in units(self.n) if a % d == 1 % d]
@@ -312,8 +314,6 @@ class CycElt:
                 if vec is not None:
                     result = (d, vec)
                     break
-        if result is None:  # d == n always succeeds; defensive
-            result = (self.n, self.coeffs)
         object.__setattr__(self, "_min", result)
         return result
 
@@ -446,11 +446,7 @@ class CycElt:
         a %= self.n
         if math.gcd(a, self.n) != 1:
             raise ValueError(f"{a} is not a unit mod {self.n}")
-        out = [Fraction(0)] * self.n
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[(i * a) % self.n] += c
-        return CycElt(self.n, out)
+        return self._scatter(a, self.n)
 
     def conjugate(self) -> "CycElt":
         return self.galois_apply(-1)
@@ -476,27 +472,42 @@ class CycElt:
     # -- display --------------------------------------------------------------
 
     def __str__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "z" if i == 1 else f"z^{i}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            terms.append((c < 0, body))
-        if not terms:
-            return "0"
-        neg, body = terms[0]
-        out = ("-" if neg else "") + body
-        for neg, body in terms[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+        return _join_terms(_terms(self.coeffs, "z"))
 
     def __repr__(self):
         return f"CycElt({self.n}, {str(self)!r})"
+
+
+def _terms(coeffs, var: str) -> list:
+    """(negative, body) for each nonzero c_i * var^i, ascending in i.
+    LimitError (clause size_limit) when a coefficient has more digits than
+    Python converts to a string."""
+    terms = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        try:
+            body = str(abs(c))
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise LimitError("size_limit", "result too large to print: a "
+                             "coefficient passes Python's "
+                             f"{sys.get_int_max_str_digits()}-digit limit "
+                             "for integer strings") from None
+        if i:
+            v = var if i == 1 else f"{var}^{i}"
+            body = v if body == "1" else f"{body}*{v}"
+        terms.append((c < 0, body))
+    return terms
+
+
+def _join_terms(terms) -> str:
+    """Join (negative, body) terms: '-a + b - c'; '0' when there are none."""
+    if not terms:
+        return "0"
+    out = ("-" if terms[0][0] else "") + terms[0][1]
+    for neg, body in terms[1:]:
+        out += (" - " if neg else " + ") + body
+    return out
 
 
 def common_field(values) -> tuple:
@@ -899,27 +910,8 @@ def poly_eval(poly: Sequence, x: CycElt) -> CycElt:
 
 
 def format_poly(poly: Sequence, var: str = "x") -> str:
-    terms = []
-    for i, c in enumerate(poly):
-        c = Fraction(c)
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            v = var if i == 1 else f"{var}^{i}"
-            body = v if mag == 1 else f"{mag}*{v}"
-        terms.append((c < 0, body))
-    if not terms:
-        return "0"
-    out = ""
-    for idx, (neg, body) in enumerate(reversed(terms)):
-        if idx == 0:
-            out = ("-" if neg else "") + body
-        else:
-            out += (" - " if neg else " + ") + body
-    return out
+    """A rational polynomial (ascending coeffs), highest power first."""
+    return _join_terms(_terms(map(Fraction, poly), var)[::-1])
 
 
 @dataclass(frozen=True)
@@ -958,7 +950,11 @@ def _seed_candidates(n: int):
         yield powers[i] + 2 * powers[j] + 3 * powers[k]
 
 
-def fixed_field(H: Iterable[int], n: int, budget: int = 2000) -> Subfield:
+# seeds tried by fixed_field before it gives up
+_SEED_BUDGET = 2000
+
+
+def fixed_field(H: Iterable[int], n: int) -> Subfield:
     """Fixed field of the subgroup H <= (Z/n)* with a primitive element.
 
     The primitive element is an H-trace sum_{a in H} sigma_a(seed) over a
@@ -969,11 +965,7 @@ def fixed_field(H: Iterable[int], n: int, budget: int = 2000) -> Subfield:
     if not is_subgroup(hs, n):
         raise ValueError("H is not a subgroup of (Z/n)*")
     want = euler_phi(n) // len(hs)
-    tried = 0
-    for seed in _seed_candidates(n):
-        tried += 1
-        if tried > budget:
-            break
+    for seed in itertools.islice(_seed_candidates(n), _SEED_BUDGET):
         t = CycElt.zero(n)
         for a in hs:
             t = t + seed.galois_apply(a)
@@ -982,7 +974,7 @@ def fixed_field(H: Iterable[int], n: int, budget: int = 2000) -> Subfield:
             return Subfield(conductor=n, subgroup=hs, primitive=t, minpoly=mp)
     raise SeedSearchExhausted(
         f"no primitive element found for |H|={len(hs)}, n={n} "
-        f"within {budget} seeds")
+        f"within {_SEED_BUDGET} seeds")
 
 
 def fixing_subgroup(u: CycElt, n: Optional[int] = None) -> frozenset:

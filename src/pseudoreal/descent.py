@@ -23,12 +23,13 @@ verifies this projectively together with curve transport for every map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .cyclotomic import CycElt, GaloisElement, common_field, kth_roots, units
-from .cyclotomic import _echelon
-from .moebius import Moebius
+from .cyclotomic import _cyclic, _echelon
+from .moebius import Moebius, _same_points
 from .configurations import make_config
 from .family import FamilyParams
 
@@ -234,7 +235,7 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
     smu = mu.galois_apply(g)
     tgt_branch = make_config(slam, smu, -smu).points()
     images = [T.apply(b) for b in make_config(lam, mu, -mu).points()]
-    if frozenset(images) != frozenset(tgt_branch):
+    if not _same_points(images, tgt_branch):
         raise ValueError("T does not carry the branch set onto its twist")
     # output slot i reads the source coordinate whose branch value T sends
     # to the i-th target branch value
@@ -323,12 +324,9 @@ class WeilDatum:
 
 
 def check_order(g: int, d: int, m: int) -> None:
-    """Raise ValueError unless the unit g has multiplicative order d mod m;
+    """Raise ValueError unless g is a unit of multiplicative order d mod m;
     the order is found by at most m multiplications, whatever d is."""
-    x, order = g % m, 1
-    while x != 1 % m and order < m:
-        x, order = (x * g) % m, order + 1
-    if x != 1 % m or order != d:
+    if math.gcd(g, m) != 1 or len(_cyclic(g, m)) != d:
         raise ValueError(f"<{g}> does not have order {d} mod {m}")
 
 

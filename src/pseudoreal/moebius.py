@@ -335,12 +335,6 @@ def _same_points(A, B) -> bool:
             == {_raw_key(p) for p in pts[len(a):]})
 
 
-def _sparsity(p: SpherePoint):
-    if p.is_infinity:
-        return (0,)
-    return (1, sum(1 for c in p.value.coeffs if c), p.value.coeffs)
-
-
 @functools.lru_cache(maxsize=1)
 def _triple_index(n: int, keys: tuple) -> dict:
     """The six points with raw keys `keys` at conductor n, indexed for
@@ -375,10 +369,9 @@ def set_maps(S, T, anti: bool = False) -> list:
     if anti:
         src = [p.conjugate() for p in src]
     src = tuple(sorted({_raw_key(p) for p in src}))
-    # the base triple is T's first: infinity and the sparsest values, whose
-    # normalization costs least
-    tgt = sorted({_raw_key(p): p for p in everything[len(s_in):]}.values(),
-                 key=_sparsity)
+    # the base triple is T's first three distinct points: (inf, 0, 1) for a
+    # configuration, whose normalization costs least
+    tgt = list({_raw_key(p): p for p in everything[len(s_in):]}.values())
     if len(src) != 6 or len(tgt) != 6:
         raise ValueError("both sets must contain exactly six points")
     base, mat = tgt[:3], _std_raw(*tgt[:3])

@@ -231,3 +231,43 @@ def test_resource_limits_admit_their_maximum(capsys):
     assert code == 0
     assert doc["result"]["cross_ratio"]["canonical"] == \
         str(2 ** MAX_SIZE_BITS)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("lift", "--sigma", "2"),
+     "sigma does not preserve the configuration class; nothing to lift"),
+    (("weil-check", "--generator", "2", "--order", "4"),
+     "generator does not preserve the configuration class"),
+])
+def test_no_witness_is_rejected(capsys, argv, message):
+    # sigma_2 does not preserve the class at n = 5: the stabilizer is {1, 4}
+    code, doc = run_json(capsys, argv[0], "--conductor", "5", "--k", "2",
+                         "--lambda=-4", "--mu=2*z", *argv[1:])
+    assert code == 1
+    assert doc["status"] == "rejected"
+    assert doc["error"] == {"kind": "no_witness", "message": message}
+    assert doc["inputs"]["conductor"] == 5
+
+
+def test_approx_bits_above_the_maximum_is_a_usage_error(capsys, monkeypatch):
+    from pseudoreal.cli import MAX_APPROX_BITS
+    for bits in (MAX_APPROX_BITS + 1, 10 ** 6):
+        monkeypatch.setenv("PSEUDOREAL_APPROX_BITS", str(bits))
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["crossratio", "--conductor", "5", "--", "inf", "0", "1",
+                  "z"])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        assert (f"PSEUDOREAL_APPROX_BITS must be at most {MAX_APPROX_BITS}, "
+                f"got {bits}") in capsys.readouterr().err
+
+
+def test_result_too_large_to_print_is_a_size_limit(capsys):
+    # every input is under MAX_SIZE_BITS, the cross-ratio's numerator is not
+    code, doc = run_json(capsys, "crossratio", "--conductor", "1", "--",
+                         "2^-4000", "3^2500", "-3^2500", "1/(2^4000)+1")
+    assert code == 1
+    assert doc["status"] == "rejected"
+    assert doc["error"]["kind"] == "size_limit"
+    assert doc["error"]["message"].startswith("result too large to print")

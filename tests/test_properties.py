@@ -1,22 +1,25 @@
 """Property tests for the shared elimination, field embedding,
-(anti-)Moebius application, and differential tests of set_maps and the
-stabilizer against the enumeration that set_maps replaced."""
+(anti-)Moebius application, field axioms and the Galois action, and
+differential tests of set_maps, the stabilizer, the term formatter and
+check_order against the code each replaced, and of cross_ratio against
+the normalizing map."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pseudoreal.configurations import OmegaError, make_config
-from pseudoreal.cyclotomic import CycElt, GaloisElement, _echelon, \
-    _solve_exact, euler_phi, make_element, units
-from pseudoreal.descent import _in_span, _nullspace
+from pseudoreal.cyclotomic import CycElt, GaloisElement, LimitError, \
+    _echelon, _solve_exact, euler_phi, format_poly, make_element, units
+from pseudoreal.descent import _in_span, _nullspace, check_order
 from pseudoreal.family import validate
 from pseudoreal.moduli import classify_sigma, stabilizer
 from pseudoreal.moebius import INF, Moebius, SpherePoint, _apply_raw, \
-    _normalized_triples, _raw_key, _std_raw, moebius_from_triple, set_maps, \
-    unify_points
+    _normalized_triples, _raw_key, _std_raw, cross_ratio, \
+    moebius_from_triple, set_maps, unify_points
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -267,3 +270,198 @@ def test_set_maps_memo_is_keyed_on_exact_source():
         S, [maps[0](p) for p in S], False)
     assert anti in assert_matches_reference(S, [anti(p) for p in S], True)
     assert_matches_reference(S, S, True)
+
+
+# -- the shared term formatter against the two it replaced -------------------
+
+
+def reference_elt_str(coeffs):
+    """The earlier CycElt.__str__."""
+    terms = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            var = "z" if i == 1 else f"z^{i}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        terms.append((c < 0, body))
+    if not terms:
+        return "0"
+    neg, body = terms[0]
+    out = ("-" if neg else "") + body
+    for neg, body in terms[1:]:
+        out += (" - " if neg else " + ") + body
+    return out
+
+
+def reference_format_poly(poly, var="x"):
+    """The earlier format_poly."""
+    terms = []
+    for i, c in enumerate(poly):
+        c = Fraction(c)
+        if c == 0:
+            continue
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            v = var if i == 1 else f"{var}^{i}"
+            body = v if mag == 1 else f"{mag}*{v}"
+        terms.append((c < 0, body))
+    if not terms:
+        return "0"
+    out = ""
+    for idx, (neg, body) in enumerate(reversed(terms)):
+        if idx == 0:
+            out = ("-" if neg else "") + body
+        else:
+            out += (" - " if neg else " + ") + body
+    return out
+
+
+# zeros, +-1, other integers and non-integer rationals, all often
+printed = st.one_of(st.sampled_from([0, 0, 1, -1]).map(Fraction),
+                    st.fractions(min_value=-7, max_value=7,
+                                 max_denominator=6))
+
+
+@SETTINGS
+@given(st.sampled_from([1, 3, 4, 5, 7, 8, 12]).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(printed, min_size=euler_phi(n),
+                                             max_size=euler_phi(n)))))
+def test_element_string_matches_reference(case):
+    n, coeffs = case
+    assert str(CycElt(n, coeffs)) == reference_elt_str(coeffs)
+
+
+@SETTINGS
+@given(st.lists(st.one_of(printed, st.integers(-3, 3)), max_size=8),
+       st.sampled_from(["x", "t"]))
+def test_format_poly_matches_reference(poly, var):
+    assert format_poly(poly, var) == reference_format_poly(poly, var)
+
+
+def test_unprintable_result_is_a_size_limit():
+    huge = CycElt(1, [Fraction(2) ** 16000])
+    with pytest.raises(LimitError) as exc:
+        str(huge)
+    assert exc.value.clause == "size_limit"
+    with pytest.raises(LimitError):
+        format_poly((1, -huge.coeffs[0]))
+
+
+# -- cross_ratio, check_order ------------------------------------------------
+
+
+@SETTINGS
+@given(st.sampled_from([1, 3, 4, 5, 8]).flatmap(
+    lambda n: st.lists(elements(n, small), min_size=8, max_size=8)),
+    st.sampled_from([None, 0, 1, 2, 3]))
+def test_cross_ratio_is_the_normalizing_map_and_is_invariant(values, inf_at):
+    # [a,b,c,d] = T(d) for the T that sends (a, b, c) to (inf, 0, 1)
+    pts = [SpherePoint(v) for v in values[:4]]
+    if inf_at is not None:
+        pts[inf_at] = INF
+    assume(len({_raw_key(p) for p in unify_points(pts)[1]}) == 4)
+    value = cross_ratio(*pts)
+    normalized = _apply_raw(_std_raw(*pts[:3]), pts[3]).value
+    assert value.n == normalized.n and value.coeffs == normalized.coeffs
+    a, b, c, d = values[4:]
+    assume(not (a * d - b * c).is_zero())
+    M = Moebius(a, b, c, d)
+    assert cross_ratio(*map(M, pts)) == value
+
+
+def brute_order(g, m):
+    """The least e >= 1 with g^e = 1 mod m, found by stepping powers."""
+    x, e = g % m, 1
+    while x != 1 % m:
+        x, e = (x * g) % m, e + 1
+    return e
+
+
+def test_check_order_matches_brute_force():
+    for m in range(1, 61):
+        for g in units(m):
+            order = brute_order(g, m)
+            check_order(g, order, m)
+            check_order(g - m, order, m)
+            for wrong in (order - 1, order + 1, 2 * order):
+                with pytest.raises(ValueError, match="does not have order"):
+                    check_order(g, wrong, m)
+        # a non-unit is refused whatever order is claimed
+        for g in range(m):
+            if math.gcd(g, m) != 1:
+                for d in range(1, m + 1):
+                    with pytest.raises(ValueError,
+                                       match="does not have order"):
+                        check_order(g, d, m)
+
+
+# -- field axioms, Galois homomorphism, eq/hash across conductors -----------
+
+
+@st.composite
+def element_triples(draw):
+    n = draw(st.sampled_from([1, 3, 4, 5, 8, 12]))
+    return n, draw(st.lists(elements(n), min_size=3, max_size=3))
+
+
+@SETTINGS
+@given(element_triples())
+def test_field_axioms(case):
+    n, (u, v, w) = case
+    zero, one = CycElt.zero(n), CycElt.one(n)
+    assert u + v == v + u and u * v == v * u
+    assert (u + v) + w == u + (v + w) and (u * v) * w == u * (v * w)
+    assert u * (v + w) == u * v + u * w
+    assert u + zero == u and u * one == u and u - u == zero
+    if not u.is_zero():
+        assert u * u.inverse() == one
+        assert (v / u) * u == v
+
+
+@SETTINGS
+@given(element_triples(), st.data())
+def test_galois_action_is_a_homomorphism(case, data):
+    n, (u, v, _) = case
+    a = data.draw(st.sampled_from(units(n)))
+    b = data.draw(st.sampled_from(units(n)))
+    assert (u * v).galois_apply(a) == u.galois_apply(a) * v.galois_apply(a)
+    assert (u + v).galois_apply(a) == u.galois_apply(a) + v.galois_apply(a)
+    assert u.galois_apply(b).galois_apply(a) == u.galois_apply(a * b)
+
+
+@SETTINGS
+@given(element_and_multiple())
+def test_equality_and_hash_agree_across_conductors(pair):
+    u, m = pair
+    v = u.embed(m)
+    assert v == u and u == v
+    assert hash(v) == hash(u)
+    if u.is_rational():
+        assert v == u.as_rational() and hash(v) == hash(u.as_rational())
+
+
+# -- set_maps does not depend on the order of its target ---------------------
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_elements, st.booleans(), st.booleans(), st.randoms())
+def test_set_maps_ignores_the_order_of_its_target(values, anti, moved, rnd):
+    l1, l2, l3, a, b, c, d = values
+    try:
+        cfg = make_config(l1, l2, l3)
+    except OmegaError:
+        assume(False)
+    assume(not (a * d - b * c).is_zero())
+    M = Moebius(a, b, c, d, conj_first=anti)
+    S = cfg.points()
+    T = [M.apply(p) for p in S] if moved else list(S)
+    shuffled = list(T)
+    rnd.shuffle(shuffled)
+    assert [_map_key(m) for m in set_maps(S, shuffled, anti)] == \
+        [_map_key(m) for m in set_maps(S, T, anti)]
