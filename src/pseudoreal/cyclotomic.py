@@ -44,6 +44,7 @@ __all__ = [
     "Subfield",
     "Box",
     "make_element",
+    "check_conductor",
     "common_field",
     "conjugate",
     "galois_apply",
@@ -489,15 +490,20 @@ def _terms(coeffs, var: str) -> list:
         try:
             body = str(abs(c))
         except ValueError:  # past sys.get_int_max_str_digits()
-            raise LimitError("size_limit", "result too large to print: a "
-                             "coefficient passes Python's "
-                             f"{sys.get_int_max_str_digits()}-digit limit "
-                             "for integer strings") from None
+            raise _print_limit("a coefficient") from None
         if i:
             v = var if i == 1 else f"{var}^{i}"
             body = v if body == "1" else f"{body}*{v}"
         terms.append((c < 0, body))
     return terms
+
+
+def _print_limit(what: str) -> LimitError:
+    """The size_limit rejection of a result holding an integer with more
+    digits than Python converts to a string; `what` names the integer."""
+    return LimitError("size_limit", f"result too large to print: {what} "
+                      f"passes Python's {sys.get_int_max_str_digits()}-digit "
+                      "limit for integer strings")
 
 
 def _join_terms(terms) -> str:
@@ -743,16 +749,22 @@ class _Parser:
         self.error("unexpected input")
 
 
-def make_element(expr: str, n: int) -> CycElt:
-    """Parse an element expression; `z` binds to zeta_n = exp(2*pi*i/n).
-    LimitError (clause conductor_limit or size_limit) when n exceeds
-    MAX_CONDUCTOR or a literal, power, sum, product or quotient in the
-    expression exceeds MAX_SIZE_BITS."""
+def check_conductor(n: int) -> None:
+    """ValueError unless n is positive; LimitError (clause conductor_limit)
+    when n exceeds MAX_CONDUCTOR."""
     if n < 1:
         raise ValueError("conductor must be positive")
     if n > MAX_CONDUCTOR:
         raise LimitError("conductor_limit", f"conductor {n} exceeds the "
                          f"maximum {MAX_CONDUCTOR}")
+
+
+def make_element(expr: str, n: int) -> CycElt:
+    """Parse an element expression; `z` binds to zeta_n = exp(2*pi*i/n).
+    The conductor is checked first (check_conductor); LimitError (clause
+    size_limit) when a literal, power, sum, product or quotient in the
+    expression exceeds MAX_SIZE_BITS."""
+    check_conductor(n)
     return _Parser(expr, n).parse()
 
 
@@ -1046,7 +1058,10 @@ def _sympy_roots(coeffs, k: int, m: int):
     for i, c in enumerate(coeffs):
         if c:
             val += field.convert(c) * field.unit ** i
-    poly = sympy.Poly(x ** k - field.to_sympy(val), x, domain=field)
+    # built in the domain: a sympy expression would be converted back
+    # through field_isomorphism, which takes seconds at n = 24 and longer
+    poly = sympy.Poly.from_list([field.one] + [field.zero] * (k - 1) + [-val],
+                                x, domain=field)
     out = []
     for factor, _ in poly.factor_list()[1]:
         if factor.degree() != 1:

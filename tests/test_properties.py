@@ -1,8 +1,8 @@
 """Property tests for the shared elimination, field embedding,
 (anti-)Moebius application, field axioms and the Galois action, and
-differential tests of set_maps, the stabilizer, the term formatter and
-check_order against the code each replaced, and of cross_ratio against
-the normalizing map."""
+differential tests of set_maps, the stabilizer, the term formatter,
+check_order and the k-th root search against the code each replaced, and
+of cross_ratio against the normalizing map."""
 
 import itertools
 import math
@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pseudoreal.configurations import OmegaError, make_config
 from pseudoreal.cyclotomic import CycElt, GaloisElement, LimitError, \
-    _echelon, _solve_exact, euler_phi, format_poly, make_element, units
+    _echelon, _solve_exact, _sympy_field, _sympy_roots, euler_phi, \
+    format_poly, make_element, units
 from pseudoreal.descent import _in_span, _nullspace, check_order
 from pseudoreal.family import validate
 from pseudoreal.moduli import classify_sigma, stabilizer
@@ -465,3 +466,44 @@ def test_set_maps_ignores_the_order_of_its_target(values, anti, moved, rnd):
     rnd.shuffle(shuffled)
     assert [_map_key(m) for m in set_maps(S, shuffled, anti)] == \
         [_map_key(m) for m in set_maps(S, T, anti)]
+
+
+# -- k-th roots: x^k - v built in the domain against the sympy expression ----
+
+
+def _old_sympy_roots(coeffs, k, m):
+    """The roots of x^k - v as _sympy_roots found them before it built the
+    polynomial in the domain: from a sympy expression, which Poly converts
+    back into the field through field_isomorphism."""
+    import sympy
+
+    field = _sympy_field(m)
+    x = sympy.symbols("x")
+    val = field.zero
+    for i, c in enumerate(coeffs):
+        if c:
+            val += field.convert(c) * field.unit ** i
+    poly = sympy.Poly(x ** k - field.to_sympy(val), x, domain=field)
+    out = []
+    for factor, _ in poly.factor_list()[1]:
+        if factor.degree() != 1:
+            continue
+        lead, const = factor.rep.to_list()
+        root = -const / lead
+        desc = root.to_list()  # descending powers of zeta_m
+        out.append(tuple(Fraction(c.numerator, c.denominator)
+                         for c in reversed(desc)))
+    return out
+
+
+# one-term roots keep the old construction at a few tenths of a second; a
+# dense value at n = 24 takes it 10-20 s
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from([8, 12, 16, 24]), st.sampled_from([2, 4]),
+       st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2)]), st.data())
+def test_sympy_roots_match_the_expression_construction(n, k, c, data):
+    w = c * CycElt.zeta(n) ** data.draw(st.integers(0, n - 1))
+    v = w ** k + data.draw(st.sampled_from([0, 0, 1, -3]))
+    new = _sympy_roots(v.coeffs, k, n)
+    assert sorted(new) == sorted(_old_sympy_roots(v.coeffs, k, n))
+    assert all(CycElt(n, r) ** k == v for r in new)
