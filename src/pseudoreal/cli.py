@@ -19,6 +19,7 @@ value that is not an integer or exceeds MAX_APPROX_BITS is a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from .configurations import concircular_quadruples, equivalent, \
 from .family import analyze, genus, validate
 from .moduli import _row_targets, classify_sigma, field_of_moduli, \
     stabilizer
-from .descent import check_order, extend_cyclic, cocycle_check, \
+from .descent import _transports, check_order, extend_cyclic, cocycle_check, \
     lift_to_monomial
 
 __all__ = ["main", "build_parser", "SUBCOMMANDS"]
@@ -323,7 +324,10 @@ SUBCOMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of SUBCOMMANDS, built once per process and shared by
+    every call of main."""
     top = argparse.ArgumentParser(
         prog="pseudoreal",
         description="Exact computations on six-branch-point configurations, "
@@ -380,6 +384,7 @@ def main(argv=None) -> int:
     # one query, one process: nothing is remembered from an earlier query
     _triple_index.cache_clear()
     _row_targets.cache_clear()
+    _transports.cache_clear()
     try:
         if "conductor" in args:  # before any operand is parsed
             check_conductor(args.conductor)

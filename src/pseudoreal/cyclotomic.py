@@ -1,12 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-An element is stored as its coordinate vector in the power basis
-1, z, ..., z^(phi(n)-1) of Q[x]/Phi_n(x), with Fraction coefficients,
-where z stands for zeta_n = exp(2*pi*i/n).  The representation at a fixed
-conductor is canonical (reduced mod Phi_n), so two elements of the same
-conductor are equal iff their coefficient vectors are equal; elements of
-different conductors are compared after embedding both into the lcm field
-via zeta_n = zeta_lcm^(lcm/n).
+An element is stored by its coordinates in the power basis
+1, z, ..., z^(phi(n)-1) of Q[x]/Phi_n(x), where z stands for
+zeta_n = exp(2*pi*i/n): phi(n) Python-int numerators `num` over one
+positive int denominator `den`.  Products are reduced mod Phi_n in one
+integer pass (Phi_n is monic and integral).  The representation at a
+fixed conductor is canonical (reduced mod Phi_n, gcd(den, *num) = 1, zero
+is 0/1), so two elements of the same conductor are equal iff their
+(num, den) pairs are equal; elements of different conductors are compared
+after embedding both into the lcm field via zeta_n = zeta_lcm^(lcm/n).
+`coeffs`, the coordinates as Fractions, is a view derived on first use;
+sorting keys, printing, enclosures, minimal forms and `inverse` read it.
 
 The embedding zeta_n -> exp(2*pi*i/n) is fixed once and for all; every
 statement about conjugation, signs and ordering of real elements refers
@@ -90,7 +94,8 @@ class LimitError(CycError):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q, represented as tuples of Fractions (ascending powers)
+# polynomials over Q, represented as tuples of Fractions (ascending powers);
+# only `CycElt.inverse` and `cyclotomic_polynomial` work on them
 
 def _trim(p):
     p = list(p)
@@ -99,21 +104,11 @@ def _trim(p):
     return tuple(p)
 
 
-def _padd(p, q):
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
-
-
-def _pneg(p):
-    return tuple(-c for c in p)
-
-
 def _psub(p, q):
-    return _padd(p, _pneg(q))
+    out = list(p) + [Fraction(0)] * (len(q) - len(p))
+    for i, c in enumerate(q):
+        out[i] -= c
+    return _trim(out)
 
 
 def _pmul(p, q):
@@ -142,10 +137,6 @@ def _pdivmod(p, q):
             for j, b in enumerate(q):
                 rem[i - dq + j] -= f * b
     return _trim(quot), _trim(rem)
-
-
-def _pmod(p, q):
-    return _pdivmod(p, q)[1]
 
 
 def _divisors(n):
@@ -225,21 +216,58 @@ def _coerce_fraction(x):
     raise TypeError(f"cannot coerce {type(x).__name__} into a rational coefficient")
 
 
-class CycElt:
-    """Element of Q(zeta_n), canonical in the power basis mod Phi_n."""
+@functools.cache
+def _reduction_table(n: int) -> tuple:
+    """(phi(n), ((j, c_j), ...)) for the nonzero lower coefficients c_j of
+    the monic integral Phi_n = x^phi + sum_j c_j x^j."""
+    poly = cyclotomic_polynomial(n)
+    return len(poly) - 1, tuple((j, int(c)) for j, c in enumerate(poly[:-1])
+                                if c)
 
-    __slots__ = ("n", "coeffs", "_min")
+
+def _reduced(n: int, num: list, den: int = 1) -> "CycElt":
+    """The element (sum_i num[i] z^i) / den of Q(zeta_n), for a list of ints
+    of any length (reduced in place) and a positive int den."""
+    u = object.__new__(CycElt)
+    u._store(n, num, den)
+    return u
+
+
+class CycElt:
+    """Element of Q(zeta_n): integer numerators over one positive
+    denominator, canonical in the power basis mod Phi_n."""
+
+    __slots__ = ("n", "num", "den", "_coeffs", "_min")
 
     def __init__(self, n: int, coeffs: Sequence):
         if n < 1:
             raise ValueError("conductor must be positive")
-        phi = euler_phi(n)
-        poly = _trim(_coerce_fraction(c) for c in coeffs)
-        if len(poly) > phi:
-            poly = _pmod(poly, cyclotomic_polynomial(n))
-        vec = list(poly) + [Fraction(0)] * (phi - len(poly))
+        fracs = [_coerce_fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in fracs))
+        self._store(n, [c.numerator * (den // c.denominator) for c in fracs],
+                    den)
+
+    def _store(self, n: int, num: list, den: int):
+        # top down, x^i = -sum_j c_j x^(i - phi + j); Phi_n is monic, so no
+        # division
+        phi, table = _reduction_table(n)
+        for i in range(len(num) - 1, phi - 1, -1):
+            t = num[i]
+            if t:
+                base = i - phi
+                for j, c in table:
+                    num[base + j] -= t * c
+        del num[phi:]
+        num.extend([0] * (phi - len(num)))
+        # canonical: gcd(den, *num) = 1, so zero is (0, ..., 0) / 1
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", tuple(vec))
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_coeffs", None)
         object.__setattr__(self, "_min", None)
 
     def __setattr__(self, *a):
@@ -249,21 +277,32 @@ class CycElt:
 
     @classmethod
     def zero(cls, n: int = 1) -> "CycElt":
-        return cls(n, ())
+        return _reduced(n, [])
 
     @classmethod
     def one(cls, n: int = 1) -> "CycElt":
-        return cls(n, (1,))
+        return _reduced(n, [1])
 
     @classmethod
     def from_rational(cls, q, n: int = 1) -> "CycElt":
-        return cls(n, (Fraction(q),))
+        q = Fraction(q)
+        return _reduced(n, [q.numerator], q.denominator)
 
     @classmethod
     def zeta(cls, n: int) -> "CycElt":
-        return cls(n, (0, 1))
+        return _reduced(n, [0, 1])
 
     # -- representation helpers ---------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coordinates as Fractions (num[i] / den), built
+        on first use."""
+        c = self._coeffs
+        if c is None:
+            c = tuple(Fraction(x, self.den) for x in self.num)
+            object.__setattr__(self, "_coeffs", c)
+        return c
 
     def embed(self, m: int) -> "CycElt":
         """Rewrite the element in Q(zeta_m); requires n | m."""
@@ -276,11 +315,11 @@ class CycElt:
     def _scatter(self, mult: int, m: int) -> "CycElt":
         """sum_i c_i zeta_m^(i * mult) for the coefficients c_i of self:
         the embedding (mult = m/n) and the Galois action (m = n)."""
-        out = [Fraction(0)] * m
-        for i, c in enumerate(self.coeffs):
+        out = [0] * m
+        for i, c in enumerate(self.num):
             if c:
                 out[(i * mult) % m] += c
-        return CycElt(m, out)
+        return _reduced(m, out, self.den)
 
     def _unify(self, other: "CycElt"):
         if self.n == other.n:
@@ -319,10 +358,14 @@ class CycElt:
         return result
 
     def _rewrite_in(self, d: int):
-        """Solve for coordinates of self in the power basis of Q(zeta_d)."""
-        basis = [CycElt(d, [0] * j + [1]).embed(self.n).coeffs
-                 for j in range(euler_phi(d))]
-        return _solve_exact(basis, self.coeffs)
+        """Coordinates of self in the power basis of Q(zeta_d), as
+        Fractions; None when self does not lie in Q(zeta_d)."""
+        rows, scale = _subfield_rows(d, self.n)
+        vec = tuple(Fraction(sum(c * self.num[i] for i, c in row),
+                             scale * self.den) for row in rows)
+        if CycElt(d, vec).embed(self.n) != self:
+            return None
+        return vec
 
     def key(self):
         """Canonical sort/hash key: minimal conductor + coefficients there."""
@@ -336,15 +379,15 @@ class CycElt:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise CycError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_real(self) -> bool:
         return self.conjugate() == self
@@ -359,36 +402,44 @@ class CycElt:
             return CycElt.from_rational(x, n)
         return None
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other over one common denominator."""
         o = self._coerce(other, self.n)
         if o is None:
             return NotImplemented
         a, b = self._unify(o)
-        return CycElt(a.n, _padd(a.coeffs, b.coeffs))
+        den = math.lcm(a.den, b.den)
+        fa, fb = den // a.den, sign * (den // b.den)
+        return _reduced(a.n, [x * fa + y * fb for x, y in zip(a.num, b.num)],
+                        den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycElt(self.n, _pneg(self.coeffs))
+        return _reduced(self.n, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other, self.n)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other, self.n)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return (-self)._combine(other, 1)
 
     def __mul__(self, other):
         o = self._coerce(other, self.n)
         if o is None:
             return NotImplemented
         a, b = self._unify(o)
-        return CycElt(a.n, _pmul(a.coeffs, b.coeffs))
+        # integer convolution over the nonzero terms, reduced once
+        terms = [(j, y) for j, y in enumerate(b.num) if y]
+        out = [0] * (2 * len(a.num) - 1)
+        for i, x in enumerate(a.num):
+            if x:
+                for j, y in terms:
+                    out[i + j] += x * y
+        return _reduced(a.n, out, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -456,18 +507,16 @@ class CycElt:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.coeffs[0] == other and self.is_rational()
-        o = self._coerce(other, self.n)
-        if o is None:
+            return (self.num[0] == other.numerator
+                    and self.den == other.denominator and self.is_rational())
+        if not isinstance(other, CycElt):
             return NotImplemented
-        if self.n == o.n:
-            return self.coeffs == o.coeffs
-        a, b = self._unify(o)
-        return a.coeffs == b.coeffs
+        a, b = self._unify(other)
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])  # agree with int/Fraction hashing
+            return hash(self.as_rational())  # agree with int/Fraction hashing
         return hash(self.key())
 
     # -- display --------------------------------------------------------------
@@ -551,22 +600,25 @@ def _echelon(rows):
     return mat[:r], pivots
 
 
-def _solve_exact(columns, target):
-    """Solve sum_j x_j * columns[j] = target over Q; None if inconsistent."""
-    rows = len(target)
-    ncols = len(columns)
-    ech, pivots = _echelon([[columns[j][i] for j in range(ncols)] + [target[i]]
-                            for i in range(rows)])
-    if pivots and pivots[-1] == ncols:   # a pivot in the target column
-        return None
-    sol = [Fraction(0)] * ncols
-    for row, col in zip(ech, pivots):
-        sol[col] = row[ncols]
-    # verify (pivot-free columns were forced to zero)
-    for i in range(rows):
-        if sum(columns[j][i] * sol[j] for j in range(ncols)) != target[i]:
-            return None
-    return tuple(sol)
+@functools.cache
+def _subfield_rows(d: int, n: int) -> tuple:
+    """A left inverse of the embedding Q(zeta_d) -> Q(zeta_n) on power-basis
+    coordinates, as (rows, scale): coordinate j at conductor d is
+    sum(c * x[i] for i, c in rows[j]) / scale for an element of Q(zeta_d)
+    with coordinates x at conductor n."""
+    width = euler_phi(d)
+    basis = [CycElt(d, [0] * j + [1]).embed(n).coeffs for j in range(width)]
+    # phi(d) coordinates at n on which the embedded basis is invertible
+    # (its pivot columns), then the inverse of that square block
+    _, picked = _echelon(basis)
+    ech, _ = _echelon([[basis[j][i] for j in range(width)]
+                       + [Fraction(int(r == c)) for c in range(width)]
+                       for r, i in enumerate(picked)])
+    left = [row[width:] for row in ech]
+    scale = math.lcm(*(c.denominator for row in left for c in row))
+    return (tuple(tuple((picked[r], int(c * scale))
+                        for r, c in enumerate(row) if c) for row in left),
+            scale)
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +667,7 @@ def _size_bits(u: CycElt) -> float:
     """log2 of the larger of the common denominator D of the coefficients
     and the sum of |numerators| over D: it bounds every coefficient's
     numerator and denominator, and u^e has about e times as many bits."""
-    den = math.lcm(*(c.denominator for c in u.coeffs))
-    height = sum(abs(c.numerator) * (den // c.denominator) for c in u.coeffs)
-    return math.log2(max(height, den))
+    return math.log2(max(sum(map(abs, u.num)), u.den))
 
 
 class _Parser:
@@ -894,8 +944,8 @@ def min_poly(u: CycElt) -> tuple:
     seen = set()
     for a in units(u.n):
         v = u.galois_apply(a)
-        if v.coeffs not in seen:
-            seen.add(v.coeffs)
+        if (v.num, v.den) not in seen:
+            seen.add((v.num, v.den))
             orbit.append(v)
     # poly with CycElt coefficients, ascending
     poly = [CycElt.one(u.n)]
@@ -1010,9 +1060,12 @@ def same_field(u: CycElt, v: CycElt, n: Optional[int] = None) -> bool:
 def kth_roots(v: CycElt, k: int, conductor: Optional[int] = None) -> tuple:
     """All w in Q(zeta_m) with w^k = v, in canonical order.
 
-    The search factors x^k - v over Q(zeta_m) (sympy does the factorization;
-    each candidate root is then re-verified here by exact arithmetic).
-    An empty result certifies that no k-th root lies in the field.
+    A rational k-th power times a root of unity has its roots written
+    down (`_monomial_roots`).  For any other v, a few split primes may
+    certify that there is no root (`_no_root_mod_p`); otherwise the search
+    factors x^k - v over Q(zeta_m) (sympy does the factorization).  Each
+    candidate root is then re-verified here by exact arithmetic.  An empty
+    result certifies that no k-th root lies in the field.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -1022,18 +1075,184 @@ def kth_roots(v: CycElt, k: int, conductor: Optional[int] = None) -> tuple:
         return (CycElt.zero(m),)
     if k == 1:
         return (v,)
-    roots = _sympy_roots(v.coeffs, k, m)
+    roots = _monomial_roots(v, k, m)
+    if roots is None:
+        if _no_root_mod_p(v, k, m):
+            return ()
+        roots = _sympy_roots(v.coeffs, k, m)
+    return _checked_roots([CycElt(m, c) for c in roots], v, k)
+
+
+def _related_roots(v: CycElt, u: CycElt, u_roots: tuple, k: int):
+    """kth_roots(v) from u_roots = kth_roots(u), u and v nonzero at one
+    conductor, when v / u is a rational k-th power times a root of unity;
+    None when that quotient leaves the answer open.
+
+    With eta^k = v / u, the roots of v are w * eta for one root w of u.
+    If only one of v / u and u has roots, v has none: a root of v would
+    give one of the other."""
+    m = u.n
+    ratio = _monomial_roots(v * u.inverse(), k, m)
+    if ratio is None:
+        return None
+    if ratio and u_roots:
+        w = u_roots[0]
+        return _checked_roots([w * CycElt(m, c) for c in ratio], v, k)
+    if ratio or u_roots:
+        return ()
+    return None
+
+
+def _checked_roots(roots, v: CycElt, k: int) -> tuple:
+    """The distinct roots, each verified to be a k-th root of v, in
+    canonical order."""
     out = []
     seen = set()
-    for coeffs in roots:
-        w = CycElt(m, coeffs)
+    for w in roots:
         if w ** k != v:
-            raise AssertionError("factorization returned a non-root")
-        if w.coeffs not in seen:
-            seen.add(w.coeffs)
+            raise AssertionError("root search returned a non-root")
+        if (w.num, w.den) not in seen:
+            seen.add((w.num, w.den))
             out.append(w)
     out.sort(key=lambda w: w.key())
     return tuple(out)
+
+
+def _monomial_roots(v: CycElt, k: int, m: int):
+    """Coordinates of every k-th root of v in Q(zeta_m), for v = q * zeta
+    with zeta a root of unity and |q| the k-th power of a rational r;
+    None for any other v.
+
+    The roots of unity of Q(zeta_m) are the powers of omega, of order
+    M = lcm(2, m) (omega = zeta_m, or -zeta_m for odd m).  With
+    v = r^k * omega^t, a root w has (w / r)^k = omega^t, so the roots are
+    the r * omega^u with u * k = t (mod M), and there are none when no u
+    solves that."""
+    i = next(j for j, c in enumerate(v.num) if c)
+    for t, power in enumerate(_powers_of_zeta(m)):
+        c = power[i]
+        if c and all(x * c == y * v.num[i] for x, y in zip(v.num, power)):
+            q = Fraction(v.num[i], c * v.den)   # v = q * zeta_m^t
+            break
+    else:
+        return None
+    top = _exact_root(abs(q.numerator), k)
+    bottom = _exact_root(q.denominator, k)
+    if not (top and bottom):
+        return None
+    r = Fraction(top, bottom)
+    big = math.lcm(2, m)
+    # sign(q) * zeta_m^t = omega^t
+    if m % 2 == 0:
+        t = t if q > 0 else (t + m // 2) % m
+    elif (t % 2 == 0) != (q > 0):
+        t += m
+    out = []
+    for u in range(big):
+        if (u * k - t) % big == 0:
+            sign = -1 if m % 2 and u % 2 else 1
+            out.append([0] * (u % m) + [sign * r])
+    return out
+
+
+@functools.cache
+def _powers_of_zeta(m: int) -> tuple:
+    """Integer coordinates of zeta_m^t, t = 0, ..., m - 1."""
+    return tuple(_reduced(m, [0] * t + [1]).num for t in range(m))
+
+
+def _exact_root(a: int, k: int) -> int:
+    """The k-th root of a >= 0 if it is an integer, else 0."""
+    if a < 2:
+        return a
+    if k >= a.bit_length():     # 1 < a < 2^k
+        return 0
+    x = 1 << -(-a.bit_length() // k)    # above the root
+    while True:
+        y = ((k - 1) * x + a // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    return x if x ** k == a else 0
+
+
+# split primes that _no_root_mod_p tries, and the terms of the progression
+# 1 + j * lcm(m, k) that it scans for them, all below _PRIME_LIMIT
+_CERT_PRIMES = 6
+_CERT_SCAN = 1000
+# _is_prime is exact below this bound
+_PRIME_LIMIT = 3 * 10 ** 24
+
+
+def _no_root_mod_p(v: CycElt, k: int, m: int) -> bool:
+    """True when a prime p = 1 (mod lcm(m, k)) shows that v, at conductor
+    m, has no k-th root in Q(zeta_m).
+
+    Each primitive m-th root of unity r mod p gives a reduction
+    zeta_m -> r onto F_p.  Where the image of v is nonzero, v is a unit
+    there, and so is any w with w^k = v; so w would reduce to a k-th root
+    of v's image.  An image that Euler's criterion finds to be no k-th
+    power thus certifies that no root exists.  False means only that the
+    primes tried found no such image.
+    """
+    step = math.lcm(m, k)
+    p = 1
+    tried = 0
+    for _ in range(_CERT_SCAN):
+        p += step
+        if p >= _PRIME_LIMIT:
+            break
+        if v.den % p == 0 or not _is_prime(p):
+            continue
+        r = _root_of_unity_mod(m, p)
+        scale = pow(v.den, -1, p)
+        for a in units(m):
+            x = pow(r, a, p)
+            image = 0
+            for c in reversed(v.num):
+                image = (image * x + c) % p
+            image = image * scale % p
+            if image and pow(image, (p - 1) // k, p) != 1:
+                return True
+        tried += 1
+        if tried == _CERT_PRIMES:
+            break
+    return False
+
+
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, which is exact
+    below _PRIME_LIMIT."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2:
+        return False
+    for b in bases:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _root_of_unity_mod(m: int, p: int) -> int:
+    """A primitive m-th root of unity mod a prime p = 1 (mod m)."""
+    primes = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+    for x in range(2, p):
+        r = pow(x, (p - 1) // m, p)
+        if all(pow(r, m // q, p) != 1 for q in primes):
+            return r
+    raise AssertionError(f"no primitive {m}-th root of unity mod {p}")
 
 
 @functools.cache

@@ -23,12 +23,13 @@ verifies this projectively together with curve transport for every map.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .cyclotomic import CycElt, GaloisElement, common_field, kth_roots, units
-from .cyclotomic import _cyclic, _echelon
+from .cyclotomic import _cyclic, _echelon, _reduced, _related_roots
 from .moebius import Moebius, _same_points
 from .configurations import make_config
 from .family import FamilyParams
@@ -68,8 +69,9 @@ class MonomialIso:
             raise ValueError("need six scales")
         if any(v.is_zero() for v in vals):
             raise ValueError("scales must be nonzero")
-        lead = vals[0]
-        vals = [v / lead for v in vals]
+        if vals[0] != 1:
+            inv = vals[0].inverse()
+            vals = [v * inv for v in vals]
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "scales", tuple(vals))
         object.__setattr__(self, "k", int(k))
@@ -141,14 +143,23 @@ def curve_rows(nu: CycElt, eta: CycElt):
     )
 
 
-def _in_span(rows, vec) -> bool:
-    ech, pivots = _echelon(rows)
-    v = list(vec)
-    for row, col in zip(ech, pivots):
-        if not v[col].is_zero():
-            f = v[col]
-            v = [u - f * w for u, w in zip(v, row)]
-    return all(x.is_zero() for x in v)
+def _annihilated(kernel, vec) -> bool:
+    """True iff vec . u = 0 for every u in kernel.  The row space of a
+    matrix is the annihilator of its kernel, so with kernel a basis of the
+    nullspace of some rows this is membership in their span."""
+    return all(sum((a * b for a, b in zip(vec, u) if not a.is_zero()),
+                   CycElt.zero(vec[0].n)).is_zero() for u in kernel)
+
+
+def _curve_kernel(nu: CycElt, eta: CycElt):
+    """A basis of the nullspace of curve_rows(nu, eta).  The last four
+    columns of the rows are the identity, so the rank is 4 and the two
+    vectors below, which every row annihilates, span the nullspace."""
+    nu, eta = nu._unify(eta)
+    one = CycElt.one(nu.n)
+    zero = CycElt.zero(nu.n)
+    return ((one, zero, -one, -nu, -eta, eta),
+            (zero, one, -one, -one, -one, -one))
 
 
 def _nullspace(rows, ncols: int):
@@ -178,16 +189,27 @@ def transports_curve(f: MonomialIso, p: FamilyParams, a: GaloisElement) -> bool:
     m = a.conductor
     lam = p.lam.in_conductor(m)
     mu = p.mu.in_conductor(m)
-    src = curve_rows(lam, mu)
-    tgt = curve_rows(lam.galois_apply(a), mu.galois_apply(a))
-    d = [c.in_conductor(m) ** f.k for c in f.scales]
-    src = [[x.in_conductor(m) for x in row] for row in src]
-    zero = CycElt.zero(m)
-    for row in tgt:
+    d = tuple((x.num, x.den)
+              for x in (c.in_conductor(m) ** f.k for c in f.scales))
+    return _transports(m, lam.num, lam.den, mu.num, mu.den, a.exponent,
+                       f.perm, d)
+
+
+@functools.lru_cache(maxsize=64)
+def _transports(n, lam_num, lam_den, mu_num, mu_den, e, perm, d):
+    # keyed on exact coefficients and on d = c^k, all that the answer
+    # depends on: the candidates of one lift differ by k-th roots of unity,
+    # so they share d, and so do the maps of their cocycles at each exponent
+    lam = _reduced(n, list(lam_num), lam_den)
+    mu = _reduced(n, list(mu_num), mu_den)
+    kernel = _curve_kernel(lam, mu)
+    d = [_reduced(n, list(num), den) for num, den in d]
+    zero = CycElt.zero(n)
+    for row in curve_rows(lam.galois_apply(e), mu.galois_apply(e)):
         pulled = [zero] * 6
         for i in range(6):
-            pulled[f.perm[i]] = row[i].in_conductor(m) * d[i]
-        if not _in_span(src, pulled):
+            pulled[perm[i]] = row[i] * d[i]
+        if not _annihilated(kernel, pulled):
             return False
     return True
 
@@ -241,11 +263,8 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
     # to the i-th target branch value
     perm = tuple(images.index(tb) for tb in tgt_branch)
 
-    src = [[x.in_conductor(m) for x in row] for row in curve_rows(lam, mu)]
-    tgt = [[x.in_conductor(m) for x in row] for row in curve_rows(slam, smu)]
-    kernel = _nullspace(src, 6)
-    if len(kernel) != 2:
-        raise AssertionError("curve equations do not have a 2-dim kernel")
+    tgt = curve_rows(slam, smu)
+    kernel = _curve_kernel(lam, mu)
     # linear conditions on d: sum_i tgt[l][i] * u[perm[i]] * d_i = 0
     conditions = []
     for row in tgt:
@@ -262,8 +281,18 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
 
     roots = []
     missing = []
+    # the powers often repeat, or differ by a root of unity or a rational
+    # k-th power (d_1 = 1), so most roots follow from earlier ones
+    searched = []
     for i, di in enumerate(d):
-        r = kth_roots(di, p.k, m)
+        r = None
+        for u, u_roots in searched:
+            r = u_roots if u == di else _related_roots(di, u, u_roots, p.k)
+            if r is not None:
+                break
+        if r is None:
+            r = kth_roots(di, p.k, m)
+            searched.append((di, r))
         if not r:
             missing.append(MissingRoot(coordinate=i + 1, value=di,
                                        k=p.k, conductor=m))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .cyclotomic import CycElt, common_field, real_sign
-from .moebius import INF, Moebius, cross_ratio, g_orbit
+from .moebius import INF, Moebius, _orbit_values, cross_ratio
 from .configurations import Configuration, make_config, symmetries
 
 __all__ = [
@@ -107,9 +107,10 @@ def validate(lam, mu, k: int) -> FamilyParams:
     if k % 2 != 0:
         raise ParameterError("k_odd", f"k = {k} is odd")
     # defensive exactness check: the three circular cross-ratios must be
-    # pairwise inequivalent under the six-map group
-    cr = family_cross_ratios(lam, mu)
-    orbits = [{v.key() for v in g_orbit(c)} for c in cr]
+    # pairwise inequivalent under the six-map group; compared on exact
+    # coefficients in one field, which needs no minimal forms
+    _, cr = common_field(family_cross_ratios(lam, mu))
+    orbits = [{(v.num, v.den) for v in _orbit_values(c)} for c in cr]
     for i in range(3):
         for j in range(i + 1, 3):
             if orbits[i] & orbits[j]:

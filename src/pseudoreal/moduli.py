@@ -27,8 +27,8 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .cyclotomic import CycElt, GaloisElement, Subfield, fixed_field, \
-    fixing_subgroup, is_subgroup, min_poly, poly_eval, units
+from .cyclotomic import CycElt, GaloisElement, Subfield, _reduced, \
+    fixed_field, fixing_subgroup, is_subgroup, min_poly, poly_eval, units
 from .moebius import Moebius, _same_points, set_maps
 from .configurations import make_config
 from .family import FamilyParams
@@ -80,14 +80,15 @@ def row_targets(lam: CycElt, mu: CycElt):
     """The twelve (row, sign, sigma_lambda, sigma_mu, witness-builder)
     shapes evaluated at (lambda, mu).  Builders take the actual
     (sigma_lambda, sigma_mu) and produce the table's Moebius map."""
-    return list(_row_targets(lam.n, lam.coeffs, mu.n, mu.coeffs))
+    return list(_row_targets(lam.n, lam.num, lam.den, mu.n, mu.num, mu.den))
 
 
 @functools.lru_cache(maxsize=1)
-def _row_targets(n_lam, lam_coeffs, n_mu, mu_coeffs):
+def _row_targets(n_lam, lam_num, lam_den, n_mu, mu_num, mu_den):
     # one entry, keyed on exact coefficients: the phi(n) calls of one
     # stabilizer share the table
-    lam, mu = CycElt(n_lam, lam_coeffs), CycElt(n_mu, mu_coeffs)
+    lam = _reduced(n_lam, list(lam_num), lam_den)
+    mu = _reduced(n_mu, list(mu_num), mu_den)
     one = CycElt.one(lam.n)
     p = (one - mu) / (one + mu)        # (1-mu)/(1+mu)
     q = (lam + mu) / (lam - mu)        # (lambda+mu)/(lambda-mu)

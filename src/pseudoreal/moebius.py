@@ -16,7 +16,7 @@ import functools
 import itertools
 from typing import Optional
 
-from .cyclotomic import CycElt, common_field
+from .cyclotomic import CycElt, _reduced, common_field
 
 __all__ = [
     "SpherePoint",
@@ -210,18 +210,23 @@ def cross_ratio(a, b, c, d) -> CycElt:
         (c.value - b.value) * (d.value - a.value))
 
 
-def g_orbit(c: CycElt) -> list:
-    """Orbit of a cross-ratio value under the six maps generated by
-    z -> 1/z and z -> z/(z-1); at most six values, canonically sorted."""
+def _orbit_values(c) -> list:
+    """The images of a cross-ratio value under the six maps generated by
+    z -> 1/z and z -> z/(z-1), repeats included, all at c's conductor."""
     if not isinstance(c, CycElt):
         c = CycElt.from_rational(c)
     if c.is_zero() or c == 1:
         raise ValueError("orbit undefined for 0 and 1")
     one = CycElt.one(c.n)
-    values = [c, one / c, one - c, one / (one - c), (c - one) / c, c / (c - one)]
+    return [c, one / c, one - c, one / (one - c), (c - one) / c, c / (c - one)]
+
+
+def g_orbit(c: CycElt) -> list:
+    """Orbit of a cross-ratio value under the six maps generated by
+    z -> 1/z and z -> z/(z-1); at most six values, canonically sorted."""
     out = []
     seen = set()
-    for v in values:
+    for v in _orbit_values(c):
         k = v.key()
         if k not in seen:
             seen.add(k)
@@ -323,7 +328,7 @@ def _normalized_triples(pts):
 
 def _raw_key(p: SpherePoint):
     # sort/dedup key valid among points of one common conductor
-    return (0,) if p.is_infinity else (1, p.value.coeffs)
+    return (0,) if p.is_infinity else (1, p.value.num, p.value.den)
 
 
 def _same_points(A, B) -> bool:
@@ -342,7 +347,8 @@ def _triple_index(n: int, keys: tuple) -> dict:
     the images of the other three points when the triple goes to
     (inf, 0, 1).  One entry, so the phi(n) calls of one stabilizer share
     the source's normalization."""
-    pts = [INF if key == (0,) else SpherePoint(CycElt(n, key[1]))
+    pts = [INF if key == (0,) else SpherePoint(_reduced(n, list(key[1]),
+                                                          key[2]))
            for key in keys]
     index = {}
     for triple, images in _normalized_triples(pts):
@@ -381,6 +387,6 @@ def set_maps(S, T, anti: bool = False) -> list:
         m = moebius_from_triple(triple, base)
         if anti:
             m = Moebius(*m.coefficients(), conj_first=True)
-        key = (m.conj_first, m.a.coeffs, m.b.coeffs, m.c.coeffs, m.d.coeffs)
-        found[key] = m
-    return [found[k] for k in sorted(found)]
+        found[(m.conj_first, *((x.num, x.den) for x in m.coefficients()))] = m
+    return sorted(found.values(), key=lambda m: (
+        m.conj_first, *(x.coeffs for x in m.coefficients())))

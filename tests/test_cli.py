@@ -315,6 +315,15 @@ def test_integer_too_large_to_print_is_a_size_limit(output):
                                       "  message: result too large to print")
 
 
+def test_large_value_at_the_largest_conductor_is_a_prompt_size_limit():
+    # its minimal forms, on Fraction vectors, took 175 s
+    proc = run_module("--output", "structured", "crossratio", "--conductor",
+                      str(MAX_CONDUCTOR), "--", "inf", "0", "1", "z/3+2^4000",
+                      timeout=30)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"]["kind"] == "size_limit"
+
+
 def test_lift_at_conductor_40_reports_its_missing_roots():
     # with x^k - v converted from a sympy expression it ran over 600 s
     proc = run_module("--output", "structured", "lift", "--conductor", "40",
@@ -408,6 +417,21 @@ def test_internal_error_documents_are_pinned(capsys, monkeypatch):
     assert _digests(capsys, "classify", *FAM5, "--sigma", "1") == (
         3, "c6773b2230c71095842683a816fc655ec89168133e6ab932af215d53ef89556f",
         "6802d35e4acdf99d680c513ee3a7ce18f1bcaab62a285037dfa3dee66848878d")
+
+
+def test_one_parser_serves_every_query_of_a_process(capsys):
+    # build_parser runs once per process; a usage error in between must not
+    # change what the next query prints
+    assert build_parser() is build_parser()
+    for argv, digest in HUMAN_OUTPUT:
+        code, out = run(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", *FAM5])  # missing --sigma
+    assert exc.value.code == 2
+    argv, digest = HUMAN_OUTPUT[0]
+    code, out = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
 # -- the parser that SUBCOMMANDS builds ---------------------------------------

@@ -1,8 +1,10 @@
 """Property tests for the shared elimination, field embedding,
 (anti-)Moebius application, field axioms and the Galois action, and
 differential tests of set_maps, the stabilizer, the term formatter,
-check_order and the k-th root search against the code each replaced, and
-of cross_ratio against the normalizing map."""
+check_order, the k-th root search and its shortcuts, the kernel test of
+curve transport, the integer element arithmetic and validate's collision
+check against the code each replaced, and of cross_ratio against the
+normalizing map."""
 
 import itertools
 import math
@@ -13,14 +15,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pseudoreal.configurations import OmegaError, make_config
 from pseudoreal.cyclotomic import CycElt, GaloisElement, LimitError, \
-    _echelon, _solve_exact, _sympy_field, _sympy_roots, euler_phi, \
-    format_poly, make_element, units
-from pseudoreal.descent import _in_span, _nullspace, check_order
-from pseudoreal.family import validate
+    _echelon, _no_root_mod_p, _size_bits, _sympy_field, \
+    _sympy_roots, _monomial_roots, _related_roots, cyclotomic_polynomial, euler_phi, \
+    format_poly, kth_roots, make_element, subgroups, units
+from pseudoreal.descent import _annihilated, _curve_kernel, _nullspace, \
+    check_order, curve_rows
+from pseudoreal.family import ParameterError, family_cross_ratios, validate
 from pseudoreal.moduli import classify_sigma, stabilizer
 from pseudoreal.moebius import INF, Moebius, SpherePoint, _apply_raw, \
-    _normalized_triples, _raw_key, _std_raw, cross_ratio, \
-    moebius_from_triple, set_maps, unify_points
+    _normalized_triples, _orbit_values, _raw_key, _std_raw, cross_ratio, \
+    g_orbit, moebius_from_triple, set_maps, unify_points
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -51,6 +55,26 @@ def test_embed_then_in_conductor_round_trips(pair):
 
 
 small = st.integers(-2, 2).map(Fraction)
+
+
+def _solve_exact(columns, target):
+    """Solve sum_j x_j * columns[j] = target over Q; None if inconsistent:
+    the elimination that CycElt._rewrite_in ran before its cached left
+    inverse, and the reference for key() below."""
+    rows = len(target)
+    ncols = len(columns)
+    ech, pivots = _echelon([[columns[j][i] for j in range(ncols)] + [target[i]]
+                            for i in range(rows)])
+    if pivots and pivots[-1] == ncols:   # a pivot in the target column
+        return None
+    sol = [Fraction(0)] * ncols
+    for row, col in zip(ech, pivots):
+        sol[col] = row[ncols]
+    # verify (pivot-free columns were forced to zero)
+    for i in range(rows):
+        if sum(columns[j][i] * sol[j] for j in range(ncols)) != target[i]:
+            return None
+    return tuple(sol)
 
 
 @st.composite
@@ -118,6 +142,18 @@ def test_nullspace_is_annihilated_and_has_full_dimension(case):
     assert len(_echelon(basis)[1]) == len(basis)
 
 
+def _in_span(rows, vec) -> bool:
+    """Row-span membership by elimination: the echelon test that
+    transports_curve ran on every twisted row before the kernel test."""
+    ech, pivots = _echelon(rows)
+    v = list(vec)
+    for row, col in zip(ech, pivots):
+        if not v[col].is_zero():
+            f = v[col]
+            v = [u - f * w for u, w in zip(v, row)]
+    return all(x.is_zero() for x in v)
+
+
 @SETTINGS
 @given(matrices(), st.data())
 def test_in_span_accepts_row_combinations(case, data):
@@ -125,7 +161,35 @@ def test_in_span_accepts_row_combinations(case, data):
     assume(rows)
     cs = data.draw(st.lists(elements(n, small), min_size=len(rows),
                             max_size=len(rows)))
-    assert _in_span(rows, _combine(cs, rows, n, ncols))
+    vec = _combine(cs, rows, n, ncols)
+    assert _in_span(rows, vec)
+    assert _annihilated(_nullspace(rows, ncols), vec)
+
+
+@SETTINGS
+@given(matrices(), st.data())
+def test_kernel_test_matches_elimination(case, data):
+    n, ncols, rows = case
+    assume(rows)
+    vec = data.draw(st.lists(elements(n, small), min_size=ncols,
+                             max_size=ncols))
+    if data.draw(st.booleans()):   # often in the span, off by one entry
+        vec = _combine([CycElt.one(n)] * len(rows), rows, n, ncols)
+        vec[data.draw(st.integers(0, ncols - 1))] += data.draw(
+            st.sampled_from([0, 1, -2]))
+    assert _annihilated(_nullspace(rows, ncols), vec) == _in_span(rows, vec)
+
+
+@SETTINGS
+@given(st.sampled_from([1, 3, 4, 5, 8, 12, 16]).flatmap(
+    lambda n: st.tuples(elements(n, small), elements(n, small))), st.data())
+def test_curve_kernel_spans_the_nullspace_of_the_curve_rows(pair, data):
+    nu, eta = pair
+    rows = curve_rows(nu, eta)
+    kernel = _curve_kernel(nu, eta)
+    assert _echelon(kernel) == _echelon(_nullspace(rows, 6))
+    vec = data.draw(st.lists(elements(nu.n, small), min_size=6, max_size=6))
+    assert _annihilated(kernel, vec) == _in_span(rows, vec)
 
 
 @SETTINGS
@@ -507,3 +571,310 @@ def test_sympy_roots_match_the_expression_construction(n, k, c, data):
     new = _sympy_roots(v.coeffs, k, n)
     assert sorted(new) == sorted(_old_sympy_roots(v.coeffs, k, n))
     assert all(CycElt(n, r) ** k == v for r in new)
+
+
+# -- k-th root shortcuts against the factorization --------------------------
+
+
+def _canonical(n, coeff_lists):
+    return tuple(sorted({CycElt(n, c) for c in coeff_lists}, key=CycElt.key))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 12, 16, 24])
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_roots_of_one_match_the_factorization(n, k):
+    one = CycElt.one(n)
+    expected = _canonical(n, _sympy_roots(one.coeffs, k, n))
+    assert _canonical(n, _monomial_roots(one, k, n)) == expected
+    assert kth_roots(one, k, n) == expected
+
+
+# rational multiples of roots of unity: the written-down roots, or None,
+# against the factorization
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 3, 5, 8, 12, 16]), st.sampled_from([2, 3, 4]),
+       st.sampled_from([1, -1, 2, -4, 9, -9, 8, Fraction(1, 4),
+                        Fraction(-16, 81), Fraction(3, 2)]),
+       st.data())
+def test_monomial_roots_match_the_factorization(n, k, q, data):
+    t = data.draw(st.integers(0, 2 * n - 1))
+    v = q * CycElt.zeta(n) ** t
+    if data.draw(st.booleans()):
+        v = v ** k
+    found = _monomial_roots(v, k, n)
+    expected = _canonical(n, _sympy_roots(v.coeffs, k, n))
+    if found is not None:
+        assert _canonical(n, found) == expected
+    assert kth_roots(v, k, n) == expected
+
+
+def test_monomial_roots_decline_other_values():
+    assert _monomial_roots(make_element("1 + z", 8), 2, 8) is None
+    assert _monomial_roots(make_element("2*z^6", 16), 2, 16) is None
+    assert _monomial_roots(CycElt.from_rational(-4, 8), 4, 8) is None
+
+
+# roots carried over from u to v = u * q * zeta against the factorization,
+# for u with roots (2*z^6 at n = 16, 1 + i at n = 8) and without
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(16, "2*z^6", 2), (16, "3*z^2", 2), (8, "-4", 4),
+                        (8, "1 + z^2", 2), (8, "3*z", 4), (12, "2 + z", 2)]),
+       st.sampled_from([1, -1, 4, -9, 16, Fraction(1, 16), 2, -3]),
+       st.data())
+def test_related_roots_match_the_factorization(case, q, data):
+    n, text, k = case
+    u = make_element(text, n)
+    v = q * u * CycElt.zeta(n) ** data.draw(st.integers(0, 2 * n - 1))
+    found = _related_roots(v, u, kth_roots(u, k, n), k)
+    expected = _canonical(n, _sympy_roots(v.coeffs, k, n))
+    if found is not None:
+        assert found == expected
+    # |q| a k-th power: v / u is of the form that decides, when u has roots
+    powers = {2: (1, 4, 9, 16, Fraction(1, 16)), 4: (1, 16, Fraction(1, 16))}
+    if abs(q) in powers[k] and kth_roots(u, k, n):
+        assert found is not None
+
+
+# a certificate is a proof, so it may only fire where the factorization
+# finds no root; on the root-free values of the descent corpus it fires
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 3, 4, 8, 12, 16]), st.sampled_from([2, 4]),
+       st.sampled_from([-9, -4, -2, -1, 2, 3, Fraction(1, 2), Fraction(-4, 9)]),
+       st.data())
+def test_no_root_certificate_agrees_with_the_factorization(n, k, c, data):
+    v = c * CycElt.zeta(n) ** data.draw(st.integers(0, n - 1))
+    if data.draw(st.booleans()):
+        v = v ** k
+    v = v + data.draw(st.sampled_from([0, 0, 0, 1]))
+    assume(not v.is_zero())
+    certified = _no_root_mod_p(v, k, n)
+    roots = _sympy_roots(v.coeffs, k, n)
+    if certified:
+        assert roots == []
+    if roots:
+        assert kth_roots(v, k, n) != ()
+
+
+@pytest.mark.parametrize("n, value", [
+    (8, "3*z"), (8, "-3*z"), (8, "-9"), (8, "2*z^3"),
+    (16, "3*z^2"), (16, "-3*z^2"), (16, "3*z^6"), (16, "-3*z^10")])
+def test_no_root_certificate_catches_the_corpus_root_free_values(n, value):
+    v = make_element(value, n)
+    k = 4 if value in ("3*z", "-3*z", "-9") else 2
+    assert _sympy_roots(v.coeffs, k, n) == []
+    assert _no_root_mod_p(v, k, n)
+
+
+# -- integer numerators over one denominator against the Fraction vectors
+# they replaced ---------------------------------------------------------------
+
+
+def _ref_trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
+
+
+def _ref_padd(p, q):
+    out = [Fraction(0)] * max(len(p), len(q))
+    for i, c in enumerate(p):
+        out[i] += c
+    for i, c in enumerate(q):
+        out[i] += c
+    return _ref_trim(out)
+
+
+def _ref_pneg(p):
+    return tuple(-c for c in p)
+
+
+def _ref_pmul(p, q):
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _ref_trim(out)
+
+
+def _ref_pdivmod(p, q):
+    rem = list(p)
+    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    dq = len(q) - 1
+    for i in range(len(rem) - 1, dq - 1, -1):
+        if rem[i]:
+            f = rem[i] / q[-1]
+            quot[i - dq] = f
+            for j, b in enumerate(q):
+                rem[i - dq + j] -= f * b
+    return _ref_trim(quot), _ref_trim(rem)
+
+
+def ref_vec(n, poly):
+    """The earlier CycElt(n, poly).coeffs: Fractions reduced mod Phi_n."""
+    phi = euler_phi(n)
+    poly = _ref_trim(Fraction(c) for c in poly)
+    if len(poly) > phi:
+        poly = _ref_pdivmod(poly, cyclotomic_polynomial(n))[1]
+    return tuple(poly) + (Fraction(0),) * (phi - len(poly))
+
+
+def ref_inverse(n, p):
+    """The earlier CycElt.inverse: extended Euclid against Phi_n."""
+    r0, r1 = cyclotomic_polynomial(n), _ref_trim(p)
+    s0, s1 = (), (Fraction(1),)
+    while r1:
+        q, r = _ref_pdivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _ref_padd(s0, _ref_pneg(_ref_pmul(q, s1)))
+    return ref_vec(n, (c / r0[0] for c in s0))
+
+
+def ref_scatter(p, mult, m):
+    out = [Fraction(0)] * m
+    for i, c in enumerate(p):
+        out[(i * mult) % m] += c
+    return ref_vec(m, out)
+
+
+def ref_key(n, p):
+    """The earlier key(): the smallest conductor d | n holding the element,
+    and its coordinates there."""
+    for d in (d for d in range(1, n) if n % d == 0):
+        kernel = [a for a in units(n) if a % d == 1 % d]
+        if all(ref_scatter(p, a, n) == p for a in kernel):
+            basis = [ref_scatter(ref_vec(d, [0] * j + [1]), n // d, n)
+                     for j in range(euler_phi(d))]
+            vec = _solve_exact(basis, p)
+            if vec is not None:
+                return d, vec
+    return n, p
+
+
+def ref_size_bits(p):
+    den = math.lcm(*(c.denominator for c in p))
+    return math.log2(max(sum(abs(c.numerator) * (den // c.denominator)
+                             for c in p), den))
+
+
+def assert_canonical(u, vec):
+    """u holds vec, as phi(n) ints over one positive denominator that
+    shares no factor with all of them."""
+    assert len(u.num) == euler_phi(u.n) and u.den > 0
+    assert math.gcd(u.den, *u.num) == 1
+    assert all(type(x) is int for x in (*u.num, u.den))
+    assert u.coeffs == vec
+    try:
+        text = reference_elt_str(vec)
+    except ValueError:  # past Python's int-to-string limit
+        with pytest.raises(LimitError):
+            str(u)
+    else:
+        assert str(u) == text
+
+
+CORE_CONDUCTORS = [1, 2, 3, 4, 5, 8, 12, 16, 24, 40, 120]
+huge = st.integers(-2 ** 1000, 2 ** 1000)
+core_rationals = st.one_of(
+    coefficients, huge.map(Fraction),
+    st.builds(Fraction, huge, st.integers(1, 2 ** 1000)))
+
+
+@st.composite
+def raw_coefficients(draw, n):
+    """A coefficient list of any length up to 2 phi(n) + 1, so that the
+    constructor reduces it, with at most four nonzero entries (small or
+    1000-bit): the Fraction reference is slow on dense 1000-bit vectors."""
+    length = draw(st.integers(0, 2 * euler_phi(n) + 1))
+    vec = [0] * length
+    if length:
+        for i in draw(st.lists(st.integers(0, length - 1), max_size=4)):
+            vec[i] = draw(core_rationals)
+    return vec
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CORE_CONDUCTORS), st.data())
+def test_integer_core_matches_fraction_vectors(n, data):
+    ra, rb = data.draw(raw_coefficients(n)), data.draw(raw_coefficients(n))
+    u, v = CycElt(n, ra), CycElt(n, rb)
+    a, b = ref_vec(n, ra), ref_vec(n, rb)
+    assert_canonical(u, a)
+    assert_canonical(v, b)
+    q = data.draw(core_rationals)
+    qv = ref_vec(n, [q])
+    expected = [
+        (u + v, ref_vec(n, _ref_padd(a, b))),
+        (u - v, ref_vec(n, _ref_padd(a, _ref_pneg(b)))),
+        (-u, ref_vec(n, _ref_pneg(a))),
+        (u * v, ref_vec(n, _ref_pmul(a, b))),
+        (u + q, ref_vec(n, _ref_padd(a, qv))),
+        (q - u, ref_vec(n, _ref_padd(qv, _ref_pneg(a)))),
+        (q * u, ref_vec(n, _ref_pmul(qv, a))),
+        (u ** 3, ref_vec(n, _ref_pmul(a, _ref_pmul(a, a)))),
+        (u ** 0, ref_vec(n, [1])),
+    ]
+    if not v.is_zero():
+        expected.append((u / v, ref_vec(n, _ref_pmul(a, ref_inverse(n, b)))))
+        expected.append((v ** -2, ref_vec(n, _ref_pmul(
+            ref_inverse(n, b), ref_inverse(n, b)))))
+    g = data.draw(st.sampled_from(units(n)))
+    expected.append((u.galois_apply(g), ref_scatter(a, g, n)))
+    m = n * data.draw(st.sampled_from([1, 2, 3]))
+    expected.append((u.embed(m), ref_scatter(a, m // n, m)))
+    for w, vec in expected:
+        assert_canonical(w, vec)
+    assert _size_bits(u) == ref_size_bits(a)
+    assert (u == v) == (a == b) and (u == q) == (a == qv)
+    assert u.embed(m) == u and hash(u.embed(m)) == hash(u)
+    if u.is_rational():
+        assert u == a[0] and hash(u) == hash(a[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 5, 8, 12, 16, 24, 40]), st.data())
+def test_key_matches_the_fraction_minimal_form(n, data):
+    # sums of Galois conjugates over a random subgroup fall into subfields
+    u = CycElt(n, data.draw(raw_coefficients(n)))
+    H = data.draw(st.sampled_from(subgroups(n)))
+    t = sum((u.galois_apply(h) for h in H), CycElt.zero(n))
+    for w in (u, t):
+        assert w.key() == ref_key(n, w.coeffs)
+
+
+# -- validate's collision check against the minimal-form keys ----------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4, 5, 8, 12]).flatmap(elements))
+def test_collision_check_matches_the_key_based_intersection(mu):
+    lam = -(mu * mu.conjugate())
+    try:
+        validate(lam, mu, 2)
+        collided = False
+    except ParameterError as exc:
+        assume(exc.clause == "cross_ratio_collision")
+        collided = True
+    cr = family_cross_ratios(lam, mu)
+    exact = [{(v.num, v.den) for v in _orbit_values(c)} for c in cr]
+    by_key = [{v.key() for v in g_orbit(c)} for c in cr]
+    pairs = list(itertools.combinations(range(3), 2))
+    assert [len(exact[i] & exact[j]) for i, j in pairs] == \
+        [len(by_key[i] & by_key[j]) for i, j in pairs]
+    assert collided == any(by_key[i] & by_key[j] for i, j in pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4, 5, 8, 12]).flatmap(
+    lambda n: st.lists(elements(n), min_size=2, max_size=2)), st.data())
+def test_exact_orbit_intersection_matches_the_key_based_one(values, data):
+    c, other = values
+    assume(not c.is_zero() and c != 1)
+    # an orbit mate of c, or an unrelated value
+    d = data.draw(st.sampled_from(_orbit_values(c) + [other]))
+    assume(not d.is_zero() and d != 1)
+    exact = [{(v.num, v.den) for v in _orbit_values(x)} for x in (c, d)]
+    by_key = [{v.key() for v in g_orbit(x)} for x in (c, d)]
+    assert len(exact[0] & exact[1]) == len(by_key[0] & by_key[1])
