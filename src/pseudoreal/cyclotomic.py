@@ -10,7 +10,10 @@ is 0/1), so two elements of the same conductor are equal iff their
 (num, den) pairs are equal; elements of different conductors are compared
 after embedding both into the lcm field via zeta_n = zeta_lcm^(lcm/n).
 `coeffs`, the coordinates as Fractions, is a view derived on first use;
-sorting keys, printing, enclosures, minimal forms and `inverse` read it.
+sorting keys, printing, enclosures and minimal forms read it.  `inverse`
+stays on the ints: 1/u = den * P / N(w) for the integral w = den * u,
+where P is the product of the distinct Galois conjugates of w other than
+w and the norm N(w) = w * P is a rational integer.
 
 The embedding zeta_n -> exp(2*pi*i/n) is fixed once and for all; every
 statement about conjugation, signs and ordering of real elements refers
@@ -94,50 +97,7 @@ class LimitError(CycError):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q, represented as tuples of Fractions (ascending powers);
-# only `CycElt.inverse` and `cyclotomic_polynomial` work on them
-
-def _trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-def _psub(p, q):
-    out = list(p) + [Fraction(0)] * (len(q) - len(p))
-    for i, c in enumerate(q):
-        out[i] -= c
-    return _trim(out)
-
-
-def _pmul(p, q):
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return _trim(out)
-
-
-def _pdivmod(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    dq = len(q) - 1
-    lead = q[-1]
-    for i in range(len(rem) - 1, dq - 1, -1):
-        if rem[i]:
-            f = rem[i] / lead
-            quot[i - dq] = f
-            for j, b in enumerate(q):
-                rem[i - dq + j] -= f * b
-    return _trim(quot), _trim(rem)
-
+# cyclotomic polynomials and unit groups
 
 def _divisors(n):
     out = [d for d in range(1, n + 1) if n % d == 0]
@@ -146,17 +106,25 @@ def _divisors(n):
 
 @functools.cache
 def cyclotomic_polynomial(n: int) -> tuple:
-    """Coefficients (ascending) of the n-th cyclotomic polynomial Phi_n."""
+    """Int coefficients (ascending) of the n-th cyclotomic polynomial Phi_n."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    # Phi_n = (x^n - 1) / prod(Phi_d : d | n, d < n)
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    num = tuple(num)
+    # Phi_n = (x^n - 1) / prod(Phi_d : d | n, d < n); each Phi_d is monic
+    # and integral, so the division stays in ints
+    num = [-1] + [0] * (n - 1) + [1]
     for d in _divisors(n)[:-1]:
-        num, rem = _pdivmod(num, cyclotomic_polynomial(d))
-        if rem:
+        q = cyclotomic_polynomial(d)
+        dq = len(q) - 1
+        quot = [0] * (len(num) - dq)
+        for i in range(len(num) - 1, dq - 1, -1):
+            f = quot[i - dq] = num[i]
+            if f:
+                for j, c in enumerate(q):
+                    num[i - dq + j] -= f * c
+        if any(num[:dq]):
             raise AssertionError("cyclotomic recursion left a remainder")
-    return num
+        num = quot
+    return tuple(num)
 
 
 @functools.cache
@@ -221,8 +189,7 @@ def _reduction_table(n: int) -> tuple:
     """(phi(n), ((j, c_j), ...)) for the nonzero lower coefficients c_j of
     the monic integral Phi_n = x^phi + sum_j c_j x^j."""
     poly = cyclotomic_polynomial(n)
-    return len(poly) - 1, tuple((j, int(c)) for j, c in enumerate(poly[:-1])
-                                if c)
+    return len(poly) - 1, tuple((j, c) for j, c in enumerate(poly[:-1]) if c)
 
 
 def _reduced(n: int, num: list, den: int = 1) -> "CycElt":
@@ -446,18 +413,15 @@ class CycElt:
     def inverse(self) -> "CycElt":
         if self.is_zero():
             raise ZeroDivisionError("division by zero element")
-        # extended Euclid in Q[x] against Phi_n
-        r0, r1 = cyclotomic_polynomial(self.n), _trim(self.coeffs)
-        s0, s1 = (), (Fraction(1),)
-        while r1:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        # r0 = gcd is a nonzero constant since Phi_n is irreducible
-        if len(r0) != 1:
-            raise AssertionError("gcd with Phi_n is not constant")
-        inv = tuple(c / r0[0] for c in s0)
-        return CycElt(self.n, inv)
+        # 1/u = den * P / N(w) for the integral w = den * u, where P is the
+        # product of the distinct conjugates of w other than w and the norm
+        # N(w) = w * P is a rational integer
+        w = _reduced(self.n, list(self.num))
+        p = math.prod(_conjugates(w)[1:], start=CycElt.one(self.n))
+        norm = w * p
+        if not norm.is_rational():
+            raise AssertionError("norm is not rational")
+        return p * Fraction(self.den, norm.num[0])
 
     def __truediv__(self, other):
         o = self._coerce(other, self.n)
@@ -934,22 +898,30 @@ def real_sign(u: CycElt) -> int:
 # minimal polynomials and fixed fields
 
 
+def _conjugates(u: CycElt) -> list:
+    """The distinct Galois conjugates of u in Q(zeta_n), u first; [u] when
+    u is rational."""
+    out = [u]
+    if u.is_rational():
+        return out
+    seen = {(u.num, u.den)}
+    for a in units(u.n)[1:]:
+        v = u.galois_apply(a)
+        if (v.num, v.den) not in seen:
+            seen.add((v.num, v.den))
+            out.append(v)
+    return out
+
+
 def min_poly(u: CycElt) -> tuple:
     """Monic irreducible polynomial over Q vanishing at u (ascending coeffs).
 
     Computed as prod(x - v) over the distinct Galois orbit of u inside
     Q(zeta_n); irreducibility comes for free since the orbit is full.
     """
-    orbit = []
-    seen = set()
-    for a in units(u.n):
-        v = u.galois_apply(a)
-        if (v.num, v.den) not in seen:
-            seen.add((v.num, v.den))
-            orbit.append(v)
     # poly with CycElt coefficients, ascending
     poly = [CycElt.one(u.n)]
-    for v in orbit:
+    for v in _conjugates(u):
         nxt = [CycElt.zero(u.n) for _ in range(len(poly) + 1)]
         for i, c in enumerate(poly):
             nxt[i + 1] = nxt[i + 1] + c

@@ -324,6 +324,16 @@ def test_large_value_at_the_largest_conductor_is_a_prompt_size_limit():
     assert json.loads(proc.stdout)["error"]["kind"] == "size_limit"
 
 
+def test_dense_value_at_the_largest_conductor_is_prompt():
+    # with inverse by extended Euclid on Fractions it ran over 120 s
+    dense = " + ".join(f"z^{i}/{1000 + i}" for i in range(32))
+    proc = run_module("--output", "structured", "crossratio", "--conductor",
+                      str(MAX_CONDUCTOR), "--", "inf", "0", "1", dense,
+                      timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ok"
+
+
 def test_lift_at_conductor_40_reports_its_missing_roots():
     # with x^k - v converted from a sympy expression it ran over 600 s
     proc = run_module("--output", "structured", "lift", "--conductor", "40",

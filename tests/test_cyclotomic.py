@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from pseudoreal.cyclotomic import (
+    MAX_CONDUCTOR,
     CycElt,
     GaloisElement,
     NonRealError,
@@ -41,6 +43,12 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(6) == (frac(1), frac(-1), frac(1))
     assert cyclotomic_polynomial(8) == (frac(1), 0, 0, 0, frac(1))
     assert cyclotomic_polynomial(16) == (frac(1), 0, 0, 0, 0, 0, 0, 0, frac(1))
+    x = sympy.symbols("x")
+    for n in range(1, MAX_CONDUCTOR + 1):
+        poly = cyclotomic_polynomial(n)
+        assert all(type(c) is int for c in poly)
+        expect = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+        assert list(poly) == expect[::-1]
 
 
 def test_parser_basics():

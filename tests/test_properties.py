@@ -1,10 +1,10 @@
 """Property tests for the shared elimination, field embedding,
-(anti-)Moebius application, field axioms and the Galois action, and
-differential tests of set_maps, the stabilizer, the term formatter,
-check_order, the k-th root search and its shortcuts, the kernel test of
-curve transport, the integer element arithmetic and validate's collision
-check against the code each replaced, and of cross_ratio against the
-normalizing map."""
+(anti-)Moebius application, field axioms, inverses of dense values and
+the Galois action, and differential tests of set_maps, the stabilizer,
+the term formatter, check_order, the k-th root search and its shortcuts,
+the kernel test of curve transport, the integer element arithmetic and
+validate's collision check against the code each replaced, and of
+cross_ratio against the normalizing map."""
 
 import itertools
 import math
@@ -817,9 +817,9 @@ def test_integer_core_matches_fraction_vectors(n, data):
         (u ** 0, ref_vec(n, [1])),
     ]
     if not v.is_zero():
-        expected.append((u / v, ref_vec(n, _ref_pmul(a, ref_inverse(n, b)))))
-        expected.append((v ** -2, ref_vec(n, _ref_pmul(
-            ref_inverse(n, b), ref_inverse(n, b)))))
+        inv = ref_inverse(n, b)
+        expected.append((u / v, ref_vec(n, _ref_pmul(a, inv))))
+        expected.append((v ** -2, ref_vec(n, _ref_pmul(inv, inv))))
     g = data.draw(st.sampled_from(units(n)))
     expected.append((u.galois_apply(g), ref_scatter(a, g, n)))
     m = n * data.draw(st.sampled_from([1, 2, 3]))
@@ -831,6 +831,29 @@ def test_integer_core_matches_fraction_vectors(n, data):
     assert u.embed(m) == u and hash(u.embed(m)) == hash(u)
     if u.is_rational():
         assert u == a[0] and hash(u) == hash(a[0])
+
+
+@st.composite
+def dense_elements(draw, n):
+    """An element with all phi(n) coordinates drawn: ints of up to b bits
+    over one denominator of up to b bits, for b from 1 to 64."""
+    bound = 2 ** draw(st.integers(1, 64))
+    num = draw(st.lists(st.integers(-bound, bound), min_size=euler_phi(n),
+                        max_size=euler_phi(n)))
+    den = draw(st.integers(1, bound))
+    return CycElt(n, [Fraction(x, den) for x in num])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CORE_CONDUCTORS).flatmap(dense_elements))
+def test_inverse_of_dense_values(u):
+    # every coordinate drawn, small or up to 64 bits: the extended Euclid
+    # took 6 s for one such inverse at n = 120
+    assume(not u.is_zero())
+    inv = u.inverse()
+    assert u * inv == 1
+    assert inv.inverse() == u
+    assert_canonical(inv, inv.coeffs)
 
 
 @settings(max_examples=60, deadline=None)
