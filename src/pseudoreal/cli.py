@@ -169,8 +169,11 @@ def _cmd_circles(cfg, args):
 
 def _cmd_orbit(cfg, args):
     orbit = u_orbit(cfg)
+    # the triples share at most 90 elements: print each once
+    distinct = {id(v): v for t in orbit for v in t}
+    text = {i: str(v) for i, v in distinct.items()}
     return {"size": len(orbit),
-            "triples": [[str(v) for v in t] for t in orbit]}
+            "triples": [[text[id(v)] for v in t] for t in orbit]}
 
 
 def _cmd_equiv(pair, args):

@@ -18,7 +18,7 @@ from typing import Optional
 from .cyclotomic import CycElt, common_field
 from .moebius import INF, Moebius, SpherePoint, concircular, set_maps, \
     unify_points
-from .moebius import _normalized_triples
+from .moebius import _normalized_triples, _raw_key
 
 __all__ = [
     "OmegaError",
@@ -85,17 +85,23 @@ def u_orbit(cfg: Configuration) -> list:
     """All triples equivalent to cfg's by relabeling: send each ordered
     choice of three of the six points to (inf, 0, 1), read the remaining
     three in each order; deduplicated and canonically sorted (720 triples
-    when the configuration has no symmetries)."""
+    when the configuration has no symmetries).  The triples draw on at most
+    90 distinct values, which are ranked once by their coefficients; the
+    triples are deduplicated and sorted on their rank tuples, which order
+    as the coefficient tuples do, and share the ranked elements."""
     _, pts = unify_points(cfg.points())
-    seen = {}
+    values, rows = {}, []
     for _, images in _normalized_triples(pts):
-        assert all(not q.is_infinity for q in images)
-        for order in itertools.permutations(images):
-            triple = tuple(q.value for q in order)
-            key = tuple(v.coeffs for v in triple)
-            if key not in seen:
-                seen[key] = triple
-    return [seen[k] for k in sorted(seen)]
+        if any(q.is_infinity for q in images):
+            raise AssertionError("a relabeling sent a point to infinity")
+        rows.append([_raw_key(q) for q in images])
+        for key, q in zip(rows[-1], images):
+            values.setdefault(key, q.value)
+    ranked = sorted(values, key=lambda key: values[key].coeffs)
+    rank = {key: i for i, key in enumerate(ranked)}
+    triples = {tuple(rank[key] for key in order)
+               for row in rows for order in itertools.permutations(row)}
+    return [tuple(values[ranked[i]] for i in t) for t in sorted(triples)]
 
 
 def equivalent(c1: Configuration, c2: Configuration) -> Optional[Moebius]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Optional
 
 from .cyclotomic import CycElt, _reduced, common_field
@@ -294,13 +295,18 @@ def unify_points(points):
 def _normalized_triples(pts):
     """For each ordered triple (p, q, s) of the points (itertools.permutations
     order), the triple and the images of the other points, in their order,
-    under the map sending the triple to (inf, 0, 1):
+    under the map sending the triple to (inf, 0, 1).  The image of x is the
+    cross-ratio
 
-        x -> ((x - q)/(x - p)) * ((s - p)/(s - q)),
+        [p, q, s, x] = ((x - q)/(x - p)) * ((s - p)/(s - q)),
 
-    each factor that holds infinity dropped.  The ratios (x - a)/(x - b)
-    are tabulated first, so six points cost at most 15 inversions, not
-    360."""
+    each factor that holds infinity dropped.  The double transpositions of
+    (p, q, s, x) fix it, and swapping q and s takes it to 1 - [p, q, s, x],
+    so six points have 90 distinct cross-ratios, which the rows share as
+    points.  Each pair (v, 1 - v) costs one subtraction and at most three
+    products of tabulated differences and inverses, so six points cost at
+    most 15 inversions and 135 products (75 with infinity among them).  The
+    points share one conductor, as unify_points leaves them."""
     k = len(pts)
     diff, inv = {}, {}
     for i, j in itertools.combinations(range(k), 2):
@@ -309,21 +315,27 @@ def _normalized_triples(pts):
             diff[i, j], diff[j, i] = d, -d
             inv[i, j] = d.inverse()
             inv[j, i] = -inv[i, j]
-    ratio = {}
-    for x, a, b in itertools.permutations(range(k), 3):
-        if pts[x].is_infinity:
-            ratio[x, a, b] = CycElt.one()
-        elif pts[a].is_infinity:
-            ratio[x, a, b] = inv[x, b]
-        elif pts[b].is_infinity:
-            ratio[x, a, b] = diff[x, a]
-        else:
-            ratio[x, a, b] = diff[x, a] * inv[x, b]
+    one = CycElt.one(max((p.value.n for p in pts if not p.is_infinity),
+                         default=1))
+    cross = {}
+
+    def file(p, q, s, x, value):
+        point = SpherePoint(value)
+        for key in ((p, q, s, x), (x, s, q, p), (s, x, p, q), (q, p, x, s)):
+            cross[key] = point
+
+    for x, *rest in itertools.combinations(range(k), 4):
+        for p, q, s in itertools.permutations(rest):
+            if q < s:
+                v = functools.reduce(operator.mul, [
+                    table[i, j] for table, i, j in (
+                        (diff, x, q), (inv, x, p), (diff, s, p), (inv, s, q))
+                    if (i, j) in table])
+                file(p, q, s, x, v)
+                file(p, s, q, x, one - v)
     for idx in itertools.permutations(range(k), 3):
-        p, q, s = idx
         yield tuple(pts[i] for i in idx), [
-            SpherePoint(ratio[x, q, p] * ratio[s, p, q])
-            for x in range(k) if x not in idx]
+            cross[(*idx, x)] for x in range(k) if x not in idx]
 
 
 def _raw_key(p: SpherePoint):

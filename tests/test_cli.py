@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from pseudoreal.cli import SUBCOMMANDS, build_parser, main
-from pseudoreal.cyclotomic import MAX_CONDUCTOR, MAX_SIZE_BITS, make_element
+from pseudoreal.cyclotomic import MAX_CONDUCTOR, MAX_SIZE_BITS, CycElt, \
+    make_element
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -427,6 +428,21 @@ def test_internal_error_documents_are_pinned(capsys, monkeypatch):
     assert _digests(capsys, "classify", *FAM5, "--sigma", "1") == (
         3, "c6773b2230c71095842683a816fc655ec89168133e6ab932af215d53ef89556f",
         "6802d35e4acdf99d680c513ee3a7ce18f1bcaab62a285037dfa3dee66848878d")
+
+
+def test_orbit_prints_each_distinct_value_once(capsys, monkeypatch):
+    # the 2160 entries of a generic orbit hold at most 90 distinct values;
+    # the other three calls echo the inputs
+    printed = []
+    text = CycElt.__str__
+    monkeypatch.setattr(CycElt, "__str__",
+                        lambda u: printed.append(u) or text(u))
+    code, doc = run_json(capsys, "orbit", "--conductor", "12", "--lambda1",
+                         "z", "--lambda2", "z^2+1", "--lambda3", "3")
+    assert code == 0 and doc["result"]["size"] == 720
+    distinct = {v for t in doc["result"]["triples"] for v in t}
+    assert len(distinct) <= 90
+    assert len(printed) == len(distinct) + 3
 
 
 def test_one_parser_serves_every_query_of_a_process(capsys):

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +46,24 @@ def test_u_orbit_generic():
     assert tuple(v.key() for v in a_image) in keys
     assert tuple(v.key() for v in b_image) in keys
     assert tuple(v.key() for v in cfg.triple()) in keys
+
+
+def test_u_orbit_rejects_an_image_at_infinity(monkeypatch):
+    monkeypatch.setattr("pseudoreal.configurations._normalized_triples",
+                        lambda pts: iter([((), [INF, INF, INF])]))
+    with pytest.raises(AssertionError):
+        u_orbit(make_config(2, 3, 5))
+
+
+def test_library_checks_survive_optimization():
+    # python -O strips assert statements; the library raises AssertionError
+    # itself
+    src = Path(__file__).resolve().parent.parent / "src" / "pseudoreal"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_orbit_size_times_symmetries():

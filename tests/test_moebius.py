@@ -4,16 +4,20 @@ from fractions import Fraction
 
 import pytest
 
+from pseudoreal.configurations import make_config
 from pseudoreal.cyclotomic import CycElt, make_element
 from pseudoreal.moebius import (
     INF,
     Moebius,
     SpherePoint,
+    _raw_key,
+    _triple_index,
     concircular,
     cross_ratio,
     g_orbit,
     moebius_from_triple,
     set_maps,
+    unify_points,
 )
 
 
@@ -210,3 +214,33 @@ def test_set_maps_group_closure():
 def test_set_maps_requires_six_points():
     with pytest.raises(ValueError):
         set_maps([INF, SpherePoint.of(0)], [INF, SpherePoint.of(1)])
+
+
+def test_one_index_build_counts_its_products(monkeypatch):
+    # the product per image took 461 products and 687 element
+    # constructions for this set; the cross-ratio table takes 116 and 248
+    counts = {"mul": 0, "store": 0}
+    mul, store = CycElt.__mul__, CycElt._store
+
+    def counting_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counting_store(self, *args):
+        counts["store"] += 1
+        return store(self, *args)
+
+    cfg = make_config(*(make_element(x, 8) for x in ("-4", "2*z", "-2*z")))
+    n, pts = unify_points(cfg.points())
+    keys = tuple(sorted(map(_raw_key, pts)))
+    monkeypatch.setattr(CycElt, "__mul__", counting_mul)
+    monkeypatch.setattr(CycElt, "__rmul__", counting_mul)
+    monkeypatch.setattr(CycElt, "_store", counting_store)
+    _triple_index.cache_clear()
+    try:
+        index = _triple_index(n, keys)
+    finally:
+        _triple_index.cache_clear()
+    assert sum(map(len, index.values())) == 120
+    assert counts["mul"] <= 116
+    assert counts["store"] <= 248

@@ -1,6 +1,7 @@
 """Property tests for the shared elimination, field embedding,
 (anti-)Moebius application, field axioms, inverses of dense values and
-the Galois action, and differential tests of set_maps, the stabilizer,
+the Galois action, and differential tests of set_maps, the cross-ratio
+table, u_orbit, the stabilizer,
 the term formatter, check_order, the k-th root search and its shortcuts,
 the kernel test of curve transport, the integer element arithmetic and
 validate's collision check against the code each replaced, and of
@@ -9,11 +10,13 @@ cross_ratio against the normalizing map."""
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pseudoreal.configurations import OmegaError, make_config
+from pseudoreal import moebius
+from pseudoreal.configurations import OmegaError, make_config, u_orbit
 from pseudoreal.cyclotomic import CycElt, GaloisElement, LimitError, \
     _echelon, _no_root_mod_p, _size_bits, _sympy_field, \
     _sympy_roots, _monomial_roots, _related_roots, cyclotomic_polynomial, euler_phi, \
@@ -23,8 +26,8 @@ from pseudoreal.descent import _annihilated, _curve_kernel, _nullspace, \
 from pseudoreal.family import ParameterError, family_cross_ratios, validate
 from pseudoreal.moduli import classify_sigma, stabilizer
 from pseudoreal.moebius import INF, Moebius, SpherePoint, _apply_raw, \
-    _normalized_triples, _orbit_values, _raw_key, _std_raw, cross_ratio, \
-    g_orbit, moebius_from_triple, set_maps, unify_points
+    _normalized_triples, _orbit_values, _raw_key, _std_raw, _triple_index, \
+    cross_ratio, g_orbit, moebius_from_triple, set_maps, unify_points
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -274,16 +277,138 @@ def test_set_maps_matches_reference_and_finds_the_map(values, anti, moved):
         assert M in got
 
 
-@settings(max_examples=20, deadline=None)
-@given(small_elements, st.booleans())
-def test_normalized_triples_match_one_matrix_per_triple(values, with_inf):
-    _, pts = unify_points(values[:5] + [INF if with_inf else values[5]])
-    pts = list({_raw_key(p): p for p in pts}.values())
+# -- the cross-ratio table against the product per image it replaced ---------
+
+
+def reference_normalized_triples(pts):
+    """The earlier _normalized_triples: one product per image, 360 in all,
+    from the tabulated ratios (x - a)/(x - b)."""
+    k = len(pts)
+    diff, inv = {}, {}
+    for i, j in itertools.combinations(range(k), 2):
+        if not (pts[i].is_infinity or pts[j].is_infinity):
+            d = pts[i].value - pts[j].value
+            diff[i, j], diff[j, i] = d, -d
+            inv[i, j] = d.inverse()
+            inv[j, i] = -inv[i, j]
+    ratio = {}
+    for x, a, b in itertools.permutations(range(k), 3):
+        if pts[x].is_infinity:
+            ratio[x, a, b] = CycElt.one()
+        elif pts[a].is_infinity:
+            ratio[x, a, b] = inv[x, b]
+        elif pts[b].is_infinity:
+            ratio[x, a, b] = diff[x, a]
+        else:
+            ratio[x, a, b] = diff[x, a] * inv[x, b]
+    for idx in itertools.permutations(range(k), 3):
+        p, q, s = idx
+        yield tuple(pts[i] for i in idx), [
+            SpherePoint(ratio[x, q, p] * ratio[s, p, q])
+            for x in range(k) if x not in idx]
+
+
+def reference_u_orbit(cfg):
+    """The earlier u_orbit: every relabeled triple keyed by its Fraction
+    coefficients."""
+    _, pts = unify_points(cfg.points())
+    seen = {}
+    for _, images in reference_normalized_triples(pts):
+        assert all(not q.is_infinity for q in images)
+        for order in itertools.permutations(images):
+            triple = tuple(q.value for q in order)
+            key = tuple(v.coeffs for v in triple)
+            if key not in seen:
+                seen[key] = triple
+    return [seen[k] for k in sorted(seen)]
+
+
+def set_maps_indexed_by(normalize, S, T, anti):
+    """set_maps with its source index built by `normalize`."""
+    with mock.patch.object(moebius, "_normalized_triples", normalize):
+        _triple_index.cache_clear()
+        try:
+            return set_maps(S, T, anti=anti)
+        finally:
+            _triple_index.cache_clear()
+
+
+@st.composite
+def point_sets(draw):
+    """Six points, repeats dropped, at one of the conductors 1, 3, 4, 5, 8
+    and 12, with infinity at any position or absent, conjugated (as set_maps
+    conjugates an anti source) or not."""
+    n = draw(st.sampled_from([1, 3, 4, 5, 8, 12]))
+    pts = [SpherePoint(v) for v in draw(
+        st.lists(elements(n), min_size=6, max_size=6))]
+    at = draw(st.sampled_from([None, 0, 1, 2, 3, 4, 5]))
+    if at is not None:
+        pts[at] = INF
+    if draw(st.booleans()):
+        pts = [p.conjugate() for p in pts]
+    _, pts = unify_points(pts)
+    return list({_raw_key(p): p for p in pts}.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_sets())
+def test_normalized_triples_match_one_matrix_per_triple(pts):
     got = list(_normalized_triples(pts))
-    ref = list(reference_triples(pts))
-    assert [t for t, _ in got] == [t for t, _ in ref]
-    assert [[_raw_key(q) for q in images] for _, images in got] == \
-        [[_raw_key(q) for q in images] for _, images in ref]
+    for ref in (reference_triples(pts), reference_normalized_triples(pts)):
+        ref = list(ref)
+        assert [t for t, _ in got] == [t for t, _ in ref]
+        assert [[_raw_key(q) for q in images] for _, images in got] == \
+            [[_raw_key(q) for q in images] for _, images in ref]
+    # the images are shared points, one per distinct cross-ratio: 90 for
+    # six points
+    assert len({id(q) for _, images in got for q in images}) == \
+        6 * math.comb(len(pts), 4)
+
+
+def _orbit_key(orbit):
+    return [tuple(v.coeffs for v in t) for t in orbit]
+
+
+# relabeling orbits under 720: 60, 30, 180 and 360 triples
+SYMMETRIC = [(1, ("-1", "2", "1/2")), (4, ("-1", "z", "-z")),
+             (4, ("2", "z+1", "1-z")), (3, ("z", "z^2", "-1")),
+             (6, ("z", "z^-1", "-1")), (1, ("2", "3", "2/3"))]
+
+
+@pytest.mark.parametrize("n, triple", SYMMETRIC)
+def test_u_orbit_of_symmetric_configurations_matches_reference(n, triple):
+    cfg = make_config(*(make_element(x, n) for x in triple))
+    for c in (cfg, cfg.conjugate()):
+        orbit = u_orbit(c)
+        assert len(orbit) < 720
+        assert _orbit_key(orbit) == _orbit_key(reference_u_orbit(c))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 3, 4, 5, 8, 12]).flatmap(
+    lambda n: st.lists(elements(n, small), min_size=3, max_size=3)))
+def test_u_orbit_matches_reference(values):
+    try:
+        cfg = make_config(*values)
+    except OmegaError:
+        assume(False)
+    assert _orbit_key(u_orbit(cfg)) == _orbit_key(reference_u_orbit(cfg))
+
+
+@settings(max_examples=25, deadline=None)
+@given(point_sets(), st.booleans(), st.data())
+def test_set_maps_on_the_table_match_the_product_per_image(S, anti, data):
+    assume(len(S) == 6)
+    n = next(p.value.n for p in S if not p.is_infinity)
+    a, b, c, d = data.draw(st.lists(elements(n, small), min_size=4,
+                                    max_size=4))
+    assume(not (a * d - b * c).is_zero())
+    M = Moebius(a, b, c, d, conj_first=anti)
+    T = [M.apply(p) for p in S]
+    got = set_maps(S, T, anti=anti)
+    assert M in got
+    assert [_map_key(m) for m in got] == [_map_key(m) for m in (
+        set_maps_indexed_by(reference_normalized_triples, S, T, anti))]
 
 
 # the moduli-sweep parameter forms: mu = q zeta^j with lambda = -q^2, and
@@ -721,15 +846,14 @@ def ref_vec(n, poly):
     return tuple(poly) + (Fraction(0),) * (phi - len(poly))
 
 
-def ref_inverse(n, p):
-    """The earlier CycElt.inverse: extended Euclid against Phi_n."""
-    r0, r1 = cyclotomic_polynomial(n), _ref_trim(p)
-    s0, s1 = (), (Fraction(1),)
-    while r1:
-        q, r = _ref_pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _ref_padd(s0, _ref_pneg(_ref_pmul(q, s1)))
-    return ref_vec(n, (c / r0[0] for c in s0))
+def ref_scaled_product(u, *vecs):
+    """u.den times the reference product of u and vecs, run on u's integer
+    numerators: Fraction products would spend their time in gcds on the
+    large coordinates of a quotient."""
+    out = ref_vec(u.n, u.num)
+    for vec in vecs:
+        out = ref_vec(u.n, _ref_pmul(out, vec))
+    return out
 
 
 def ref_scatter(p, mult, m):
@@ -817,9 +941,15 @@ def test_integer_core_matches_fraction_vectors(n, data):
         (u ** 0, ref_vec(n, [1])),
     ]
     if not v.is_zero():
-        inv = ref_inverse(n, b)
-        expected.append((u / v, ref_vec(n, _ref_pmul(a, inv))))
-        expected.append((v ** -2, ref_vec(n, _ref_pmul(inv, inv))))
+        # a quotient is the one element whose reference product with v is
+        # u; a reference inverse (extended Euclid, or elimination on the
+        # multiplication matrix) ran 10 to over 100 times longer than the
+        # library's inverse on the 1000-bit draws
+        quotient, square = u / v, v ** -2
+        assert ref_scaled_product(quotient, b) == \
+            tuple(quotient.den * c for c in a)
+        assert ref_scaled_product(square, b, b) == ref_vec(n, [square.den])
+        expected += [(quotient, quotient.coeffs), (square, square.coeffs)]
     g = data.draw(st.sampled_from(units(n)))
     expected.append((u.galois_apply(g), ref_scatter(a, g, n)))
     m = n * data.draw(st.sampled_from([1, 2, 3]))
