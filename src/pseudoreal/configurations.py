@@ -12,6 +12,7 @@ ordered choice of three of the six points to (inf, 0, 1).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -97,7 +98,11 @@ def u_orbit(cfg: Configuration) -> list:
         rows.append([_raw_key(q) for q in images])
         for key, q in zip(rows[-1], images):
             values.setdefault(key, q.value)
-    ranked = sorted(values, key=lambda key: values[key].coeffs)
+    # the values share one conductor: their int numerators scaled to one
+    # common denominator order as their Fraction coefficients do
+    common = math.lcm(*(v.den for v in values.values()))
+    ranked = sorted(values, key=lambda key: [
+        c * (common // values[key].den) for c in values[key].num])
     rank = {key: i for i, key in enumerate(ranked)}
     triples = {tuple(rank[key] for key in order)
                for row in rows for order in itertools.permutations(row)}

@@ -11,9 +11,9 @@ is 0/1), so two elements of the same conductor are equal iff their
 after embedding both into the lcm field via zeta_n = zeta_lcm^(lcm/n).
 `coeffs`, the coordinates as Fractions, is a view derived on first use;
 sorting keys, printing, enclosures and minimal forms read it.  `inverse`
-stays on the ints: 1/u = den * P / N(w) for the integral w = den * u,
-where P is the product of the distinct Galois conjugates of w other than
-w and the norm N(w) = w * P is a rational integer.
+stays on the ints: 1/u = den * P / N for the integral w = den * u, where
+x = w * P is taken down a chain of prime-order Galois steps (`_norm_chain`)
+until it is fixed by the whole group, that is, a rational integer N.
 
 The embedding zeta_n -> exp(2*pi*i/n) is fixed once and for all; every
 statement about conjugation, signs and ordering of real elements refers
@@ -159,6 +159,42 @@ def _cyclic(a: int, n: int) -> frozenset:
     return frozenset(h)
 
 
+@functools.cache
+def _norm_chain(n: int) -> tuple:
+    """Steps (b_1, p_1), ..., (b_s, p_s) up (Z/n)*: each b_i has prime order
+    p_i modulo the subgroup H_(i-1) generated by the b's before it, and
+    H_s = (Z/n)*, so the p_i multiply to phi(n).
+
+    `inverse` multiplies an element of the fixed field of H_(i-1) at step
+    i, with coordinates that double in size at every step, so the chain is
+    chosen from the top: each H_(i-1) is the subgroup of prime index in H_i
+    whose fixed field uses the fewest power-basis coordinates."""
+    subs = subgroups(n)
+    group, steps = frozenset(units(n)), []
+    while len(group) > 1:
+        below = [h for h in subs
+                 if h < group and _is_prime(len(group) // len(h))]
+        h = min(below, key=lambda h: (_fixed_support(h, n), sorted(h)))
+        steps.append((min(group - h), len(group) // len(h)))
+        group = h
+    return tuple(reversed(steps))
+
+
+def _fixed_support(h: frozenset, n: int) -> int:
+    """The number of power-basis coordinates in use in the fixed field of
+    the subgroup h of (Z/n)*.  The field is spanned by the h-traces of the
+    z^i, and the trace of z^i is a multiple of the sum of z^t over the
+    orbit of i under h."""
+    powers, used, seen = _powers_of_zeta(n), set(), set()
+    for i in range(euler_phi(n)):
+        if i not in seen:
+            orbit = {i * a % n for a in h}
+            seen |= orbit
+            used.update(j for j, c in enumerate(
+                map(sum, zip(*(powers[t] for t in orbit)))) if c)
+    return len(used)
+
+
 def subgroups(n: int) -> list:
     """All subgroups of (Z/n)*: the cyclic ones and their iterated joins
     (in an abelian group the join of H and K is the product set HK)."""
@@ -231,11 +267,11 @@ class CycElt:
         if g != 1:
             num = [x // g for x in num]
             den //= g
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_coeffs", None)
-        object.__setattr__(self, "_min", None)
+        _set_n(self, n)
+        _set_num(self, tuple(num))
+        _set_den(self, den)
+        _set_coeffs(self, None)
+        _set_min(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("CycElt is immutable")
@@ -268,7 +304,7 @@ class CycElt:
         c = self._coeffs
         if c is None:
             c = tuple(Fraction(x, self.den) for x in self.num)
-            object.__setattr__(self, "_coeffs", c)
+            _set_coeffs(self, c)
         return c
 
     def embed(self, m: int) -> "CycElt":
@@ -321,7 +357,7 @@ class CycElt:
                 if vec is not None:
                     result = (d, vec)
                     break
-        object.__setattr__(self, "_min", result)
+        _set_min(self, result)
         return result
 
     def _rewrite_in(self, d: int):
@@ -413,15 +449,36 @@ class CycElt:
     def inverse(self) -> "CycElt":
         if self.is_zero():
             raise ZeroDivisionError("division by zero element")
-        # 1/u = den * P / N(w) for the integral w = den * u, where P is the
-        # product of the distinct conjugates of w other than w and the norm
-        # N(w) = w * P is a rational integer
-        w = _reduced(self.n, list(self.num))
-        p = math.prod(_conjugates(w)[1:], start=CycElt.one(self.n))
-        norm = w * p
-        if not norm.is_rational():
+        n = self.n
+        if self.is_rational():
+            top = self.num[0]
+            return _reduced(n, [self.den if top > 0 else -self.den], abs(top))
+        # 1/u = den * P / N for the integral w = den * u, where x = w * P
+        # (P the cofactor) is taken down the norm chain of (Z/n)*: after
+        # each step (b, p), x is fixed by b and every earlier step, so at
+        # the end it is a rational integer N.  A step multiplies x by y, the
+        # product of its images under b, ..., b^(p - 1); when b already
+        # fixes x, it is skipped.  w is integral, and so are its images, P
+        # and N
+        w = _reduced(n, list(self.num))
+        x, cofactor = w, None
+        for b, p in _norm_chain(n):
+            image = x.galois_apply(b)
+            if image == x:
+                continue
+            y = image
+            for _ in range(p - 2):
+                image = image.galois_apply(b)
+                y = y * image
+            cofactor = y if cofactor is None else cofactor * y
+            # x from w * P, not x * y, which was up to twice as slow on
+            # sparse values with large coordinates
+            x = w * cofactor
+        if not x.is_rational():
             raise AssertionError("norm is not rational")
-        return p * Fraction(self.den, norm.num[0])
+        norm = x.num[0]
+        scale = self.den if norm > 0 else -self.den
+        return _reduced(n, [scale * c for c in cofactor.num], abs(norm))
 
     def __truediv__(self, other):
         o = self._coerce(other, self.n)
@@ -490,6 +547,12 @@ class CycElt:
 
     def __repr__(self):
         return f"CycElt({self.n}, {str(self)!r})"
+
+
+# the setters of CycElt's slot descriptors, which write past its
+# immutability guard
+_set_n, _set_num, _set_den, _set_coeffs, _set_min = (
+    getattr(CycElt, slot).__set__ for slot in CycElt.__slots__)
 
 
 def _terms(coeffs, var: str) -> list:
@@ -900,7 +963,7 @@ def real_sign(u: CycElt) -> int:
 
 def _conjugates(u: CycElt) -> list:
     """The distinct Galois conjugates of u in Q(zeta_n), u first; [u] when
-    u is rational."""
+    u is rational.  min_poly multiplies out x - v over them."""
     out = [u]
     if u.is_rational():
         return out

@@ -338,3 +338,53 @@ def test_galois_element_validation():
     assert g.exponent == 3
     h = GaloisElement(8, 3)
     assert (g * h).exponent == 1
+
+
+def test_elements_are_immutable():
+    u = make_element("2*z - 1/3", 8)
+    u.coeffs, u.key()   # fill the lazy slots
+    for slot in CycElt.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(u, slot, None)
+    assert (u.n, u.num, u.den) == (8, (-1, 6, 0, 0), 3)
+    assert u.coeffs == (frac(-1, 3), frac(2), frac(0), frac(0))
+
+
+def _count_inverse(monkeypatch, u):
+    """(__mul__ calls, galois_apply calls, element constructions) of one
+    inverse of u, with the norm chain of its conductor already built."""
+    u.inverse()
+    counts = {"mul": 0, "galois": 0, "store": 0}
+    mul, galois, store = CycElt.__mul__, CycElt.galois_apply, CycElt._store
+
+    def counting(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    with monkeypatch.context() as m:
+        m.setattr(CycElt, "__mul__", counting("mul", mul))
+        m.setattr(CycElt, "__rmul__", counting("mul", mul))
+        m.setattr(CycElt, "galois_apply", counting("galois", galois))
+        m.setattr(CycElt, "_store", counting("store", store))
+        inv = u.inverse()
+    assert u * inv == 1
+    return counts["mul"], counts["galois"], counts["store"]
+
+
+@pytest.mark.parametrize("n, products, images", [(40, 7, 4), (120, 9, 5)])
+def test_dense_inverse_counts_its_products(monkeypatch, n, products, images):
+    # the product of the phi(n) - 1 conjugates took 17 products and 15
+    # Galois images at n = 40, and 33 and 31 at n = 120
+    u = CycElt(n, [frac(i * i - 7 * i + 3, 11) for i in range(euler_phi(n))])
+    mul, galois, _ = _count_inverse(monkeypatch, u)
+    assert mul <= products
+    assert galois <= images
+
+
+def test_rational_inverse_is_one_construction(monkeypatch):
+    # the conjugate product took 2 products and 5 constructions
+    for q in (frac(-3, 7), frac(5, 2)):
+        assert _count_inverse(monkeypatch, CycElt.from_rational(q, 12)) == \
+            (0, 0, 1)

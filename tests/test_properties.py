@@ -3,8 +3,9 @@
 the Galois action, and differential tests of set_maps, the cross-ratio
 table, u_orbit, the stabilizer,
 the term formatter, check_order, the k-th root search and its shortcuts,
-the kernel test of curve transport, the integer element arithmetic and
-validate's collision check against the code each replaced, and of
+the kernel test of curve transport, the integer element arithmetic, the
+inverse down the norm chain and validate's collision check against the
+code each replaced, and of
 cross_ratio against the normalizing map."""
 
 import itertools
@@ -17,8 +18,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pseudoreal import moebius
 from pseudoreal.configurations import OmegaError, make_config, u_orbit
-from pseudoreal.cyclotomic import CycElt, GaloisElement, LimitError, \
-    _echelon, _no_root_mod_p, _size_bits, _sympy_field, \
+from pseudoreal.cyclotomic import MAX_CONDUCTOR, CycElt, GaloisElement, \
+    LimitError, _conjugates, _echelon, _no_root_mod_p, _norm_chain, \
+    _reduced, _size_bits, _sympy_field, \
     _sympy_roots, _monomial_roots, _related_roots, cyclotomic_polynomial, euler_phi, \
     format_poly, kth_roots, make_element, subgroups, units
 from pseudoreal.descent import _annihilated, _curve_kernel, _nullspace, \
@@ -984,6 +986,82 @@ def test_inverse_of_dense_values(u):
     assert u * inv == 1
     assert inv.inverse() == u
     assert_canonical(inv, inv.coeffs)
+
+
+# -- the inverse down the norm chain against the conjugate product ----------
+
+
+def reference_inverse(u):
+    """The earlier CycElt.inverse: 1/u = den * P / N(w) for the integral
+    w = den * u, P the product of the distinct conjugates of w other than
+    w."""
+    w = _reduced(u.n, list(u.num))
+    p = math.prod(_conjugates(w)[1:], start=CycElt.one(u.n))
+    norm = w * p
+    assert norm.is_rational()
+    return p * Fraction(u.den, norm.num[0])
+
+
+def test_norm_chain_climbs_the_unit_group_in_prime_steps():
+    for n in range(1, MAX_CONDUCTOR + 1):
+        group = {1 % n}
+        for b, p in _norm_chain(n):
+            assert p > 1 and all(p % q for q in range(2, p))
+            # b has order p modulo the subgroup generated so far
+            assert b not in group and pow(b, p, n) in group
+            grown = {h * pow(b, j, n) % n for h in group for j in range(p)}
+            assert len(grown) == p * len(group)
+            group = grown
+        assert math.prod(p for _, p in _norm_chain(n)) == euler_phi(n)
+        assert group == set(units(n))
+
+
+# chains with steps of order 2 (all), 3 (7, 9, 21) and 5 (11)
+CHAIN_CONDUCTORS = [5, 7, 9, 11, 12, 21, 40, 120]
+
+
+@st.composite
+def invertible_values(draw):
+    """A nonzero element at a CHAIN_CONDUCTORS conductor: a raw vector, its
+    trace over a random subgroup (which lies in a subfield, so that steps
+    of the chain are skipped), or a rational of either sign."""
+    n = draw(st.sampled_from(CHAIN_CONDUCTORS))
+    u = CycElt(n, draw(raw_coefficients(n)))
+    kind = draw(st.sampled_from(["raw", "trace", "rational"]))
+    if kind == "trace":
+        H = draw(st.sampled_from(subgroups(n)))
+        u = sum((u.galois_apply(h) for h in H), CycElt.zero(n))
+    elif kind == "rational":
+        u = CycElt.from_rational(draw(core_rationals), n)
+    assume(not u.is_zero())
+    return u
+
+
+@settings(max_examples=100, deadline=None)
+@given(invertible_values())
+def test_inverse_matches_the_conjugate_product(u):
+    inv, ref = u.inverse(), reference_inverse(u)
+    assert (inv.num, inv.den) == (ref.num, ref.den)
+    assert_canonical(inv, inv.coeffs)
+
+
+@pytest.mark.parametrize("n, text, norm", [
+    (5, "z + z^4", -1), (8, "z + z^7", -2), (12, "z + z^11 - 1", -2),
+    (7, "z + z^6", 1), (5, "-3/4", Fraction(-3, 4))])
+def test_inverse_where_chain_steps_are_skipped(n, text, norm):
+    # a real u is fixed by conjugation, whose step is skipped, so the chain
+    # can end at a negative norm: -1 for z + z^4 at n = 5, where the full
+    # norm is 1
+    u = make_element(text, n)
+    w = _reduced(n, list(u.num))
+    x = w
+    for b, p in _norm_chain(n):
+        if x.galois_apply(b) != x:
+            x = math.prod((x.galois_apply(pow(b, j, n)) for j in range(p)),
+                          start=CycElt.one(n))
+    assert x == norm * u.den
+    assert u.inverse() == reference_inverse(u)
+    assert u * u.inverse() == 1
 
 
 @settings(max_examples=60, deadline=None)
