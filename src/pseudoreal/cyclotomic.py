@@ -497,14 +497,14 @@ class CycElt:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        out = CycElt.one(self.n)
-        base = self
+        out, base = None, self
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if e:
+                base = base * base
+        return CycElt.one(self.n) if out is None else out
 
     # -- Galois action ---------------------------------------------------------
 
@@ -1095,12 +1095,13 @@ def same_field(u: CycElt, v: CycElt, n: Optional[int] = None) -> bool:
 def kth_roots(v: CycElt, k: int, conductor: Optional[int] = None) -> tuple:
     """All w in Q(zeta_m) with w^k = v, in canonical order.
 
-    A rational k-th power times a root of unity has its roots written
-    down (`_monomial_roots`).  For any other v, a few split primes may
-    certify that there is no root (`_no_root_mod_p`); otherwise the search
-    factors x^k - v over Q(zeta_m) (sympy does the factorization).  Each
-    candidate root is then re-verified here by exact arithmetic.  An empty
-    result certifies that no k-th root lies in the field.
+    A rational times a root of unity has its roots written down, or is
+    shown to have none (`_monomial_roots`).  For any other v, a few split
+    primes may certify that there is no root (`_no_root_mod_p`); otherwise
+    the search factors x^k - v over Q(zeta_m) (sympy does the
+    factorization).  Each candidate root is then re-verified here by exact
+    arithmetic.  An empty result certifies that no k-th root lies in the
+    field.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -1114,25 +1115,24 @@ def kth_roots(v: CycElt, k: int, conductor: Optional[int] = None) -> tuple:
     if roots is None:
         if _no_root_mod_p(v, k, m):
             return ()
-        roots = _sympy_roots(v.coeffs, k, m)
-    return _checked_roots([CycElt(m, c) for c in roots], v, k)
+        roots = [CycElt(m, c) for c in _sympy_roots(v.coeffs, k, m)]
+    return _checked_roots(roots, v, k)
 
 
 def _related_roots(v: CycElt, u: CycElt, u_roots: tuple, k: int):
     """kth_roots(v) from u_roots = kth_roots(u), u and v nonzero at one
-    conductor, when v / u is a rational k-th power times a root of unity;
-    None when that quotient leaves the answer open.
+    conductor, when v / u is a rational times a root of unity; None when
+    that quotient leaves the answer open.
 
     With eta^k = v / u, the roots of v are w * eta for one root w of u.
     If only one of v / u and u has roots, v has none: a root of v would
     give one of the other."""
-    m = u.n
-    ratio = _monomial_roots(v * u.inverse(), k, m)
+    ratio = _monomial_roots(v * u.inverse(), k, u.n)
     if ratio is None:
         return None
     if ratio and u_roots:
         w = u_roots[0]
-        return _checked_roots([w * CycElt(m, c) for c in ratio], v, k)
+        return _checked_roots([w * eta for eta in ratio], v, k)
     if ratio or u_roots:
         return ()
     return None
@@ -1153,41 +1153,103 @@ def _checked_roots(roots, v: CycElt, k: int) -> tuple:
     return tuple(out)
 
 
-def _monomial_roots(v: CycElt, k: int, m: int):
-    """Coordinates of every k-th root of v in Q(zeta_m), for v = q * zeta
-    with zeta a root of unity and |q| the k-th power of a rational r;
-    None for any other v.
-
-    The roots of unity of Q(zeta_m) are the powers of omega, of order
-    M = lcm(2, m) (omega = zeta_m, or -zeta_m for odd m).  With
-    v = r^k * omega^t, a root w has (w / r)^k = omega^t, so the roots are
-    the r * omega^u with u * k = t (mod M), and there are none when no u
-    solves that."""
+def _monomial_form(v: CycElt):
+    """(q, t) with v = q * zeta_m^t for a rational q, m = v.n, when v is a
+    nonzero rational times a root of unity; None otherwise."""
     i = next(j for j, c in enumerate(v.num) if c)
-    for t, power in enumerate(_powers_of_zeta(m)):
+    for t, power in enumerate(_powers_of_zeta(v.n)):
         c = power[i]
         if c and all(x * c == y * v.num[i] for x, y in zip(v.num, power)):
-            q = Fraction(v.num[i], c * v.den)   # v = q * zeta_m^t
-            break
-    else:
+            return Fraction(v.num[i], c * v.den), t
+    return None
+
+
+def _monomial_roots(v: CycElt, k: int, m: int):
+    """Every k-th root of v in Q(zeta_m) when v = q * zeta_m^t with q
+    rational (a list, empty when there is none); None for any other v.
+
+    The roots of unity of Q(zeta_m) are the powers of omega, of order
+    M = lcm(2, m) (omega = zeta_m, or -zeta_m for odd m).  When |q| is the
+    k-th power of a rational r, v = r^k * omega^t and a root w has
+    (w / r)^k = omega^t, so the roots are the r * omega^u with
+    u * k = t (mod M).  Otherwise w^(kM) = q^M, so by Schinzel's theorem
+    on abelian binomials (Acta Arith. 32, 1977) q^2 = c^k for a rational
+    c > 0, and w^2 / c is a root of unity of Q(zeta_m): w = sqrt(c) * xi
+    with xi in mu_2M.  So sqrt(c) lies in Q(zeta_2M), and the roots are
+    the sqrt(c) * zeta_2M^s with s * k = t' (mod 2M), where
+    v = |q| * zeta_2M^t', that lie in Q(zeta_m)."""
+    form = _monomial_form(v)
+    if form is None:
         return None
+    q, t = form
+    big = math.lcm(2, m)
     top = _exact_root(abs(q.numerator), k)
     bottom = _exact_root(q.denominator, k)
-    if not (top and bottom):
-        return None
-    r = Fraction(top, bottom)
-    big = math.lcm(2, m)
-    # sign(q) * zeta_m^t = omega^t
-    if m % 2 == 0:
-        t = t if q > 0 else (t + m // 2) % m
-    elif (t % 2 == 0) != (q > 0):
-        t += m
+    if top and bottom:
+        # sign(q) * zeta_m^t = omega^t
+        if m % 2 == 0:
+            t = t if q > 0 else (t + m // 2) % m
+        elif (t % 2 == 0) != (q > 0):
+            t += m
+        out = []
+        for u in range(big):
+            if (u * k - t) % big == 0:
+                sign = -1 if m % 2 and u % 2 else 1
+                out.append(_reduced(m, [0] * (u % m) + [sign * top], bottom))
+        return out
+    a = _exact_root(q.numerator ** 2, k)
+    b = _exact_root(q.denominator ** 2, k)
+    wide = 2 * big
+    root = _square_root(a * b, wide) if a and b else None
+    # sqrt(2) (conductor 8) is missing from Q(zeta_2M) for 4 not dividing m
+    if root is None or wide % root.n:
+        return []
+    # v = |q| * zeta_2M^t, and sqrt(c) = sqrt(a * b) / b
+    t = (t * (wide // m) + (big if q < 0 else 0)) % wide
+    root = root.embed(wide)
     out = []
-    for u in range(big):
-        if (u * k - t) % big == 0:
-            sign = -1 if m % 2 and u % 2 else 1
-            out.append([0] * (u % m) + [sign * r])
+    for s in range(wide):
+        if (s * k - t) % wide == 0:
+            w = _reduced(wide, [0] * s + list(root.num), root.den * b)
+            try:
+                out.append(w.in_conductor(m))
+            except ValueError:
+                pass
     return out
+
+
+def _square_root(a: int, top: int):
+    """sqrt(a) for an int a > 0, as a product of Gauss sums
+    (`_sqrt_prime`) for the primes of top, when the other primes of a occur
+    to even powers; None otherwise (then sqrt(a) is not in Q(zeta_top))."""
+    scale, root = 1, CycElt.one()
+    for p in range(2, top + 1):
+        if top % p == 0 and _is_prime(p):
+            e = 0
+            while a % p == 0:
+                a, e = a // p, e + 1
+            scale *= p ** (e // 2)
+            if e % 2:
+                root = root * _sqrt_prime(p)
+    rest = math.isqrt(a)
+    if rest * rest != a:
+        return None
+    return root * (scale * rest)
+
+
+@functools.cache
+def _sqrt_prime(p: int) -> CycElt:
+    """The positive square root of a prime p: z8 - z8^3 for p = 2, else the
+    Gauss sum g = sum_a (a|p) zeta_p^a, which is sqrt(p) for p = 1
+    (mod 4) and i * sqrt(p) for p = 3 (mod 4), written at conductor 4p."""
+    if p == 2:
+        return _reduced(8, [0, 1, 0, -1])
+    # -i = zeta_4p^(3p)
+    shift = 0 if p % 4 == 1 else 3 * p
+    num = [0] * (4 * p)
+    for a in range(1, p):
+        num[(4 * a + shift) % (4 * p)] = 1 if pow(a, p // 2, p) == 1 else -1
+    return _reduced(4 * p, num)
 
 
 @functools.cache

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .cyclotomic import CycElt, GaloisElement, common_field, kth_roots, units
-from .cyclotomic import _cyclic, _echelon, _reduced, _related_roots
+from .cyclotomic import _cyclic, _echelon, _monomial_form, _reduced, \
+    _related_roots
 from .moebius import Moebius, _same_points
 from .configurations import make_config
 from .family import FamilyParams
@@ -281,15 +282,18 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
 
     roots = []
     missing = []
-    # the powers often repeat, or differ by a root of unity or a rational
-    # k-th power (d_1 = 1), so most roots follow from earlier ones
+    # kth_roots decides a rational times a root of unity (d_1 = 1) by
+    # itself; the other powers often repeat, or differ from an earlier one
+    # by such a factor, so their roots follow from earlier ones
     searched = []
     for i, di in enumerate(d):
         r = None
-        for u, u_roots in searched:
-            r = u_roots if u == di else _related_roots(di, u, u_roots, p.k)
-            if r is not None:
-                break
+        if _monomial_form(di) is None:
+            for u, u_roots in searched:
+                r = u_roots if u == di else \
+                    _related_roots(di, u, u_roots, p.k)
+                if r is not None:
+                    break
         if r is None:
             r = kth_roots(di, p.k, m)
             searched.append((di, r))

@@ -309,6 +309,33 @@ def test_kth_roots():
     assert len(roots) == 4
     for w in roots:
         assert w ** 4 == -4
+    # sqrt(2i) = +-(1 + i): the root of unity in sqrt(2) * zeta_8 is odd
+    assert set(kth_roots(make_element("2*z", 4), 2)) == \
+        {make_element("1 + z", 4), make_element("-1 - z", 4)}
+
+
+def test_kth_roots_at_the_largest_conductor():
+    # sqrt(30) = sqrt(2) sqrt(3) sqrt(5) at n = 120, with zeta_8 = z^15,
+    # zeta_12 = z^10 and zeta_10 = z^12: sqrt(2) = zeta_8 + zeta_8^-1,
+    # sqrt(3) = zeta_12 + zeta_12^-1, sqrt(5) = 2 (zeta_10 + zeta_10^-1) - 1
+    root30 = make_element(
+        "(z^15 + z^105) * (z^10 + z^110) * (2*z^12 + 2*z^108 - 1)", 120)
+    assert root30 * root30 == 30
+    assert kth_roots(CycElt.from_rational(30, 120), 2) == \
+        tuple(sorted([root30, -root30], key=CycElt.key))
+    # w^4 = -900: w^2 = +-30i, w = sqrt(30) * zeta_8^j for odd j
+    z8 = CycElt.zeta(120) ** 15
+    expected = sorted((root30 * z8 ** j for j in (1, 3, 5, 7)),
+                      key=CycElt.key)
+    assert kth_roots(CycElt.from_rational(-900, 120), 4) == tuple(expected)
+    # 7 does not divide 240, and neither 4 nor 4^2 is a cube
+    assert kth_roots(CycElt.from_rational(7, 120), 2) == ()
+    assert kth_roots(CycElt.from_rational(4, 120), 3) == ()
+    # at n = 60 sqrt(2) is missing (8 does not divide 60), sqrt(2i) is not
+    assert kth_roots(CycElt.from_rational(2, 60), 2) == ()
+    one_plus_i = CycElt.one(60) + CycElt.zeta(60) ** 15
+    assert set(kth_roots(2 * CycElt.zeta(60) ** 15, 2)) == \
+        {one_plus_i, -one_plus_i}
 
 
 def test_same_field_oracle():
@@ -388,3 +415,27 @@ def test_rational_inverse_is_one_construction(monkeypatch):
     for q in (frac(-3, 7), frac(5, 2)):
         assert _count_inverse(monkeypatch, CycElt.from_rational(q, 12)) == \
             (0, 0, 1)
+
+
+@pytest.mark.parametrize("e", [5, 8])
+def test_power_stops_after_the_last_bit(monkeypatch, e):
+    # squaring once more after the last bit, from one * base, took 5
+    # products for both
+    u = make_element("1 + 2*z - z^3/3", 12)
+    expected = u
+    for _ in range(e - 1):
+        expected = expected * u
+    calls = []
+    mul = CycElt.__mul__
+
+    def counting(*args):
+        calls.append(args)
+        return mul(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(CycElt, "__mul__", counting)
+        m.setattr(CycElt, "__rmul__", counting)
+        power = u ** e
+    assert power == expected
+    assert len(calls) == 3
+    assert u ** 0 == 1 and u ** 1 == u
