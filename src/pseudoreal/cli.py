@@ -8,7 +8,8 @@ identical invocations are byte-identical.  Exit codes: 0 success, 1 domain
 rejection (including a conductor above MAX_CONDUCTOR, clause
 conductor_limit, checked before any operand, and an element expression
 above MAX_SIZE_BITS or a result too large to print, integers in the
-document included, clause size_limit), 2 usage error, 3 internal error (a
+document included, clause size_limit, and a lift of more than MAX_LIFTS
+maps, clause lift_limit), 2 usage error, 3 internal error (a
 failed internal cross-check, reported with status and error kind
 internal_error).  Every exit-1 document has status rejected.  The
 environment variable PSEUDOREAL_APPROX_BITS (default 64) sets the

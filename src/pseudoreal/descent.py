@@ -24,11 +24,13 @@ verifies this projectively together with curve transport for every map.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .cyclotomic import CycElt, GaloisElement, common_field, kth_roots, units
+from .cyclotomic import CycElt, GaloisElement, LimitError, common_field, \
+    kth_roots, units
 from .cyclotomic import _cyclic, _echelon, _monomial_form, _reduced, \
     _related_roots
 from .moebius import Moebius, _same_points
@@ -36,6 +38,7 @@ from .configurations import make_config
 from .family import FamilyParams
 
 __all__ = [
+    "MAX_LIFTS",
     "MonomialIso",
     "MissingRoot",
     "LiftResult",
@@ -49,6 +52,11 @@ __all__ = [
     "extend_cyclic",
     "cocycle_check",
 ]
+
+# The most monomial isomorphisms one lift may list (clause lift_limit): the
+# k = 8 family lift at conductor 64 has 8^5, and weil-check spends about
+# 2 ms on each; the k = 10 lift at conductor 80 has 10^5
+MAX_LIFTS = 8 ** 5
 
 
 class MonomialIso:
@@ -282,16 +290,15 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
 
     roots = []
     missing = []
-    # kth_roots decides a rational times a root of unity (d_1 = 1) by
-    # itself; the other powers often repeat, or differ from an earlier one
-    # by such a factor, so their roots follow from earlier ones
+    # the powers often repeat, or differ from an earlier one by a rational
+    # times a root of unity, so their roots follow from earlier ones;
+    # kth_roots decides such a value (d_1 = 1) by itself
     searched = []
     for i, di in enumerate(d):
-        r = None
-        if _monomial_form(di) is None:
+        r = next((u_roots for u, u_roots in searched if u == di), None)
+        if r is None and _monomial_form(di) is None:
             for u, u_roots in searched:
-                r = u_roots if u == di else \
-                    _related_roots(di, u, u_roots, p.k)
+                r = _related_roots(di, u, u_roots, p.k)
                 if r is not None:
                     break
         if r is None:
@@ -305,19 +312,19 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
         return LiftResult(isos=(), missing=tuple(missing), perm=perm,
                           powers=tuple(d))
 
-    isos = {}
-    def build(i, chosen):
-        if i == 6:
-            iso = MonomialIso(perm, chosen, p.k)
-            isos[iso.key()] = iso
-            return
-        for w in roots[i]:
-            build(i + 1, chosen + [w])
-    build(0, [])
-    ordered = [isos[k] for k in sorted(isos)]
-    for iso in ordered:
-        if not transports_curve(iso, p, g):
-            raise AssertionError("constructed map fails curve transport")
+    # d_1 = 1, so each roots[i] is a coset of the k-th roots of unity in the
+    # field: the maps with c_1 = 1 are every lift once, and the product of
+    # the canonically ordered roots[i] lists them in canonical order
+    count = math.prod(len(r) for r in roots[1:])
+    if count > MAX_LIFTS:
+        raise LimitError("lift_limit", f"the lift has {count} monomial "
+                         f"isomorphisms, more than the maximum {MAX_LIFTS}")
+    one = CycElt.one(m)
+    ordered = [MonomialIso(perm, (one, *rest), p.k)
+               for rest in itertools.product(*roots[1:])]
+    # every map has c_i^k = d_i, all that curve transport depends on
+    if not transports_curve(ordered[0], p, g):
+        raise AssertionError("constructed map fails curve transport")
     return LiftResult(isos=tuple(ordered), missing=(), perm=perm,
                       powers=tuple(d))
 

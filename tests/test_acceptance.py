@@ -300,3 +300,30 @@ def test_criterion_8e_critical_radius_rejection():
         clause = err.clause
         ok = clause == "critical_radius"
     verdict(ok, "8e", f"critical-radius rejection (clause: {clause})")
+
+
+def test_criterion_9_each_even_k():
+    # the paper's family exists for every even k: one member each, with
+    # mu = 2 zeta_8 written at n = 8k, where sigma_(4k+1) of order 2 lifts
+    ok = True
+    for k, genus_k, closing in ((2, 17, 32), (4, 1281, 32), (6, 11665, None)):
+        n = 8 * k
+        p = validate(-4, make_element(f"2*z^{k}", n), k)
+        res = field_of_moduli(p, n)
+        ok = ok and genus(k) == genus_k \
+            and res.stabilizer == frozenset(units(n)) \
+            and res.moduli_field.degree == 1 \
+            and res.min_def_field.degree == 4 \
+            and same_field(res.min_def_field.primitive, CycElt.zeta(8), n) \
+            and res.degree_over_moduli == 4
+        g = GaloisElement(n, 4 * k + 1)
+        lift = lift_to_monomial(classify_sigma(p, g).witness, p, g, n)
+        ok = ok and len(lift.isos) == k ** 5 and not lift.missing
+        if closing is not None:
+            closes = [cocycle_check(extend_cyclic(f, 4 * k + 1, 2, p, n)).ok
+                      for f in lift.isos]
+            print(f"[report] criterion 9: k = {k}: {sum(closes)} of "
+                  f"{len(closes)} candidates close")
+            ok = ok and sum(closes) == closing
+    verdict(ok, 9, "k = 2, 4, 6: genus, stabilizer, moduli Q, minimal "
+                   "definition field Q(zeta_8), k^5 lifts; k = 2, 4 descend")

@@ -12,6 +12,7 @@ import pytest
 from pseudoreal.cli import SUBCOMMANDS, build_parser, main
 from pseudoreal.cyclotomic import MAX_CONDUCTOR, MAX_SIZE_BITS, CycElt, \
     make_element
+from pseudoreal.descent import MAX_LIFTS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -224,15 +225,36 @@ def test_internal_error_is_structured(capsys, monkeypatch):
     ("0", ("inf", "inf", "inf", "inf"), "domain"),
 ])
 def test_resource_limits_reject_at_once(capsys, conductor, points, clause):
+    doc = _rejected_at_once(capsys, clause, "crossratio", "--conductor",
+                            conductor, "--", *points)
+    if clause == "domain":
+        assert doc["error"]["message"] == "conductor must be positive"
+
+
+def _rejected_at_once(capsys, clause, *argv):
     start = time.perf_counter()
-    code, doc = run_json(capsys, "crossratio", "--conductor", conductor,
-                         "--", *points)
+    code, doc = run_json(capsys, *argv)
     assert time.perf_counter() - start < 0.5
     assert code == 1
     assert doc["status"] == "rejected"
     assert doc["error"]["kind"] == clause
-    if clause == "domain":
-        assert doc["error"]["message"] == "conductor must be positive"
+    return doc
+
+
+# at n = k every scale power is 1 and has n roots in Q(zeta_n): a lift of
+# n^5 maps, more than MAX_LIFTS, rejected before one map is built
+@pytest.mark.parametrize("n, count", [(24, 24 ** 5), (120, 120 ** 5)])
+@pytest.mark.parametrize("command", [("lift", "--sigma", "1"),
+                                     ("weil-check", "--generator", "1",
+                                      "--order", "1")],
+                         ids=["lift", "weil-check"])
+def test_lift_limit_rejects_at_once(capsys, n, count, command):
+    doc = _rejected_at_once(capsys, "lift_limit", command[0], "--conductor",
+                            str(n), "--k", str(n), "--lambda=-4", "--mu=2*z",
+                            *command[1:])
+    assert doc["error"]["message"] == (
+        f"the lift has {count} monomial isomorphisms, more than the maximum "
+        f"{MAX_LIFTS}")
 
 
 def test_resource_limits_admit_their_maximum(capsys):
@@ -421,6 +443,31 @@ def test_human_output_is_pinned(capsys, argv, digest):
                               "clause", "conductor_limit"])
 def test_error_documents_are_pinned(capsys, argv, code, human, structured):
     assert _digests(capsys, *argv) == (code, human, structured)
+
+
+# sha256 of the structured documents of the paper's family at k = 4 and 6,
+# recorded while each lift was still built from k^6 scale vectors
+FAMILY_PAST_K2 = [
+    (("lift", "--conductor", "32", "--k", "4", "--lambda=-4", "--mu=2*z^4",
+      "--sigma", "17"),
+     "3e2cb3c0eba76531ac9926dc1a0fc0ad99d39ab1410bce14ce4a7c4cb3912bdb"),
+    (("weil-check", "--conductor", "32", "--k", "4", "--lambda=-4",
+      "--mu=2*z^4", "--generator", "17", "--order", "2"),
+     "a85de083447a8643b167aea40e222e01f228e4a61148fa829a3c82c16dd03b52"),
+    (("lift", "--conductor", "48", "--k", "6", "--lambda=-4", "--mu=2*z^6",
+      "--sigma", "25"),
+     "1b0306f3137ad477736b83052cae609b43e2e3da77726f00e9cfda0f1d2523c0"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", FAMILY_PAST_K2,
+                         ids=["lift-k4", "weil-check-k4", "lift-k6"])
+def test_family_documents_past_k2_are_pinned(capsys, monkeypatch, argv,
+                                             digest):
+    monkeypatch.delenv("PSEUDOREAL_APPROX_BITS", raising=False)
+    code, out = run(capsys, "--output", "structured", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_internal_error_documents_are_pinned(capsys, monkeypatch):

@@ -4,8 +4,8 @@ the Galois action, and differential tests of set_maps, the cross-ratio
 table, u_orbit, the stabilizer,
 the term formatter, check_order, the k-th root search and its shortcuts,
 the kernel test of curve transport, the integer element arithmetic, the
-inverse down the norm chain and validate's collision check against the
-code each replaced, and of
+inverse down the norm chain, the lift as products of coset roots and
+validate's collision check against the code each replaced, and of
 cross_ratio against the normalizing map."""
 
 import itertools
@@ -23,8 +23,8 @@ from pseudoreal.cyclotomic import MAX_CONDUCTOR, CycElt, GaloisElement, \
     _reduced, _size_bits, _sympy_field, \
     _sympy_roots, _monomial_roots, _related_roots, cyclotomic_polynomial, euler_phi, \
     format_poly, kth_roots, make_element, subgroups, units
-from pseudoreal.descent import _annihilated, _curve_kernel, _nullspace, \
-    check_order, curve_rows
+from pseudoreal.descent import MonomialIso, _annihilated, _curve_kernel, \
+    _nullspace, check_order, curve_rows, lift_to_monomial, transports_curve
 from pseudoreal.family import ParameterError, family_cross_ratios, validate
 from pseudoreal.moduli import classify_sigma, stabilizer
 from pseudoreal.moebius import INF, Moebius, SpherePoint, _apply_raw, \
@@ -813,6 +813,73 @@ def test_no_root_certificate_catches_the_corpus_root_free_values(n, value):
     k = 4 if value in ("3*z", "-3*z", "-9") else 2
     assert _sympy_roots(v.coeffs, k, n) == []
     assert _no_root_mod_p(v, k, n)
+
+
+# -- a lift as the products of its coset roots against the k^6 build it
+# replaced -------------------------------------------------------------------
+
+
+def reference_lift_isos(lift, p, g, m):
+    """Every choice of a k-th root per scale power, normalized to c_1 = 1,
+    deduplicated and sorted by key, each map checked for curve transport:
+    the enumeration that lift_to_monomial ran before it took c_1 = 1."""
+    roots = [kth_roots(d, p.k, m) for d in lift.powers]
+    isos = {}
+    for chosen in itertools.product(*roots):
+        iso = MonomialIso(lift.perm, chosen, p.k)
+        isos[iso.key()] = iso
+    ordered = [isos[key] for key in sorted(isos)]
+    for iso in ordered:
+        assert transports_curve(iso, p, g)
+    return tuple(ordered)
+
+
+def assert_lift_matches_reference(T, p, g, m):
+    lift = lift_to_monomial(T, p, g, m)
+    if lift.missing:
+        assert lift.isos == ()
+        return lift
+    expected = reference_lift_isos(lift, p, g, m)
+    assert lift.isos == expected
+    assert [str(f) for f in lift.isos] == [str(f) for f in expected]
+    return lift
+
+
+def _witness_lift(p, n, a):
+    g = GaloisElement(n, a)
+    return assert_lift_matches_reference(classify_sigma(p, g).witness, p,
+                                         g, n)
+
+
+# the full lifts of the descent corpus, and the paper's k = 4 family member
+@pytest.mark.parametrize("n, lam, mu, k, a, count", [
+    (16, "-4", "2*z^2", 2, 3, 32), (12, "-9", "3*z^2", 2, 7, 32),
+    (24, "-4", "2*z", 2, 13, 32), (32, "-4", "2*z^4", 4, 17, 1024)])
+def test_lift_matches_the_normalized_k6_build(n, lam, mu, k, a, count):
+    p = validate(make_element(lam, n), make_element(mu, n), k)
+    assert len(_witness_lift(p, n, a).isos) == count
+
+
+def test_identity_lift_matches_the_normalized_k6_build():
+    p = validate(-4, make_element("2*z^2", 16), 2)
+    lift = assert_lift_matches_reference(Moebius.identity(), p,
+                                         GaloisElement(16, 1), 16)
+    assert len(lift.isos) == 32
+
+
+# a full lift at k = 4 holds 1024 maps, and its reference builds 4096
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([8, 12, 16, 24]), st.sampled_from([2, 4]),
+       st.sampled_from([2, 3]), st.data())
+def test_lift_in_the_stabilizer_matches_the_normalized_k6_build(n, k, q,
+                                                                 data):
+    j = data.draw(st.integers(1, n - 1))
+    try:
+        p = validate(make_element(f"-{q * q}", n),
+                     make_element(f"{q}*z^{j}", n), k)
+    except ParameterError:
+        assume(False)
+    _witness_lift(p, n, data.draw(st.sampled_from(sorted(stabilizer(p, n)))))
 
 
 # -- integer numerators over one denominator against the Fraction vectors
