@@ -18,7 +18,8 @@ field contains; missing roots are reported, never adjoined.
 
 A family of such maps indexed by a cyclic Galois group is a Weil datum
 when f_{tau sigma} = f_sigma^tau o f_tau for all pairs; `cocycle_check`
-verifies this projectively together with curve transport for every map.
+verifies this projectively together with curve transport for every map,
+from the recursion f_{g^j} = f_{g^(j-1)}^g o f_g and its closure.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ __all__ = [
 
 # The most monomial isomorphisms one lift may list (clause lift_limit): the
 # k = 8 family lift at conductor 64 has 8^5, and weil-check spends about
-# 2 ms on each; the k = 10 lift at conductor 80 has 10^5
+# 0.4 ms on each; the k = 10 lift at conductor 80 has 10^5
 MAX_LIFTS = 8 ** 5
 
 
@@ -67,7 +68,7 @@ class MonomialIso:
     plain equality.
     """
 
-    __slots__ = ("perm", "scales", "k")
+    __slots__ = ("perm", "scales", "k", "_powers")
 
     def __init__(self, perm: Sequence[int], scales: Sequence, k: int):
         perm = tuple(perm)
@@ -78,19 +79,32 @@ class MonomialIso:
             raise ValueError("need six scales")
         if any(v.is_zero() for v in vals):
             raise ValueError("scales must be nonzero")
+        self._store(perm, vals, int(k))
+
+    def _store(self, perm: tuple, vals: list, k: int) -> None:
+        # vals: six nonzero scales at one conductor
         if vals[0] != 1:
             inv = vals[0].inverse()
             vals = [v * inv for v in vals]
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "scales", tuple(vals))
-        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "_powers", None)
+
+    @classmethod
+    def _of(cls, perm: tuple, vals: list, k: int) -> "MonomialIso":
+        """The map of a permutation and six nonzero scales at one
+        conductor, which need no checks: the product or twist of maps."""
+        f = object.__new__(cls)
+        f._store(perm, vals, k)
+        return f
 
     def __setattr__(self, *a):
         raise AttributeError("MonomialIso is immutable")
 
     @classmethod
     def identity(cls, k: int) -> "MonomialIso":
-        return cls(range(6), [1] * 6, k)
+        return _identity(int(k))
 
     @property
     def is_identity(self) -> bool:
@@ -99,7 +113,7 @@ class MonomialIso:
 
     def twist(self, t: GaloisElement) -> "MonomialIso":
         """Apply a field automorphism to every scale."""
-        return MonomialIso(
+        return MonomialIso._of(
             self.perm,
             [c.in_conductor(t.conductor).galois_apply(t) for c in self.scales],
             self.k)
@@ -111,7 +125,19 @@ class MonomialIso:
         perm = tuple(other.perm[self.perm[i]] for i in range(6))
         scales = [self.scales[i] * other.scales[self.perm[i]]
                   for i in range(6)]
-        return MonomialIso(perm, scales, self.k)
+        return MonomialIso._of(perm, scales, self.k)
+
+    def _kth_powers(self, m: int) -> tuple:
+        """(num, den) of every c_i^k in Q(zeta_m), the key of the transport
+        memo: computed once per map and conductor, and given to the maps
+        of a lift as its solved powers d_i."""
+        cached = self._powers
+        if cached is None or cached[0] != m:
+            cached = (m, tuple((x.num, x.den) for x in
+                               (c.in_conductor(m) ** self.k
+                                for c in self.scales)))
+            object.__setattr__(self, "_powers", cached)
+        return cached[1]
 
     __matmul__ = compose
 
@@ -137,6 +163,12 @@ class MonomialIso:
 
     def __repr__(self):
         return f"MonomialIso<{self}>"
+
+
+@functools.lru_cache(maxsize=16)
+def _identity(k: int) -> MonomialIso:
+    # one per k: the map is immutable
+    return MonomialIso(range(6), [1] * 6, k)
 
 
 def curve_rows(nu: CycElt, eta: CycElt):
@@ -198,10 +230,8 @@ def transports_curve(f: MonomialIso, p: FamilyParams, a: GaloisElement) -> bool:
     m = a.conductor
     lam = p.lam.in_conductor(m)
     mu = p.mu.in_conductor(m)
-    d = tuple((x.num, x.den)
-              for x in (c.in_conductor(m) ** f.k for c in f.scales))
     return _transports(m, lam.num, lam.den, mu.num, mu.den, a.exponent,
-                       f.perm, d)
+                       f.perm, f._kth_powers(m))
 
 
 @functools.lru_cache(maxsize=64)
@@ -323,6 +353,9 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
     ordered = [MonomialIso(perm, (one, *rest), p.k)
                for rest in itertools.product(*roots[1:])]
     # every map has c_i^k = d_i, all that curve transport depends on
+    powers = (m, tuple((x.num, x.den) for x in d))
+    for f in ordered:
+        object.__setattr__(f, "_powers", powers)
     if not transports_curve(ordered[0], p, g):
         raise AssertionError("constructed map fails curve transport")
     return LiftResult(isos=tuple(ordered), missing=(), perm=perm,
@@ -403,26 +436,61 @@ class CocycleResult:
 
 def cocycle_check(datum: WeilDatum) -> CocycleResult:
     """Verify f_{tau sigma} = f_sigma^tau o f_tau projectively for every
-    pair, plus curve transport for every map in the datum."""
-    m = datum.conductor
-    for e, f in sorted(datum.maps.items()):
-        if not transports_curve(f, datum.params, GaloisElement(m, e)):
-            return CocycleResult(
-                ok=False, failing=None,
-                reason=f"map for exponent {e} does not transport the curve")
+    pair, plus curve transport for every map in the datum (ValueError
+    unless the maps are indexed by exactly <g>, of order d).
+
+    Weil's criterion for a cyclic group: if f_1 = id and f_{g^j} =
+    f_{g^(j-1)}^g o f_g, then f_{g^(i+j)} = f_{g^j}^{g^i} o f_{g^i} for
+    i + j < d, every map transports the curve when f_g does, and, g^d
+    acting trivially, the pair (g^i, g^j) with i + j >= d holds iff the
+    closure f_{g^(d-1)}^g o f_g is the identity.  Where the recursion
+    breaks, every map's transport is checked and the first break is the
+    failing pair."""
+    m, d = datum.conductor, datum.order
+    check_order(datum.generator, d, m)
+    powers = [pow(datum.generator, j, m) for j in range(d)]
     exps = sorted(datum.maps)
-    for tau in exps:
-        for sigma in exps:
-            prod = (tau * sigma) % m
-            lhs = datum.maps[prod]
-            rhs = compose_twist(datum.maps[sigma], datum.maps[tau],
-                                GaloisElement(m, tau))
-            if lhs != rhs:
+    if exps != sorted(powers):
+        missing = sorted(set(powers) - set(exps))
+        extra = sorted(set(exps) - set(powers))
+        raise ValueError(f"the maps are not indexed by <{datum.generator}> "
+                         f"mod {m}: missing exponents {missing}, extra "
+                         f"exponents {extra}")
+    maps, g = datum.maps, datum.generator % m
+    gen, f_g = GaloisElement(m, g), maps[g]
+    # the first j with f_{g^j} != f_{g^(j-1)}^g o f_g; at j = 1 that is
+    # f_1 != id
+    if not maps[powers[0]].is_identity:
+        broken = 1
+    else:
+        broken = next((j for j in range(2, d) if maps[powers[j]]
+                       != compose_twist(maps[powers[j - 1]], f_g, gen)),
+                      None)
+    if broken is not None or not transports_curve(f_g, datum.params, gen):
+        for e in exps:
+            if not transports_curve(maps[e], datum.params,
+                                    GaloisElement(m, e)):
                 return CocycleResult(
-                    ok=False, failing=(tau, sigma),
-                    reason=f"f_({tau}*{sigma}) != f_{sigma}^{tau} o f_{tau}")
+                    ok=False, failing=None,
+                    reason=f"map for exponent {e} does not transport the "
+                           f"curve")
+    if broken is not None:
+        return _failing_pair(g, powers[broken - 1])
+    if d > 1 and not compose_twist(maps[powers[-1]], f_g, gen).is_identity:
+        # the first failing pair of the sorted table: the least tau other
+        # than 1, then the least sigma with idx tau + idx sigma >= d
+        idx = {e: j for j, e in enumerate(powers)}
+        tau = exps[1]
+        return _failing_pair(tau, next(s for s in exps
+                                       if idx[tau] + idx[s] >= d))
     if not datum.closure.is_identity:
         # reachable only for order-1 data, where no pair exposes the closure
         return CocycleResult(ok=False, failing=None,
                              reason="closure map is not the identity")
     return CocycleResult(ok=True, failing=None, reason=None)
+
+
+def _failing_pair(tau: int, sigma: int) -> CocycleResult:
+    return CocycleResult(
+        ok=False, failing=(tau, sigma),
+        reason=f"f_({tau}*{sigma}) != f_{sigma}^{tau} o f_{tau}")

@@ -446,7 +446,8 @@ def test_error_documents_are_pinned(capsys, argv, code, human, structured):
 
 
 # sha256 of the structured documents of the paper's family at k = 4 and 6,
-# recorded while each lift was still built from k^6 scale vectors
+# recorded while each lift was still built from k^6 scale vectors (the k = 6
+# weil-check while each cocycle was still checked pair by pair)
 FAMILY_PAST_K2 = [
     (("lift", "--conductor", "32", "--k", "4", "--lambda=-4", "--mu=2*z^4",
       "--sigma", "17"),
@@ -457,11 +458,15 @@ FAMILY_PAST_K2 = [
     (("lift", "--conductor", "48", "--k", "6", "--lambda=-4", "--mu=2*z^6",
       "--sigma", "25"),
      "1b0306f3137ad477736b83052cae609b43e2e3da77726f00e9cfda0f1d2523c0"),
+    (("weil-check", "--conductor", "48", "--k", "6", "--lambda=-4",
+      "--mu=2*z^6", "--generator", "25", "--order", "2"),
+     "f12e366c7da35128a07f95aec2d324abe11fe5e53ef8a6e6ad37877d1e6a4300"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", FAMILY_PAST_K2,
-                         ids=["lift-k4", "weil-check-k4", "lift-k6"])
+                         ids=["lift-k4", "weil-check-k4", "lift-k6",
+                              "weil-check-k6"])
 def test_family_documents_past_k2_are_pinned(capsys, monkeypatch, argv,
                                              digest):
     monkeypatch.delenv("PSEUDOREAL_APPROX_BITS", raising=False)

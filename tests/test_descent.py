@@ -1,6 +1,9 @@
 import itertools
+from unittest import mock
 
 import pytest
+
+from pseudoreal import descent
 
 from pseudoreal.cyclotomic import CycElt, GaloisElement, make_element
 from pseudoreal.family import validate
@@ -239,3 +242,55 @@ def test_order_one_datum_requires_identity():
     assert not datum.closes
     chk = cocycle_check(datum)
     assert not chk.ok and "closure" in chk.reason
+
+
+def test_cocycle_check_rejects_maps_off_the_group():
+    # the maps must be indexed by exactly <g>: a missing or extra exponent
+    # is malformed data, not a failing pair
+    p = pi4_params()
+    datum = extend_cyclic(swap_iso(), 3, 4, p, 16)
+
+    def with_maps(maps, order=4):
+        return WeilDatum(conductor=16, generator=3, order=order, params=p,
+                         maps=maps, closure=datum.closure)
+
+    short = with_maps({e: datum.maps[e] for e in (1, 3)})
+    with pytest.raises(ValueError, match=r"missing exponents \[9, 11\], "
+                                         r"extra exponents \[\]"):
+        cocycle_check(short)
+    extra = with_maps({**datum.maps, 5: datum.maps[3], 7: datum.maps[3]})
+    with pytest.raises(ValueError, match=r"missing exponents \[\], "
+                                         r"extra exponents \[5, 7\]"):
+        cocycle_check(extra)
+    with pytest.raises(ValueError, match="does not have order"):
+        cocycle_check(with_maps(datum.maps, order=2))
+
+
+def test_lift_maps_carry_their_scale_powers():
+    # each lift map starts with the solved d_i as its c_i^k: the powers that
+    # a map built afresh from the same scales computes
+    p = pi4_params()
+    lift = lift_to_monomial(Moebius(0, -4, 1, 0), p, GaloisElement(16, 3), 16)
+    for f in lift.isos:
+        fresh = MonomialIso(f.perm, f.scales, f.k)
+        assert f._kth_powers(16) == fresh._kth_powers(16) == tuple(
+            ((c ** 2).num, (c ** 2).den) for c in f.scales)
+
+
+@pytest.mark.parametrize("g, d", [(3, 4), (9, 2), (1, 1)])
+def test_order_d_candidate_costs_2d_minus_2_compositions(g, d):
+    # extend_cyclic builds d - 1 maps by compose_twist and cocycle_check
+    # checks the recursion and the closure with d - 1 more; each checks the
+    # transport of f_g once
+    p = pi4_params()
+    f = extend_cyclic(swap_iso(), 3, 4, p, 16).maps[g]
+    counted = {}
+    for name in ("compose_twist", "transports_curve"):
+        counted[name] = mock.patch.object(
+            descent, name, wraps=getattr(descent, name)).start()
+    try:
+        assert cocycle_check(extend_cyclic(f, g, d, p, 16)).ok
+    finally:
+        mock.patch.stopall()
+    assert counted["compose_twist"].call_count == 2 * (d - 1)
+    assert counted["transports_curve"].call_count == 2

@@ -4,9 +4,10 @@ the Galois action, and differential tests of set_maps, the cross-ratio
 table, u_orbit, the stabilizer,
 the term formatter, check_order, the k-th root search and its shortcuts,
 the kernel test of curve transport, the integer element arithmetic, the
-inverse down the norm chain, the lift as products of coset roots and
-validate's collision check against the code each replaced, and of
-cross_ratio against the normalizing map."""
+inverse down the norm chain, the lift as products of coset roots, the
+cocycle check from its recursion and closure and validate's collision
+check against the code each replaced, and of cross_ratio against the
+normalizing map."""
 
 import itertools
 import math
@@ -16,15 +17,17 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pseudoreal import moebius
+from pseudoreal import descent, moebius
 from pseudoreal.configurations import OmegaError, make_config, u_orbit
 from pseudoreal.cyclotomic import MAX_CONDUCTOR, CycElt, GaloisElement, \
     LimitError, _conjugates, _echelon, _no_root_mod_p, _norm_chain, \
     _reduced, _size_bits, _sympy_field, \
     _sympy_roots, _monomial_roots, _related_roots, cyclotomic_polynomial, euler_phi, \
     format_poly, kth_roots, make_element, subgroups, units
-from pseudoreal.descent import MonomialIso, _annihilated, _curve_kernel, \
-    _nullspace, check_order, curve_rows, lift_to_monomial, transports_curve
+from pseudoreal.descent import CocycleResult, MonomialIso, WeilDatum, \
+    _annihilated, _curve_kernel, _nullspace, check_order, cocycle_check, \
+    compose_twist, curve_rows, extend_cyclic, lift_to_monomial, \
+    transports_curve
 from pseudoreal.family import ParameterError, family_cross_ratios, validate
 from pseudoreal.moduli import classify_sigma, stabilizer
 from pseudoreal.moebius import INF, Moebius, SpherePoint, _apply_raw, \
@@ -880,6 +883,120 @@ def test_lift_in_the_stabilizer_matches_the_normalized_k6_build(n, k, q,
     except ParameterError:
         assume(False)
     _witness_lift(p, n, data.draw(st.sampled_from(sorted(stabilizer(p, n)))))
+
+
+# -- the cocycle from its recursion and closure against the pair table it
+# replaced -------------------------------------------------------------------
+
+
+def reference_cocycle_check(datum):
+    """Curve transport for every map in sorted order, then every pair of
+    the table in sorted order: the check cocycle_check ran before it used
+    the recursion and its closure."""
+    m = datum.conductor
+    for e, f in sorted(datum.maps.items()):
+        if not descent.transports_curve(f, datum.params, GaloisElement(m, e)):
+            return CocycleResult(
+                ok=False, failing=None,
+                reason=f"map for exponent {e} does not transport the curve")
+    exps = sorted(datum.maps)
+    for tau in exps:
+        for sigma in exps:
+            if not _pair_holds(datum, tau, sigma):
+                return CocycleResult(
+                    ok=False, failing=(tau, sigma),
+                    reason=f"f_({tau}*{sigma}) != f_{sigma}^{tau} o f_{tau}")
+    if not datum.closure.is_identity:
+        return CocycleResult(ok=False, failing=None,
+                             reason="closure map is not the identity")
+    return CocycleResult(ok=True, failing=None, reason=None)
+
+
+def _pair_holds(datum, tau, sigma):
+    m = datum.conductor
+    return datum.maps[(tau * sigma) % m] == compose_twist(
+        datum.maps[sigma], datum.maps[tau], GaloisElement(m, tau))
+
+
+def _family_lift(n, lam, mu, k, a):
+    p = validate(make_element(lam, n), make_element(mu, n), k)
+    g = GaloisElement(n, a)
+    return p, lift_to_monomial(classify_sigma(p, g).witness, p, g, n)
+
+
+# the descent corpus's worked queries (n = 8 misses its roots, n = 16 has
+# order 4) and full lifts, and the paper's k = 4 family member
+@pytest.mark.parametrize("n, lam, mu, k, a, count, closing", [
+    (8, "-4", "2*z", 2, 3, 0, 0), (16, "-4", "2*z^2", 2, 3, 32, 32),
+    (12, "-9", "3*z^2", 2, 7, 32, 32), (24, "-4", "2*z", 2, 13, 32, 16),
+    (32, "-4", "2*z^4", 4, 17, 1024, 32)])
+def test_cocycle_check_matches_the_pair_table(n, lam, mu, k, a, count,
+                                              closing):
+    p, lift = _family_lift(n, lam, mu, k, a)
+    d = brute_order(a, n)
+    results = []
+    for f in lift.isos:
+        datum = extend_cyclic(f, a, d, p, n)
+        results.append(cocycle_check(datum))
+        assert results[-1] == reference_cocycle_check(datum)
+    assert len(results) == count
+    assert sum(r.ok for r in results) == closing
+
+
+# the worked order-4 datum at n = 16 and an order-8 datum of the k = 4
+# member, with one map replaced by a deck translate (which transports) or
+# by a map off the curve
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(16, "-4", "2*z^2", 2, 3), (32, "-4", "2*z^4", 4, 5)]),
+       st.booleans(), st.data())
+def test_cocycle_check_on_a_tampered_datum_agrees_with_the_pair_table(
+        case, transports, data):
+    n, lam, mu, k, a = case
+    p, lift = _family_lift(n, lam, mu, k, a)
+    d = brute_order(a, n)
+    datum = extend_cyclic(data.draw(st.sampled_from(lift.isos)), a, d, p, n)
+    e = pow(a, data.draw(st.integers(0, d - 1)), n)
+    if transports:
+        coords = data.draw(st.sets(st.integers(1, 5), min_size=1))
+        zeta = CycElt.zeta(math.gcd(n, k))
+        delta = MonomialIso(range(6), [zeta if i in coords else 1
+                                       for i in range(6)], k)
+        wrong = datum.maps[e].compose(delta)
+    else:
+        wrong = datum.maps[e].compose(MonomialIso(
+            range(6), [1, 1, 1, 1, 1, 2], k))
+    assume(wrong != datum.maps[e])
+    tampered = WeilDatum(conductor=n, generator=a, order=d, params=p,
+                         maps={**datum.maps, e: wrong},
+                         closure=datum.closure)
+    got = cocycle_check(tampered)
+    assert got.ok == reference_cocycle_check(tampered).ok
+    if got.failing is not None:
+        assert not _pair_holds(tampered, *got.failing)
+    elif not got.ok:
+        bad = int(got.reason.removeprefix("map for exponent ").split()[0])
+        assert not transports_curve(tampered.maps[bad], p,
+                                    GaloisElement(n, bad))
+
+
+# with transport accepted, random generator maps along <g> of order 1 to 8:
+# mostly non-closing data, where the failing pair is read off the closure;
+# from g = 11 mod 16 and 13 mod 32 the least exponent other than 1 is g^(d-1)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(16, 1), (16, 7), (24, 5), (16, 3), (16, 11),
+                        (32, 5), (32, 13)]),
+       st.permutations(range(6)), st.lists(st.integers(0, 7), min_size=5,
+                                           max_size=5), st.booleans())
+def test_cocycle_check_failing_pair_matches_the_pair_table(case, perm, powers,
+                                                           rational):
+    n, a = case
+    zeta = CycElt.zeta(n)
+    scales = [1] + [(j + 1 if rational else zeta ** j) for j in powers]
+    p = validate(-4, make_element("2*z^2", 16), 2)
+    with mock.patch.object(descent, "transports_curve", lambda *args: True):
+        datum = extend_cyclic(MonomialIso(perm, scales, 2), a,
+                              brute_order(a, n), p, n)
+        assert cocycle_check(datum) == reference_cocycle_check(datum)
 
 
 # -- integer numerators over one denominator against the Fraction vectors
