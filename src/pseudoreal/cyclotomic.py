@@ -873,10 +873,6 @@ class Box:
     def width(self) -> Fraction:
         return max(self.re_hi - self.re_lo, self.im_hi - self.im_lo)
 
-    def contains_zero(self) -> bool:
-        return (self.re_lo <= 0 <= self.re_hi
-                and self.im_lo <= 0 <= self.im_hi)
-
     def midpoint(self):
         return ((self.re_lo + self.re_hi) / 2, (self.im_lo + self.im_hi) / 2)
 
@@ -1113,8 +1109,14 @@ def kth_roots(v: CycElt, k: int, conductor: Optional[int] = None) -> tuple:
         return (v,)
     roots = _monomial_roots(v, k, m)
     if roots is None:
-        if _no_root_mod_p(v, k, m):
+        absent = _no_root_mod_p(v, k, m)
+        if absent:
             return ()
+        if absent is None:
+            # x^k - v is past factoring at such k
+            raise LimitError("root_limit", f"no prime p = 1 (mod lcm({m}, "
+                             f"{k})) below {_PRIME_LIMIT} can decide the "
+                             f"{k}-th roots of {v} in Q(zeta_{m})")
         roots = [CycElt(m, c) for c in _sympy_roots(v.coeffs, k, m)]
     return _checked_roots(roots, v, k)
 
@@ -1277,11 +1279,12 @@ def _exact_root(a: int, k: int) -> int:
 # 1 + j * lcm(m, k) that it scans for them, all below _PRIME_LIMIT
 _CERT_PRIMES = 6
 _CERT_SCAN = 1000
-# _is_prime is exact below this bound
+# _is_prime is exact below this bound; a value that no prime can be tried
+# on is rejected by kth_roots (clause root_limit)
 _PRIME_LIMIT = 3 * 10 ** 24
 
 
-def _no_root_mod_p(v: CycElt, k: int, m: int) -> bool:
+def _no_root_mod_p(v: CycElt, k: int, m: int) -> Optional[bool]:
     """True when a prime p = 1 (mod lcm(m, k)) shows that v, at conductor
     m, has no k-th root in Q(zeta_m).
 
@@ -1290,7 +1293,7 @@ def _no_root_mod_p(v: CycElt, k: int, m: int) -> bool:
     there, and so is any w with w^k = v; so w would reduce to a k-th root
     of v's image.  An image that Euler's criterion finds to be no k-th
     power thus certifies that no root exists.  False means only that the
-    primes tried found no such image.
+    primes tried found no such image, and None that no prime was tried.
     """
     step = math.lcm(m, k)
     p = 1
@@ -1314,7 +1317,7 @@ def _no_root_mod_p(v: CycElt, k: int, m: int) -> bool:
         tried += 1
         if tried == _CERT_PRIMES:
             break
-    return False
+    return False if tried else None
 
 
 def _is_prime(p: int) -> bool:

@@ -10,11 +10,13 @@ equations that are linear in the k-th powers y_j = x_j^k:
 Coordinate j vanishes exactly on the fiber over the j-th branch value in
 the order (inf, 0, 1, nu, eta, -eta), so a Moebius map carrying branch
 sets forces the coordinate permutation of any compatible monomial map
-[x_1 : ... : x_6] -> [c_1 x_perm(1) : ... : c_6 x_perm(6)], and the values
-d_i = c_i^k are pinned, up to one global scale, by requiring each twisted
-equation to pull back into the span of the original four.  The scales
-themselves are whatever k-th roots of the d_i the ambient cyclotomic
-field contains; missing roots are reported, never adjoined.
+[x_1 : ... : x_6] -> [c_1 x_perm(1) : ... : c_6 x_perm(6)].  The curve's
+image in y-space is a line, y_1 = W, y_2 = -Z and y_j = Z - z_j W over
+(Z : W), so the values d_i = c_i^k, up to one global scale, are written
+down from the witness: each is the ratio of a twisted form composed with
+the map to the form it must become.  The scales themselves are whatever
+k-th roots of the d_i the ambient cyclotomic field contains; missing roots
+are reported, never adjoined.
 
 A family of such maps indexed by a cyclic Galois group is a Weil datum
 when f_{tau sigma} = f_sigma^tau o f_tau for all pairs; `cocycle_check`
@@ -32,8 +34,7 @@ from typing import Mapping, Optional, Sequence
 
 from .cyclotomic import CycElt, GaloisElement, LimitError, common_field, \
     kth_roots, units
-from .cyclotomic import _cyclic, _echelon, _monomial_form, _reduced, \
-    _related_roots
+from .cyclotomic import _cyclic, _monomial_form, _reduced, _related_roots
 from .moebius import Moebius, _same_points
 from .configurations import make_config
 from .family import FamilyParams
@@ -130,7 +131,7 @@ class MonomialIso:
     def _kth_powers(self, m: int) -> tuple:
         """(num, den) of every c_i^k in Q(zeta_m), the key of the transport
         memo: computed once per map and conductor, and given to the maps
-        of a lift as its solved powers d_i."""
+        of a lift as its written-down powers d_i."""
         cached = self._powers
         if cached is None or cached[0] != m:
             cached = (m, tuple((x.num, x.den) for x in
@@ -203,26 +204,6 @@ def _curve_kernel(nu: CycElt, eta: CycElt):
             (zero, one, -one, -one, -one, -one))
 
 
-def _nullspace(rows, ncols: int):
-    ech, pivots = _echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    if not ech:
-        field_zero = CycElt.zero()
-        field_one = CycElt.one()
-    else:
-        n = ech[0][0].n
-        field_zero = CycElt.zero(n)
-        field_one = CycElt.one(n)
-    basis = []
-    for f in free:
-        v = [field_zero] * ncols
-        v[f] = field_one
-        for row, col in zip(ech, pivots):
-            v[col] = -row[f]
-        basis.append(tuple(v))
-    return basis
-
-
 def transports_curve(f: MonomialIso, p: FamilyParams, a: GaloisElement) -> bool:
     """True iff f carries the curve with parameters (lambda, mu) onto the
     sigma_a-twisted curve: every twisted equation, pulled back through
@@ -270,7 +251,7 @@ class LiftResult:
     isos: tuple
     missing: tuple
     perm: tuple
-    powers: tuple         # the solved d_i = c_i^k, normalized d_1 = 1
+    powers: tuple         # the d_i = c_i^k, normalized d_1 = 1
 
     @property
     def ok(self) -> bool:
@@ -283,9 +264,10 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
     between the branch sets of (lambda, mu) and its sigma_a twist.
 
     The coordinate permutation is forced by T's action on branch values;
-    the k-th powers of the scales are solved exactly; the scale vector
-    itself exists only when the field contains the needed k-th roots.
-    When roots are missing the result is empty and lists them.
+    the k-th powers of the scales are written down from the witness T and
+    certified by one curve-transport check; the scale vector itself exists
+    only when the field contains the needed k-th roots.  When roots are
+    missing the result is empty and lists them.
     """
     if T.conj_first:
         raise ValueError("T must be a plain Moebius map")
@@ -300,23 +282,29 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
         raise ValueError("T does not carry the branch set onto its twist")
     # output slot i reads the source coordinate whose branch value T sends
     # to the i-th target branch value
-    perm = tuple(images.index(tb) for tb in tgt_branch)
+    perm = tuple(images.index(pt) for pt in tgt_branch)
 
-    tgt = curve_rows(slam, smu)
-    kernel = _curve_kernel(lam, mu)
-    # linear conditions on d: sum_i tgt[l][i] * u[perm[i]] * d_i = 0
-    conditions = []
-    for row in tgt:
-        for u in kernel:
-            conditions.append(tuple(row[i] * u[perm[i]] for i in range(6)))
-    sols = _nullspace(conditions, 6)
-    if len(sols) != 1:
-        raise AssertionError(
-            f"scale powers are not projectively unique (dim {len(sols)})")
-    d = list(sols[0])
-    if any(x.is_zero() for x in d):
-        raise AssertionError("degenerate scale powers")
-    d = [x / d[0] for x in d]
+    # the curve is the line y_1 = W, y_2 = -Z, y_j = Z - z_j W in (Z : W),
+    # and T = (a b; c d) acts on (Z, W); y'_i o T vanishes where y_perm(i)
+    # does, so d_i is the ratio of their coefficients, with d_1 = 1
+    ta, tb, tc, td = (x.in_conductor(m) for x in T.coefficients())
+    ratios = []
+    for i, j in enumerate(perm):
+        if i == 0:
+            zc, wc = tc, td
+        elif i == 1:
+            zc, wc = -ta, -tb
+        else:
+            z = tgt_branch[i].value
+            zc, wc = ta - z * tc, tb - z * td
+        ratios.append(wc if j == 0 else -zc if j == 1 else zc)
+    inv = ratios[0].inverse()
+    d = [r * inv for r in ratios]
+    # every lift has c_i^k = d_i, all that curve transport depends on
+    powers = tuple((x.num, x.den) for x in d)
+    if not _transports(m, lam.num, lam.den, mu.num, mu.den, g.exponent,
+                       perm, powers):
+        raise AssertionError("written-down scale powers fail curve transport")
 
     roots = []
     missing = []
@@ -352,12 +340,8 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
     one = CycElt.one(m)
     ordered = [MonomialIso(perm, (one, *rest), p.k)
                for rest in itertools.product(*roots[1:])]
-    # every map has c_i^k = d_i, all that curve transport depends on
-    powers = (m, tuple((x.num, x.den) for x in d))
     for f in ordered:
-        object.__setattr__(f, "_powers", powers)
-    if not transports_curve(ordered[0], p, g):
-        raise AssertionError("constructed map fails curve transport")
+        object.__setattr__(f, "_powers", (m, powers))
     return LiftResult(isos=tuple(ordered), missing=(), perm=perm,
                       powers=tuple(d))
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cyclotomic import CycElt, GaloisElement, Subfield, _reduced, \
-    fixed_field, fixing_subgroup, is_subgroup, min_poly, poly_eval, units
+    fixed_field, fixing_subgroup, is_subgroup, units
 from .moebius import Moebius, _same_points, set_maps
 from .configurations import make_config
 from .family import FamilyParams
@@ -216,15 +216,8 @@ def field_of_moduli(p: FamilyParams, n: int) -> ModuliResult:
 
     r4_rational = (lam * lam).is_rational()
 
-    # no sigma sends mu to -mu: decided twice and required to agree
-    mp = min_poly(mu)
-    by_minpoly = not poly_eval(mp, -mu).is_zero()
-    by_enumeration = all(mu.galois_apply(a) != -mu for a in units(n))
-    if by_minpoly != by_enumeration:
-        raise AssertionError(
-            "minimal-polynomial and enumeration tests disagree on "
-            "sigma(mu) = -mu")
-    no_negation = by_minpoly
+    # no sigma sends mu to -mu
+    no_negation = all(mu.galois_apply(a) != -mu for a in units(n))
 
     pointwise = fixing_subgroup(lam, n) & fixing_subgroup(mu, n)
     min_def = fixed_field(pointwise, n)

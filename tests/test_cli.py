@@ -11,7 +11,7 @@ import pytest
 
 from pseudoreal.cli import SUBCOMMANDS, build_parser, main
 from pseudoreal.cyclotomic import MAX_CONDUCTOR, MAX_SIZE_BITS, CycElt, \
-    make_element
+    _PRIME_LIMIT, make_element
 from pseudoreal.descent import MAX_LIFTS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -255,6 +255,28 @@ def test_lift_limit_rejects_at_once(capsys, n, count, command):
     assert doc["error"]["message"] == (
         f"the lift has {count} monomial isomorphisms, more than the maximum "
         f"{MAX_LIFTS}")
+
+
+# 1 - 2i is no rational times a root of unity, and no prime
+# p = 1 + j * lcm(4, k) below _PRIME_LIMIT is scanned for these k (at
+# k = 10^22 the scan finds p = 1 + 9 * 10^22), so the lift is rejected
+# before x^k - v would be factored
+@pytest.mark.parametrize("k", [10 ** 23, 10 ** 25])
+@pytest.mark.parametrize("command", [("lift", "--sigma", "3"),
+                                     ("weil-check", "--generator", "3",
+                                      "--order", "2")],
+                         ids=["lift", "weil-check"])
+def test_root_limit_rejects_at_once(capsys, command, k):
+    doc = _rejected_at_once(capsys, "root_limit", command[0], "--conductor",
+                            "4", "--k", str(k), "--lambda=-5", "--mu=1+2*z",
+                            *command[1:])
+    assert doc["error"]["message"] == (
+        f"no prime p = 1 (mod lcm(4, {k})) below {_PRIME_LIMIT} can decide "
+        f"the {k}-th roots of 1 - 2*z in Q(zeta_4)")
+    code, doc = run_json(capsys, command[0], "--conductor", "4", "--k",
+                         str(10 ** 22), "--lambda=-5", "--mu=1+2*z",
+                         *command[1:])
+    assert code == 0 and doc["result"]["missing_roots"]
 
 
 def test_resource_limits_admit_their_maximum(capsys):

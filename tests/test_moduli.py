@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pseudoreal.cyclotomic import (
     CycElt,
@@ -9,6 +10,7 @@ from pseudoreal.cyclotomic import (
     euler_phi,
     make_element,
     min_poly,
+    poly_eval,
     same_field,
     units,
 )
@@ -238,19 +240,41 @@ def test_field_of_moduli_eighth_roots():
     assert same_field(res.min_def_field.primitive, CycElt.zeta(8))
 
 
-def test_no_negation_double_entry():
-    # minimal-polynomial evaluation and unit enumeration agree on whether
-    # some sigma sends mu to -mu
-    p5 = validate(-4, make_element("2*z", 5), 2)
-    mp = min_poly(p5.mu)
-    assert all(p5.mu.galois_apply(a) != -p5.mu for a in units(5))
-    from pseudoreal.cyclotomic import poly_eval
-    assert not poly_eval(mp, -p5.mu).is_zero()
+@st.composite
+def admissible_mu(draw):
+    """(n, lambda, mu) as expressions at n <= 40: mu = q zeta^j with
+    lambda = -q^2, or mu = beta zeta^j with beta = a + b (zeta + zeta^-1)
+    real and lambda = -beta^2; not every draw is admissible."""
+    n = draw(st.sampled_from([3, 4, 5, 7, 8, 9, 10, 12, 15, 16, 20, 24, 40]))
+    j = draw(st.integers(1, n - 1))
+    if draw(st.booleans()):
+        q = draw(st.integers(2, 5))
+        return n, f"-{q * q}", f"{q}*z^{j}"
+    beta = f"({draw(st.integers(-3, 3))} + {draw(st.integers(1, 2))}" \
+        f"*(z + z^-1))"
+    return n, f"-{beta}^2", f"{beta}*z^{j}"
 
-    p8 = validate(-4, make_element("2*z", 8), 2)
-    mp = min_poly(p8.mu)
-    assert any(p8.mu.galois_apply(a) == -p8.mu for a in units(8))
-    assert poly_eval(mp, -p8.mu).is_zero()
+
+# minimal-polynomial evaluation and unit enumeration agree on whether some
+# sigma sends mu to -mu, and field_of_moduli, which enumerates, agrees too
+@settings(max_examples=40, deadline=None)
+@given(admissible_mu())
+@example((5, "-4", "2*z"))
+@example((8, "-4", "2*z"))
+def test_no_negation_double_entry(member):
+    n, lam, mu = member
+    try:
+        p = validate(make_element(lam, n), make_element(mu, n), 2)
+    except ParameterError:
+        assume(False)
+    by_minpoly = not poly_eval(min_poly(p.mu), -p.mu).is_zero()
+    by_enumeration = all(p.mu.galois_apply(a) != -p.mu for a in units(n))
+    assert by_minpoly == by_enumeration
+    assert field_of_moduli(p, n).hypothesis_no_negation == by_enumeration
+    if (n, mu) == (5, "2*z"):
+        assert by_enumeration
+    if (n, mu) == (8, "2*z"):
+        assert not by_enumeration
 
 
 def test_moduli_field_degree_equals_index():

@@ -5,19 +5,23 @@ table, u_orbit, the stabilizer,
 the term formatter, check_order, the k-th root search and its shortcuts,
 the kernel test of curve transport, the integer element arithmetic, the
 inverse down the norm chain, the lift as products of coset roots, the
-cocycle check from its recursion and closure and validate's collision
+scale powers written down from the witness, the cocycle check from its
+recursion and closure and validate's collision
 check against the code each replaced, and of cross_ratio against the
 normalizing map."""
 
 import itertools
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pseudoreal import descent, moebius
+from pseudoreal.cli import build_parser
 from pseudoreal.configurations import OmegaError, make_config, u_orbit
 from pseudoreal.cyclotomic import MAX_CONDUCTOR, CycElt, GaloisElement, \
     LimitError, _conjugates, _echelon, _no_root_mod_p, _norm_chain, \
@@ -25,7 +29,7 @@ from pseudoreal.cyclotomic import MAX_CONDUCTOR, CycElt, GaloisElement, \
     _sympy_roots, _monomial_roots, _related_roots, cyclotomic_polynomial, euler_phi, \
     format_poly, kth_roots, make_element, subgroups, units
 from pseudoreal.descent import CocycleResult, MonomialIso, WeilDatum, \
-    _annihilated, _curve_kernel, _nullspace, check_order, cocycle_check, \
+    _annihilated, _curve_kernel, check_order, cocycle_check, \
     compose_twist, curve_rows, extend_cyclic, lift_to_monomial, \
     transports_curve
 from pseudoreal.family import ParameterError, family_cross_ratios, validate
@@ -33,6 +37,11 @@ from pseudoreal.moduli import classify_sigma, stabilizer
 from pseudoreal.moebius import INF, Moebius, SpherePoint, _apply_raw, \
     _normalized_triples, _orbit_values, _raw_key, _std_raw, _triple_index, \
     cross_ratio, g_orbit, moebius_from_triple, set_maps, unify_points
+
+from test_moduli import admissible_mu
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import corpus  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -128,6 +137,23 @@ def matrices(draw):
                                      max_size=len(base)), max_size=2)):
         rows.append(_combine(cs, base, n, ncols))
     return n, ncols, draw(st.permutations(rows))
+
+
+def _nullspace(rows, ncols: int):
+    """A basis of the nullspace of rows by elimination: the solve that
+    lift_to_monomial ran for its scale powers before it wrote them down
+    from the Moebius witness."""
+    ech, pivots = _echelon(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    n = ech[0][0].n if ech else 1
+    basis = []
+    for f in free:
+        v = [CycElt.zero(n)] * ncols
+        v[f] = CycElt.one(n)
+        for row, col in zip(ech, pivots):
+            v[col] = -row[f]
+        basis.append(tuple(v))
+    return basis
 
 
 def _combine(cs, rows, n, ncols):
@@ -883,6 +909,79 @@ def test_lift_in_the_stabilizer_matches_the_normalized_k6_build(n, k, q,
     except ParameterError:
         assume(False)
     _witness_lift(p, n, data.draw(st.sampled_from(sorted(stabilizer(p, n)))))
+
+
+# -- scale powers written down from the witness against the nullspace solve
+# they replaced ---------------------------------------------------------------
+
+
+def reference_scale_powers(lift, p, g):
+    """The d with d_1 = 1 for which every twisted equation, pulled back
+    through y_i -> d_i y_perm(i), lies in the span of the original four:
+    the 8 conditions in 6 unknowns that lift_to_monomial solved before it
+    wrote the powers down from the witness."""
+    m = g.conductor
+    lam, mu = p.lam.in_conductor(m), p.mu.in_conductor(m)
+    kernel = _curve_kernel(lam, mu)
+    conditions = [tuple(row[i] * u[lift.perm[i]] for i in range(6))
+                  for row in curve_rows(lam.galois_apply(g),
+                                        mu.galois_apply(g))
+                  for u in kernel]
+    sols = _nullspace(conditions, 6)
+    assert len(sols) == 1
+    d = sols[0]
+    assert not any(x.is_zero() for x in d)
+    return tuple(x / d[0] for x in d)
+
+
+def assert_powers_match_reference(T, p, g):
+    lift = lift_to_monomial(T, p, g, g.conductor)
+    assert lift.powers == reference_scale_powers(lift, p, g)
+    assert [str(x) for x in lift.powers] == \
+        [str(x) for x in reference_scale_powers(lift, p, g)]
+    return lift
+
+
+# the powers do not depend on the root search, which is refused here: each
+# lift then ends at its missing roots, with the powers written down and
+# certified
+@settings(max_examples=30, deadline=None)
+@given(admissible_mu(), st.sampled_from([2, 4]))
+def test_scale_powers_of_the_stabilizer_match_the_nullspace(member, k):
+    n, lam, mu = member
+    try:
+        p = validate(make_element(lam, n), make_element(mu, n), k)
+    except ParameterError:
+        assume(False)
+    with mock.patch.object(descent, "kth_roots", lambda *args: ()):
+        for a in sorted(stabilizer(p, n)):
+            g = GaloisElement(n, a)
+            assert_powers_match_reference(classify_sigma(p, g).witness, p, g)
+
+
+def test_scale_powers_of_the_descent_pool_match_the_nullspace():
+    missing = full = 0
+    for q in corpus.pool("descent"):
+        args = build_parser().parse_args(list(q.argv))
+        n = args.conductor
+        p = validate(make_element(args.lam, n), make_element(args.mu, n),
+                     args.k)
+        g = GaloisElement(n, args.generator)
+        lift = assert_powers_match_reference(classify_sigma(p, g).witness,
+                                             p, g)
+        missing += bool(lift.missing)
+        full += bool(lift.isos)
+    assert (missing, full) == (29, 3)
+
+
+def test_scale_powers_of_a_non_monomial_member_match_the_nullspace():
+    # mu = 1 + 2i is no rational times a root of unity
+    p = validate(-5, make_element("1+2*z", 4), 2)
+    g = GaloisElement(4, 3)
+    lift = assert_powers_match_reference(classify_sigma(p, g).witness, p, g)
+    assert [str(x) for x in lift.powers] == \
+        ["1", "-5", "1", "-5", "1 - 2*z", "-1 + 2*z"]
+    assert len(lift.missing) == 4
 
 
 # -- the cocycle from its recursion and closure against the pair table it
