@@ -7,7 +7,8 @@ from pseudoreal.cyclotomic import GaloisElement, make_element
 from pseudoreal.family import validate
 from pseudoreal.moebius import Moebius
 from pseudoreal.moduli import classify_sigma
-from pseudoreal.descent import cocycle_check, extend_cyclic, lift_to_monomial
+from pseudoreal.descent import cocycle_check, extend_cyclic, \
+    lift_to_monomial, torsor_verdicts
 
 # The curve at (r, theta) = (2, pi/4) lives over Q(zeta_8) and its field
 # of moduli is Q, but it cannot be defined over R.  The question: which
@@ -50,5 +51,14 @@ for f in lift16.isos:
     closing += result.ok
 print(f"candidates whose datum closes (f_rho^4 = identity): "
       f"{closing} of {len(lift16.isos)}")
+
+# The candidates are delta o f0 for diagonal maps delta with square-root-
+# of-unity scales, so one closure of f0 = lift16.isos[0] and a linear map
+# over Z/2 on the exponent vectors of delta decide them all at once.
+datum0 = extend_cyclic(lift16.isos[0], 3, 4, p16, 16)
+verdicts = torsor_verdicts(lift16, datum0)
+torsor_closing = sum(ok for _, ok, _ in verdicts)
+print(f"closing candidates read from one closure of f0: {torsor_closing}")
+assert torsor_closing == closing
 print("descent succeeds; the curve is definable over the degree-2 field "
       "fixed inside Q(zeta_16) by rho")

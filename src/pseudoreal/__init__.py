@@ -72,6 +72,7 @@ from .descent import (
     compose_twist,
     extend_cyclic,
     lift_to_monomial,
+    torsor_verdicts,
     transports_curve,
 )
 

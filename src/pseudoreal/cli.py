@@ -35,7 +35,7 @@ from .family import analyze, genus, validate
 from .moduli import _row_targets, classify_sigma, field_of_moduli, \
     stabilizer
 from .descent import _transports, check_order, extend_cyclic, cocycle_check, \
-    lift_to_monomial
+    lift_to_monomial, torsor_verdicts
 
 __all__ = ["main", "build_parser", "SUBCOMMANDS"]
 
@@ -260,27 +260,37 @@ def _cmd_lift(p, args):
         "coordinate_permutation": [i + 1 for i in lift.perm],
         "scale_powers": [str(v) for v in lift.powers],
         "count": len(lift.isos),
-        "isomorphisms": [str(f) for f in lift.isos],
+        "isomorphisms": lift.texts(),
         "missing_roots": [str(msg) for msg in lift.missing],
     }
 
 
 def _cmd_weil_check(p, args):
-    n = args.conductor
-    g = GaloisElement(n, args.generator)
-    check_order(args.generator, args.order, n)
+    n, g, d = args.conductor, args.generator, args.order
+    sigma = GaloisElement(n, g)
+    check_order(g, d, n)
     witness, lift = _lift_witness(
-        p, g, "generator does not preserve the configuration class")
-    candidates = []
-    for f in lift.isos:
-        datum = extend_cyclic(f, args.generator, args.order, p, n)
-        chk = cocycle_check(datum)
-        candidates.append({
-            "map": str(f),
-            "closes": datum.closes,
-            "cocycle_ok": chk.ok,
-            "failing_pair": list(chk.failing) if chk.failing else None,
-        })
+        p, sigma, "generator does not preserve the configuration class")
+    verdicts = []
+    if lift.isos:
+        # the datum of the first map certifies f_g's transport and gives the
+        # closure that every verdict is read from; the oracle decides the
+        # first and the last candidate again
+        first = extend_cyclic(lift.isos[0], g, d, p, n)
+        verdicts = torsor_verdicts(lift, first)
+        last = extend_cyclic(lift.isos[-1], g, d, p, n)
+        for datum, verdict in ((first, verdicts[0]), (last, verdicts[-1])):
+            chk = cocycle_check(datum)
+            if (datum.closes, chk.ok, chk.failing) != verdict:
+                raise AssertionError(
+                    f"the deck-group verdict {verdict} disagrees with the "
+                    f"cocycle check of the candidate's datum")
+    candidates = [{
+        "map": text,
+        "closes": closes,
+        "cocycle_ok": ok,
+        "failing_pair": list(pair) if pair else None,
+    } for text, (closes, ok, pair) in zip(lift.texts(), verdicts)]
     closing = sum(c["cocycle_ok"] for c in candidates)
     return {
         "mobius_witness": _map_doc(witness),

@@ -22,6 +22,14 @@ A family of such maps indexed by a cyclic Galois group is a Weil datum
 when f_{tau sigma} = f_sigma^tau o f_tau for all pairs; `cocycle_check`
 verifies this projectively together with curve transport for every map,
 from the recursion f_{g^j} = f_{g^(j-1)}^g o f_g and its closure.
+
+The lifts over one witness are delta o f0, with f0 the first and delta in
+the deck group of diagonal maps whose scales are k-th roots of unity; the
+curve's generalized Fermat group is unique (Gonzalez-Diez, Hidalgo and
+Leyton, J. Algebra 321, 2009), so these are all the isomorphisms onto the
+twist.  Along <g> the closure of delta o f0 is the twisted norm of delta
+times the closure of f0, a linear map over Z/w on exponent vectors, so
+`torsor_verdicts` reads every candidate's verdict from one closure of f0.
 """
 
 from __future__ import annotations
@@ -53,11 +61,14 @@ __all__ = [
     "check_order",
     "extend_cyclic",
     "cocycle_check",
+    "torsor_verdicts",
 ]
 
 # The most monomial isomorphisms one lift may list (clause lift_limit): the
-# k = 8 family lift at conductor 64 has 8^5, and weil-check spends about
-# 0.4 ms on each; the k = 10 lift at conductor 80 has 10^5
+# k = 8 family lift at conductor 64 has 8^5, and lift and weil-check spend
+# about 15 and 25 us on each, most of it building, printing and rendering
+# the map (2.3 and 6.9 MB of document); the k = 10 lift at conductor 80
+# has 10^5
 MAX_LIFTS = 8 ** 5
 
 
@@ -155,15 +166,22 @@ class MonomialIso:
         return hash(self.key())
 
     def __str__(self):
-        parts = []
-        for i in range(6):
-            c = self.scales[i]
-            x = f"x{self.perm[i] + 1}"
-            parts.append(x if c == 1 else f"({c})*{x}")
-        return "[" + " : ".join(parts) + "]"
+        return _display(_slot(None if c == 1 else str(c), j)
+                        for c, j in zip(self.scales, self.perm))
 
     def __repr__(self):
         return f"MonomialIso<{self}>"
+
+
+def _slot(scale: Optional[str], source: int) -> str:
+    """One output slot of a map's display: (c)*x_j, or x_j when c = 1
+    (scale None)."""
+    x = f"x{source + 1}"
+    return x if scale is None else f"({scale})*{x}"
+
+
+def _display(slots) -> str:
+    return "[" + " : ".join(slots) + "]"
 
 
 @functools.lru_cache(maxsize=16)
@@ -252,10 +270,28 @@ class LiftResult:
     missing: tuple
     perm: tuple
     powers: tuple         # the d_i = c_i^k, normalized d_1 = 1
+    roots: tuple          # the k-th roots of d_2, ..., d_6, each sorted
 
     @property
     def ok(self) -> bool:
         return bool(self.isos)
+
+    def texts(self) -> list:
+        """str(f) for every map of isos, in order, built from the root sets
+        that isos is the product of: each distinct scale is printed once."""
+        shown = {}
+
+        def slot(c, source):
+            key = (c.num, c.den)
+            if key not in shown:
+                shown[key] = None if c == 1 else str(c)
+            return _slot(shown[key], source)
+
+        columns = [[slot(c, self.perm[i]) for c in r]
+                   for i, r in enumerate(self.roots, 1)]
+        first = _slot(None, self.perm[0])
+        return [_display((first, *rest))
+                for rest in itertools.product(*columns)]
 
 
 def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
@@ -328,7 +364,7 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
         roots.append(r)
     if missing:
         return LiftResult(isos=(), missing=tuple(missing), perm=perm,
-                          powers=tuple(d))
+                          powers=tuple(d), roots=tuple(roots[1:]))
 
     # d_1 = 1, so each roots[i] is a coset of the k-th roots of unity in the
     # field: the maps with c_1 = 1 are every lift once, and the product of
@@ -343,7 +379,7 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
     for f in ordered:
         object.__setattr__(f, "_powers", (m, powers))
     return LiftResult(isos=tuple(ordered), missing=(), perm=perm,
-                      powers=tuple(d))
+                      powers=tuple(d), roots=tuple(roots[1:]))
 
 
 def _restrict(a: GaloisElement, m: int) -> int:
@@ -461,12 +497,7 @@ def cocycle_check(datum: WeilDatum) -> CocycleResult:
     if broken is not None:
         return _failing_pair(g, powers[broken - 1])
     if d > 1 and not compose_twist(maps[powers[-1]], f_g, gen).is_identity:
-        # the first failing pair of the sorted table: the least tau other
-        # than 1, then the least sigma with idx tau + idx sigma >= d
-        idx = {e: j for j, e in enumerate(powers)}
-        tau = exps[1]
-        return _failing_pair(tau, next(s for s in exps
-                                       if idx[tau] + idx[s] >= d))
+        return _failing_pair(*_closure_pair(g, d, m))
     if not datum.closure.is_identity:
         # reachable only for order-1 data, where no pair exposes the closure
         return CocycleResult(ok=False, failing=None,
@@ -478,3 +509,82 @@ def _failing_pair(tau: int, sigma: int) -> CocycleResult:
     return CocycleResult(
         ok=False, failing=(tau, sigma),
         reason=f"f_({tau}*{sigma}) != f_{sigma}^{tau} o f_{tau}")
+
+
+def _closure_pair(g: int, d: int, m: int) -> tuple:
+    """The first failing pair of the sorted table of an order-d datum on
+    <g> (d > 1) that follows the recursion but does not close: the least
+    tau other than 1, then the least sigma with idx tau + idx sigma >= d,
+    over the reduced exponents of <g>."""
+    powers = [pow(g, j, m) for j in range(d)]
+    idx = {e: j for j, e in enumerate(powers)}
+    exps = sorted(powers)
+    tau = exps[1]
+    return tau, next(s for s in exps if idx[tau] + idx[s] >= d)
+
+
+def torsor_verdicts(lift: LiftResult, datum: WeilDatum) -> list:
+    """(closes, cocycle_ok, failing_pair) of the datum that `extend_cyclic`
+    builds from each map of lift.isos, in order, read from `datum`, the
+    one built from f0 = lift.isos[0].
+
+    Candidate e, in (Z/w)^6 with e_1 = 0, has the scales of f0 times
+    zeta_w^e_i, where w is the number of k-th roots of unity in the field.
+    Its closure f^(g^(d-1)) o ... o f^g o f is f0's closure times
+    zeta_w^E(e), with E(e)_i = sum over j < d of s^(d-1-j) e_(P_j[i]) plus
+    beta_i: P_j walks f0's permutation j times, sigma_g(zeta_w) =
+    zeta_w^s, and f0's closure has scales zeta_w^beta_i.  So a candidate
+    closes iff the closure's permutation is trivial, f0's closure has
+    scales in mu_w and E(e) is constant mod w; its datum follows the
+    recursion and f_g transports the curve, so it is a cocycle iff it
+    closes, and fails first at the closure pair otherwise."""
+    m, g, d = datum.conductor, datum.generator % datum.conductor, datum.order
+    f0 = lift.isos[0]
+    if (datum.closure if d == 1 else datum.maps[g]) != f0:
+        raise ValueError("the datum is not extended from the lift's first map")
+    big = math.lcm(2, m)
+    w = math.gcd(f0.k, big)
+    # mu_w inside Q(zeta_m), whose roots of unity are the powers of
+    # omega = +-zeta_m, of order lcm(2, m)
+    omega = CycElt.zeta(m) if m % 2 == 0 else -CycElt.zeta(m)
+    zeta_w = omega ** (big // w)
+    unity = _coset(CycElt.one(m), zeta_w, w)
+    image = zeta_w.galois_apply(g)
+    s = unity[image.num, image.den]
+    # the exponent of each root against the first of its coset, in the
+    # order that isos takes the product of the root sets
+    exponents = []
+    for r in lift.roots:
+        coset = _coset(r[0], zeta_w, w)
+        exponents.append([coset[c.num, c.den] for c in r])
+    pair = _closure_pair(g, d, m) if d > 1 else None
+    beta = [unity.get((c.num, c.den)) for c in datum.closure.scales]
+    if datum.closure.perm != tuple(range(6)) or None in beta:
+        return [(False, False, pair)] * len(lift.isos)
+    # E(e) - E(e)_1 as rows over Z/w, one per slot 2..6, with a column
+    # per coordinate 2..6 (e_1 = 0)
+    norm = [[0] * 6 for _ in range(6)]
+    walk = list(range(6))
+    for j in range(d):
+        weight = pow(s, d - 1 - j, w)
+        for i in range(6):
+            norm[i][walk[i]] += weight
+        walk = [f0.perm[x] for x in walk]
+    rows = [[(a - b) % w for a, b in zip(norm[i][1:], norm[0][1:])]
+            for i in range(1, 6)]
+    offsets = [(b - beta[0]) % w for b in beta[1:]]
+    # each root's contribution to the five rows, summed per candidate
+    columns = [[tuple(row[c] * t for row in rows) for t in exps]
+               for c, exps in enumerate(exponents)]
+    closing, failing = (True, True, None), (False, False, pair)
+    return [closing if all(sum(row) % w == 0 for row in zip(*parts, offsets))
+            else failing for parts in itertools.product(*columns)]
+
+
+def _coset(start: CycElt, zeta: CycElt, w: int) -> dict:
+    """(num, den) of start * zeta^t -> t, for t < w."""
+    out = {}
+    for t in range(w):
+        out[start.num, start.den] = t
+        start = start * zeta
+    return out

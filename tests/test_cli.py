@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from pseudoreal.cli import SUBCOMMANDS, build_parser, main
+from pseudoreal.cli import SUBCOMMANDS, _map_doc, build_parser, main
 from pseudoreal.cyclotomic import MAX_CONDUCTOR, MAX_SIZE_BITS, CycElt, \
-    _PRIME_LIMIT, make_element
-from pseudoreal.descent import MAX_LIFTS
+    GaloisElement, _PRIME_LIMIT, make_element
+from pseudoreal.descent import MAX_LIFTS, lift_to_monomial
+from pseudoreal.family import validate
+from pseudoreal.moduli import classify_sigma
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -517,6 +519,67 @@ def test_orbit_prints_each_distinct_value_once(capsys, monkeypatch):
     distinct = {v for t in doc["result"]["triples"] for v in t}
     assert len(distinct) <= 90
     assert len(printed) == len(distinct) + 3
+
+
+def test_lift_prints_each_distinct_scale_once(capsys, monkeypatch):
+    # the 1024 maps of the k = 4 lift hold 5120 scales other than c_1 = 1,
+    # and 4 distinct ones with c_1; the rest of the document prints the six
+    # scale powers and the witness
+    p = validate(-4, make_element("2*z^4", 32), 4)
+    g = GaloisElement(32, 17)
+    witness = classify_sigma(p, g).witness
+    lift = lift_to_monomial(witness, p, g, 32)
+    scales = {(c.num, c.den) for f in lift.isos for c in f.scales}
+    printed = []
+    text = CycElt.__str__
+    monkeypatch.setattr(CycElt, "__str__",
+                        lambda u: printed.append(u) or text(u))
+    _map_doc(witness)
+    rest = len(printed) + len(lift.powers)
+    printed.clear()
+    code, doc = run_json(capsys, "lift", "--conductor", "32", "--k", "4",
+                         "--lambda=-4", "--mu=2*z^4", "--sigma", "17")
+    assert code == 0 and doc["result"]["count"] == 1024
+    assert len(printed) <= len(scales) + rest
+
+
+# weil-check runs the per-candidate oracle on the first and the last
+# candidate only, whatever the count, and reads the others from the
+# deck-group torsor; with missing roots it runs none
+@pytest.mark.parametrize("n, k, mu, g, d, count", [
+    (16, 2, "2*z^2", 3, 4, 32), (32, 4, "2*z^4", 17, 2, 1024),
+    (32, 4, "2*z^4", 5, 8, 1024), (8, 2, "2*z", 3, 2, 0)])
+def test_weil_check_runs_the_oracle_on_two_candidates(capsys, monkeypatch, n,
+                                                      k, mu, g, d, count):
+    calls = {}
+    for owner, name in (("pseudoreal.cli", "extend_cyclic"),
+                        ("pseudoreal.cli", "cocycle_check"),
+                        ("pseudoreal.descent", "compose_twist")):
+        def counted(*args, _fn=sys.modules[owner].__dict__[name],
+                    _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(f"{owner}.{name}", counted)
+    code, doc = run_json(capsys, "weil-check", "--conductor", str(n), "--k",
+                         str(k), "--lambda=-4", f"--mu={mu}", "--generator",
+                         str(g), "--order", str(d))
+    assert code == 0 and doc["result"]["candidate_count"] == count
+    assert calls == ({"extend_cyclic": 2, "cocycle_check": 2,
+                      "compose_twist": 4 * (d - 1)} if count else {})
+
+
+def test_weil_check_reports_a_torsor_the_oracle_disputes(capsys,
+                                                        monkeypatch):
+    # the last candidate's own datum closes, so a torsor that reads every
+    # candidate as failing is an internal error
+    monkeypatch.setattr("pseudoreal.cli.torsor_verdicts",
+                        lambda lift, datum: [(False, False, (3, 11))]
+                        * len(lift.isos))
+    code, doc = run_json(capsys, "weil-check", "--conductor", "16", "--k",
+                         "2", "--lambda=-4", "--mu=2*z^2", "--generator", "3",
+                         "--order", "4")
+    assert code == 3
+    assert doc["status"] == doc["error"]["kind"] == "internal_error"
 
 
 def test_one_parser_serves_every_query_of_a_process(capsys):

@@ -6,7 +6,8 @@ the term formatter, check_order, the k-th root search and its shortcuts,
 the kernel test of curve transport, the integer element arithmetic, the
 inverse down the norm chain, the lift as products of coset roots, the
 scale powers written down from the witness, the cocycle check from its
-recursion and closure and validate's collision
+recursion and closure, every candidate's verdict from the deck-group
+torsor, and validate's collision
 check against the code each replaced, and of cross_ratio against the
 normalizing map."""
 
@@ -18,7 +19,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pseudoreal import descent, moebius
 from pseudoreal.cli import build_parser
@@ -28,10 +29,10 @@ from pseudoreal.cyclotomic import MAX_CONDUCTOR, CycElt, GaloisElement, \
     _reduced, _size_bits, _sympy_field, \
     _sympy_roots, _monomial_roots, _related_roots, cyclotomic_polynomial, euler_phi, \
     format_poly, kth_roots, make_element, subgroups, units
-from pseudoreal.descent import CocycleResult, MonomialIso, WeilDatum, \
-    _annihilated, _curve_kernel, check_order, cocycle_check, \
+from pseudoreal.descent import CocycleResult, LiftResult, MonomialIso, \
+    WeilDatum, _annihilated, _curve_kernel, check_order, cocycle_check, \
     compose_twist, curve_rows, extend_cyclic, lift_to_monomial, \
-    transports_curve
+    torsor_verdicts, transports_curve
 from pseudoreal.family import ParameterError, family_cross_ratios, validate
 from pseudoreal.moduli import classify_sigma, stabilizer
 from pseudoreal.moebius import INF, Moebius, SpherePoint, _apply_raw, \
@@ -1096,6 +1097,140 @@ def test_cocycle_check_failing_pair_matches_the_pair_table(case, perm, powers,
         datum = extend_cyclic(MonomialIso(perm, scales, 2), a,
                               brute_order(a, n), p, n)
         assert cocycle_check(datum) == reference_cocycle_check(datum)
+
+
+# -- every candidate's verdict from the deck-group torsor against its own
+# datum -----------------------------------------------------------------------
+
+
+def oracle_verdicts(lift, p, a, d, n):
+    """(closes, cocycle_ok, failing_pair) of each candidate from its own
+    extend_cyclic datum and cocycle_check: the per-candidate path that
+    weil-check ran before the torsor."""
+    out = []
+    for f in lift.isos:
+        datum = extend_cyclic(f, a, d, p, n)
+        chk = cocycle_check(datum)
+        out.append((datum.closes, chk.ok, chk.failing))
+    return out
+
+
+def assert_torsor_matches_oracle(p, lift, a, d, n):
+    got = (torsor_verdicts(lift, extend_cyclic(lift.isos[0], a, d, p, n))
+           if lift.isos else [])
+    assert got == oracle_verdicts(lift, p, a, d, n)
+    return got
+
+
+# the descent corpus's worked n = 16 query (order 4) and full lifts at
+# n = 12 and 24; the paper's k = 4 member at orders 2 and 8 (w = k = 4);
+# a k = 8 member at n = 12, where w = 4 < k and sigma_7 sends i to -i; and
+# generators given unreduced
+@pytest.mark.parametrize("n, lam, mu, k, a, count, closing", [
+    (16, "-4", "2*z^2", 2, 3, 32, 32), (12, "-9", "3*z^2", 2, 7, 32, 32),
+    (24, "-4", "2*z", 2, 13, 32, 16), (32, "-4", "2*z^4", 4, 17, 1024, 32),
+    (32, "-4", "2*z^4", 4, 5, 1024, 1024), (12, "-4", "2*z", 8, 7, 1024, 256),
+    (16, "-4", "2*z^2", 2, -13, 32, 32), (16, "-4", "2*z^2", 2, 19, 32, 32),
+    (24, "-4", "2*z", 2, 37, 32, 16)])
+def test_torsor_verdicts_match_each_candidates_datum(n, lam, mu, k, a, count,
+                                                     closing):
+    p, lift = _family_lift(n, lam, mu, k, a)
+    got = assert_torsor_matches_oracle(p, lift, a, brute_order(a, n), n)
+    assert len(got) == count
+    assert sum(ok for _, ok, _ in got) == closing
+
+
+# admissible members at n <= 40 with every element of the stabilizer as the
+# generator; at n = 15, sigma_4 fixes -1 although 4 is even, so s = 1 there
+# and g mod w = 0
+@settings(max_examples=25, deadline=None)
+@given(admissible_mu(), st.sampled_from([2, 4]))
+@example((15, "-4", "2*z^5"), 2)
+@example((12, "-4", "2*z"), 4)
+def test_torsor_verdicts_of_the_stabilizer_match_each_candidates_datum(
+        member, k):
+    n, lam, mu = member
+    try:
+        p = validate(make_element(lam, n), make_element(mu, n), k)
+    except ParameterError:
+        assume(False)
+    for a in sorted(stabilizer(p, n)):
+        g = GaloisElement(n, a)
+        lift = lift_to_monomial(classify_sigma(p, g).witness, p, g, n)
+        assert_torsor_matches_oracle(p, lift, a, brute_order(a, n), n)
+
+
+# a lift of any permutation, each root set up to two roots of one coset of
+# mu_w in any order, curve transport accepted.  The family's own
+# permutations are involutions, so this is where a walk of the permutation
+# in the wrong direction shows.  Where `closing` is drawn, the cycles divide
+# the order and the cosets are mu_w itself, so f0's closure has a trivial
+# permutation and scales in mu_w, and the linear part decides.  sigma_7 and
+# sigma_11 send i to -i at n = 16 and 12, sigma_2 at n = 9 is of order 6
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(16, 3), (16, 7), (12, 11), (9, 2), (9, 4), (7, 3),
+                        (15, 2), (24, 5)]),
+       st.sampled_from([2, 4, 6, 8]), st.booleans(), st.data())
+def test_torsor_verdicts_of_any_permutation_match_each_candidates_datum(
+        case, k, closing, data):
+    n, a = case
+    d = brute_order(a, n)
+    points = data.draw(st.permutations(range(6)))
+    if closing:
+        perm = list(range(6))
+        while points:
+            size = data.draw(st.sampled_from(
+                [c for c in range(1, len(points) + 1) if d % c == 0]))
+            cycle, points = points[:size], points[size:]
+            for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                perm[x] = y
+    else:
+        perm = points
+    omega, unity = _roots_of_unity(n, k)
+    roots = []
+    for _ in range(5):
+        if closing:
+            base = data.draw(st.sampled_from(unity))
+        else:
+            base = data.draw(st.sampled_from([1, 2])) * omega ** data.draw(
+                st.integers(0, math.lcm(2, n) - 1))
+        chosen = data.draw(st.permutations(unity))[:2]
+        roots.append(tuple(base * u for u in chosen))
+    assert_torsor_matches_oracle_on_any_lift(perm, roots, k, a, d, n)
+
+
+# the walk of a 4-cycle: with w | 24 every unit s has s^2 = 1 mod w, so
+# walking the permutation backwards gives the same verdicts; at n = 5 and
+# k = 10, w = 10 and sigma_a sends zeta_10 to zeta_10^s with s = 7 or 3
+@pytest.mark.parametrize("a", [2, 3])
+def test_torsor_verdicts_walk_a_four_cycle_forwards(a):
+    n, k = 5, 10
+    _, unity = _roots_of_unity(n, k)
+    roots = [tuple(unity[t] for t in (0, 3, 4))] * 5
+    got = assert_torsor_matches_oracle_on_any_lift(
+        (0, 2, 3, 4, 1, 5), roots, k, a, 4, n)
+    assert 0 < sum(ok for _, ok, _ in got) < len(got)
+
+
+def _roots_of_unity(n, k):
+    """omega, a generator of the roots of unity in Q(zeta_n), and mu_w, the
+    k-th roots of unity there, as its powers."""
+    big = math.lcm(2, n)
+    w = math.gcd(k, big)
+    omega = CycElt.zeta(n) if n % 2 == 0 else -CycElt.zeta(n)
+    return omega, [omega ** (t * big // w) for t in range(w)]
+
+
+def assert_torsor_matches_oracle_on_any_lift(perm, roots, k, a, d, n):
+    """The torsor against the oracle on the lift whose maps are the
+    products of the given root sets, with curve transport accepted."""
+    isos = tuple(MonomialIso(perm, (1, *rest), k)
+                 for rest in itertools.product(*roots))
+    lift = LiftResult(isos=isos, missing=(), perm=tuple(perm), powers=(),
+                      roots=tuple(roots))
+    p = validate(-4, make_element("2*z^2", 16), 2)
+    with mock.patch.object(descent, "transports_curve", lambda *args: True):
+        return assert_torsor_matches_oracle(p, lift, a, d, n)
 
 
 # -- integer numerators over one denominator against the Fraction vectors
