@@ -273,18 +273,16 @@ def _cmd_weil_check(p, args):
         p, sigma, "generator does not preserve the configuration class")
     verdicts = []
     if lift.isos:
-        # the datum of the first map certifies f_g's transport and gives the
-        # closure that every verdict is read from; the oracle decides the
-        # first and the last candidate again
-        first = extend_cyclic(lift.isos[0], g, d, p, n)
-        verdicts = torsor_verdicts(lift, first)
-        last = extend_cyclic(lift.isos[-1], g, d, p, n)
-        for datum, verdict in ((first, verdicts[0]), (last, verdicts[-1])):
-            chk = cocycle_check(datum)
-            if (datum.closes, chk.ok, chk.failing) != verdict:
-                raise AssertionError(
-                    f"the deck-group verdict {verdict} disagrees with the "
-                    f"cocycle check of the candidate's datum")
+        # the datum of f0, the first map, certifies f_g's transport and gives
+        # the closure that every verdict is read from; its cocycle check
+        # decides f0 again
+        datum = extend_cyclic(lift.isos[0], g, d, p, n)
+        verdicts = torsor_verdicts(lift, datum)
+        chk = cocycle_check(datum)
+        if (datum.closes, chk.ok, chk.failing) != verdicts[0]:
+            raise AssertionError(
+                f"the deck-group verdict {verdicts[0]} disagrees with the "
+                f"cocycle check of the first candidate's datum")
     candidates = [{
         "map": text,
         "closes": closes,

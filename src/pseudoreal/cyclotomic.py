@@ -1095,9 +1095,9 @@ def kth_roots(v: CycElt, k: int, conductor: Optional[int] = None) -> tuple:
     shown to have none (`_monomial_roots`).  For any other v, a few split
     primes may certify that there is no root (`_no_root_mod_p`); otherwise
     the search factors x^k - v over Q(zeta_m) (sympy does the
-    factorization).  Each candidate root is then re-verified here by exact
-    arithmetic.  An empty result certifies that no k-th root lies in the
-    field.
+    factorization) when it has degree k * phi(m) <= _MAX_ROOT_DEGREE over
+    Q.  Each candidate root is then re-verified here by exact arithmetic.  An
+    empty result certifies that no k-th root lies in the field.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -1117,6 +1117,12 @@ def kth_roots(v: CycElt, k: int, conductor: Optional[int] = None) -> tuple:
             raise LimitError("root_limit", f"no prime p = 1 (mod lcm({m}, "
                              f"{k})) below {_PRIME_LIMIT} can decide the "
                              f"{k}-th roots of {v} in Q(zeta_{m})")
+        degree = k * euler_phi(m)
+        if degree > _MAX_ROOT_DEGREE:
+            raise LimitError("root_limit", f"the {k}-th roots of {v} in "
+                             f"Q(zeta_{m}) need a factorization of degree "
+                             f"{degree} over Q, more than the maximum "
+                             f"{_MAX_ROOT_DEGREE}")
         roots = [CycElt(m, c) for c in _sympy_roots(v.coeffs, k, m)]
     return _checked_roots(roots, v, k)
 
@@ -1166,15 +1172,30 @@ def _monomial_form(v: CycElt):
     return None
 
 
+def _unity_exponent(v: CycElt) -> Optional[int]:
+    """The j < lcm(2, m) with v = omega^j, m = v.n, when v is a root of
+    unity; None otherwise.  The roots of unity of Q(zeta_m) are the powers
+    of omega = zeta_m for even m and -zeta_m for odd m, of order
+    lcm(2, m)."""
+    form = _monomial_form(v)
+    if form is None or abs(form[0]) != 1:
+        return None
+    q, t = form
+    m = v.n
+    if m % 2 == 0:
+        return t if q > 0 else (t + m // 2) % m
+    # omega^j = (-1)^j zeta_m^j for odd m, so the sign is the parity of j
+    return t if (t % 2 == 0) == (q > 0) else t + m
+
+
 def _monomial_roots(v: CycElt, k: int, m: int):
     """Every k-th root of v in Q(zeta_m) when v = q * zeta_m^t with q
     rational (a list, empty when there is none); None for any other v.
 
     The roots of unity of Q(zeta_m) are the powers of omega, of order
-    M = lcm(2, m) (omega = zeta_m, or -zeta_m for odd m).  When |q| is the
-    k-th power of a rational r, v = r^k * omega^t and a root w has
-    (w / r)^k = omega^t, so the roots are the r * omega^u with
-    u * k = t (mod M).  Otherwise w^(kM) = q^M, so by Schinzel's theorem
+    M = lcm(2, m) (`_unity_exponent`).  When |q| is the k-th power of a
+    rational r, v = r^k * omega^t and a root w has (w / r)^k = omega^t, so
+    the roots are the r * omega^u with u * k = t (mod M).  Otherwise w^(kM) = q^M, so by Schinzel's theorem
     on abelian binomials (Acta Arith. 32, 1977) q^2 = c^k for a rational
     c > 0, and w^2 / c is a root of unity of Q(zeta_m): w = sqrt(c) * xi
     with xi in mu_2M.  So sqrt(c) lies in Q(zeta_2M), and the roots are
@@ -1188,11 +1209,8 @@ def _monomial_roots(v: CycElt, k: int, m: int):
     top = _exact_root(abs(q.numerator), k)
     bottom = _exact_root(q.denominator, k)
     if top and bottom:
-        # sign(q) * zeta_m^t = omega^t
-        if m % 2 == 0:
-            t = t if q > 0 else (t + m // 2) % m
-        elif (t % 2 == 0) != (q > 0):
-            t += m
+        # v = (top / bottom)^k * omega^t
+        t = _unity_exponent(_reduced(m, [0] * t + [1 if q > 0 else -1]))
         out = []
         for u in range(big):
             if (u * k - t) % big == 0:
@@ -1282,6 +1300,12 @@ _CERT_SCAN = 1000
 # _is_prime is exact below this bound; a value that no prime can be tried
 # on is rejected by kth_roots (clause root_limit)
 _PRIME_LIMIT = 3 * 10 ** 24
+# the largest degree k * phi(m) of x^k - v over Q that kth_roots factors
+# (clause root_limit): at 64 the roots of (2 + z)^32 at m = 4 took 0.6 s,
+# of (1 + z)^8 at m = 24 1.8 s and of (1 + z + z^7)^2 at m = 120 6.8 s; at
+# 128, of (1 + z)^16 at m = 16, 10-11 s, and at 512, of (2 + z)^256 at
+# m = 4, 73 s
+_MAX_ROOT_DEGREE = 64
 
 
 def _no_root_mod_p(v: CycElt, k: int, m: int) -> Optional[bool]:

@@ -42,7 +42,8 @@ from typing import Mapping, Optional, Sequence
 
 from .cyclotomic import CycElt, GaloisElement, LimitError, common_field, \
     kth_roots, units
-from .cyclotomic import _cyclic, _monomial_form, _reduced, _related_roots
+from .cyclotomic import _cyclic, _monomial_form, _reduced, _related_roots, \
+    _unity_exponent
 from .moebius import Moebius, _same_points
 from .configurations import make_config
 from .family import FamilyParams
@@ -66,9 +67,8 @@ __all__ = [
 
 # The most monomial isomorphisms one lift may list (clause lift_limit): the
 # k = 8 family lift at conductor 64 has 8^5, and lift and weil-check spend
-# about 15 and 25 us on each, most of it building, printing and rendering
-# the map (2.3 and 6.9 MB of document); the k = 10 lift at conductor 80
-# has 10^5
+# about 5 and 17 us on each, most of it printing and rendering the map
+# (2.3 and 6.9 MB of document); the k = 10 lift at conductor 80 has 10^5
 MAX_LIFTS = 8 ** 5
 
 
@@ -91,24 +91,26 @@ class MonomialIso:
             raise ValueError("need six scales")
         if any(v.is_zero() for v in vals):
             raise ValueError("scales must be nonzero")
-        self._store(perm, vals, int(k))
+        self._store(perm, vals, int(k), None)
 
-    def _store(self, perm: tuple, vals: list, k: int) -> None:
-        # vals: six nonzero scales at one conductor
+    def _store(self, perm: tuple, vals: list, k: int, powers) -> None:
+        # vals: six nonzero scales at one conductor; powers: None, or the
+        # (m, c_i^k) memo of _kth_powers
         if vals[0] != 1:
             inv = vals[0].inverse()
             vals = [v * inv for v in vals]
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "scales", tuple(vals))
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "_powers", None)
+        object.__setattr__(self, "_powers", powers)
 
     @classmethod
-    def _of(cls, perm: tuple, vals: list, k: int) -> "MonomialIso":
+    def _of(cls, perm: tuple, vals: list, k: int, powers) -> "MonomialIso":
         """The map of a permutation and six nonzero scales at one
-        conductor, which need no checks: the product or twist of maps."""
+        conductor, which need no checks: the product or twist of maps, or a
+        lift's map with the powers that the lift wrote down."""
         f = object.__new__(cls)
-        f._store(perm, vals, k)
+        f._store(perm, vals, k, powers)
         return f
 
     def __setattr__(self, *a):
@@ -116,7 +118,7 @@ class MonomialIso:
 
     @classmethod
     def identity(cls, k: int) -> "MonomialIso":
-        return _identity(int(k))
+        return cls._of(tuple(range(6)), [CycElt.one()] * 6, int(k), None)
 
     @property
     def is_identity(self) -> bool:
@@ -128,7 +130,7 @@ class MonomialIso:
         return MonomialIso._of(
             self.perm,
             [c.in_conductor(t.conductor).galois_apply(t) for c in self.scales],
-            self.k)
+            self.k, None)
 
     def compose(self, other: "MonomialIso") -> "MonomialIso":
         """(self @ other)(x) = self(other(x))."""
@@ -137,7 +139,7 @@ class MonomialIso:
         perm = tuple(other.perm[self.perm[i]] for i in range(6))
         scales = [self.scales[i] * other.scales[self.perm[i]]
                   for i in range(6)]
-        return MonomialIso._of(perm, scales, self.k)
+        return MonomialIso._of(perm, scales, self.k, None)
 
     def _kth_powers(self, m: int) -> tuple:
         """(num, den) of every c_i^k in Q(zeta_m), the key of the transport
@@ -182,12 +184,6 @@ def _slot(scale: Optional[str], source: int) -> str:
 
 def _display(slots) -> str:
     return "[" + " : ".join(slots) + "]"
-
-
-@functools.lru_cache(maxsize=16)
-def _identity(k: int) -> MonomialIso:
-    # one per k: the map is immutable
-    return MonomialIso(range(6), [1] * 6, k)
 
 
 def curve_rows(nu: CycElt, eta: CycElt):
@@ -374,10 +370,8 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
         raise LimitError("lift_limit", f"the lift has {count} monomial "
                          f"isomorphisms, more than the maximum {MAX_LIFTS}")
     one = CycElt.one(m)
-    ordered = [MonomialIso(perm, (one, *rest), p.k)
+    ordered = [MonomialIso._of(perm, [one, *rest], p.k, (m, powers))
                for rest in itertools.product(*roots[1:])]
-    for f in ordered:
-        object.__setattr__(f, "_powers", (m, powers))
     return LiftResult(isos=tuple(ordered), missing=(), perm=perm,
                       powers=tuple(d), roots=tuple(roots[1:]))
 
@@ -526,65 +520,54 @@ def _closure_pair(g: int, d: int, m: int) -> tuple:
 def torsor_verdicts(lift: LiftResult, datum: WeilDatum) -> list:
     """(closes, cocycle_ok, failing_pair) of the datum that `extend_cyclic`
     builds from each map of lift.isos, in order, read from `datum`, the
-    one built from f0 = lift.isos[0].
+    one built from f0 = lift.isos[0] (a lift with missing roots has none).
 
-    Candidate e, in (Z/w)^6 with e_1 = 0, has the scales of f0 times
-    zeta_w^e_i, where w is the number of k-th roots of unity in the field.
-    Its closure f^(g^(d-1)) o ... o f^g o f is f0's closure times
-    zeta_w^E(e), with E(e)_i = sum over j < d of s^(d-1-j) e_(P_j[i]) plus
-    beta_i: P_j walks f0's permutation j times, sigma_g(zeta_w) =
-    zeta_w^s, and f0's closure has scales zeta_w^beta_i.  So a candidate
-    closes iff the closure's permutation is trivial, f0's closure has
-    scales in mu_w and E(e) is constant mod w; its datum follows the
-    recursion and f_g transports the curve, so it is a cocycle iff it
-    closes, and fails first at the closure pair otherwise."""
+    The roots of unity of Q(zeta_m) are the omega^j, j mod M = lcm(2, m)
+    (`cyclotomic._unity_exponent`).  Candidate e, e_1 = 0, has the scales
+    of f0 times omega^e_i.  Its closure f^(g^(d-1)) o ... o f^g o f is f0's
+    closure times omega^E(e), with E(e)_i = sum over j < d of
+    s^(d-1-j) e_(P_j[i]) plus beta_i: P_j walks f0's permutation j times,
+    sigma_g(omega) = omega^s, and f0's closure has scales omega^beta_i.  So
+    a candidate closes iff the closure's permutation is trivial, f0's
+    closure has scales that are roots of unity and E(e) is constant mod M;
+    its datum follows the recursion and f_g transports the curve, so it is
+    a cocycle iff it closes, and fails first at the closure pair
+    otherwise."""
+    if not lift.isos:
+        raise ValueError("the lift has missing roots, so no maps")
     m, g, d = datum.conductor, datum.generator % datum.conductor, datum.order
     f0 = lift.isos[0]
     if (datum.closure if d == 1 else datum.maps[g]) != f0:
         raise ValueError("the datum is not extended from the lift's first map")
     big = math.lcm(2, m)
-    w = math.gcd(f0.k, big)
-    # mu_w inside Q(zeta_m), whose roots of unity are the powers of
-    # omega = +-zeta_m, of order lcm(2, m)
-    omega = CycElt.zeta(m) if m % 2 == 0 else -CycElt.zeta(m)
-    zeta_w = omega ** (big // w)
-    unity = _coset(CycElt.one(m), zeta_w, w)
-    image = zeta_w.galois_apply(g)
-    s = unity[image.num, image.den]
+    zeta = CycElt.zeta(m)
+    # sigma_g(omega) = omega^s
+    s = _unity_exponent((-zeta if m % 2 else zeta).galois_apply(g))
+    pair = _closure_pair(g, d, m) if d > 1 else None
+    beta = [_unity_exponent(c) for c in datum.closure.scales]
+    if datum.closure.perm != tuple(range(6)) or None in beta:
+        return [(False, False, pair)] * len(lift.isos)
     # the exponent of each root against the first of its coset, in the
     # order that isos takes the product of the root sets
     exponents = []
     for r in lift.roots:
-        coset = _coset(r[0], zeta_w, w)
-        exponents.append([coset[c.num, c.den] for c in r])
-    pair = _closure_pair(g, d, m) if d > 1 else None
-    beta = [unity.get((c.num, c.den)) for c in datum.closure.scales]
-    if datum.closure.perm != tuple(range(6)) or None in beta:
-        return [(False, False, pair)] * len(lift.isos)
-    # E(e) - E(e)_1 as rows over Z/w, one per slot 2..6, with a column
+        inv = r[0].inverse()
+        exponents.append([_unity_exponent(c * inv) for c in r])
+    # E(e) - E(e)_1 as rows over Z/M, one per slot 2..6, with a column
     # per coordinate 2..6 (e_1 = 0)
     norm = [[0] * 6 for _ in range(6)]
     walk = list(range(6))
     for j in range(d):
-        weight = pow(s, d - 1 - j, w)
+        weight = pow(s, d - 1 - j, big)
         for i in range(6):
             norm[i][walk[i]] += weight
         walk = [f0.perm[x] for x in walk]
-    rows = [[(a - b) % w for a, b in zip(norm[i][1:], norm[0][1:])]
+    rows = [[(a - b) % big for a, b in zip(norm[i][1:], norm[0][1:])]
             for i in range(1, 6)]
-    offsets = [(b - beta[0]) % w for b in beta[1:]]
+    offsets = [(b - beta[0]) % big for b in beta[1:]]
     # each root's contribution to the five rows, summed per candidate
     columns = [[tuple(row[c] * t for row in rows) for t in exps]
                for c, exps in enumerate(exponents)]
     closing, failing = (True, True, None), (False, False, pair)
-    return [closing if all(sum(row) % w == 0 for row in zip(*parts, offsets))
+    return [closing if all(sum(r) % big == 0 for r in zip(*parts, offsets))
             else failing for parts in itertools.product(*columns)]
-
-
-def _coset(start: CycElt, zeta: CycElt, w: int) -> dict:
-    """(num, den) of start * zeta^t -> t, for t < w."""
-    out = {}
-    for t in range(w):
-        out[start.num, start.den] = t
-        start = start * zeta
-    return out

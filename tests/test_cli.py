@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -281,6 +282,25 @@ def test_root_limit_rejects_at_once(capsys, command, k):
     assert code == 0 and doc["result"]["missing_roots"]
 
 
+# with gamma = 1 + sqrt(2) = 1 + z + z^-1 at n = 8, the scale power
+# -gamma^-20 is no rational times a root of unity, and it has the 20-th
+# roots gamma^-1 * zeta_8^j, j odd, so no prime rules them out: x^20 - v
+# would be factored at degree 20 * phi(8) = 80 over Q, which took 2 s
+@pytest.mark.parametrize("command", [("lift", "--sigma", "5"),
+                                     ("weil-check", "--generator", "5",
+                                      "--order", "2")],
+                         ids=["lift", "weil-check"])
+def test_root_limit_rejects_a_factorization_past_the_maximum_degree(
+        capsys, command):
+    doc = _rejected_at_once(capsys, "root_limit", command[0], "--conductor",
+                            "8", "--k", "20", "--lambda=-(1+z+z^-1)^20",
+                            "--mu=(1+z+z^-1)^10*z", *command[1:])
+    assert doc["error"]["message"] == (
+        "the 20-th roots of -22619537 + 15994428*z - 15994428*z^3 in "
+        "Q(zeta_8) need a factorization of degree 80 over Q, more than the "
+        "maximum 64")
+
+
 def test_resource_limits_admit_their_maximum(capsys):
     start = time.perf_counter()
     code, doc = run_json(capsys, "crossratio", "--conductor",
@@ -543,14 +563,14 @@ def test_lift_prints_each_distinct_scale_once(capsys, monkeypatch):
     assert len(printed) <= len(scales) + rest
 
 
-# weil-check runs the per-candidate oracle on the first and the last
-# candidate only, whatever the count, and reads the others from the
-# deck-group torsor; with missing roots it runs none
+# weil-check builds one datum, f0's, whatever the count: every verdict is
+# read from it by the deck-group torsor, and its cocycle check decides f0
+# again; with missing roots it builds none
 @pytest.mark.parametrize("n, k, mu, g, d, count", [
     (16, 2, "2*z^2", 3, 4, 32), (32, 4, "2*z^4", 17, 2, 1024),
     (32, 4, "2*z^4", 5, 8, 1024), (8, 2, "2*z", 3, 2, 0)])
-def test_weil_check_runs_the_oracle_on_two_candidates(capsys, monkeypatch, n,
-                                                      k, mu, g, d, count):
+def test_weil_check_runs_the_oracle_on_one_datum(capsys, monkeypatch, n, k,
+                                                 mu, g, d, count):
     calls = {}
     for owner, name in (("pseudoreal.cli", "extend_cyclic"),
                         ("pseudoreal.cli", "cocycle_check"),
@@ -564,14 +584,14 @@ def test_weil_check_runs_the_oracle_on_two_candidates(capsys, monkeypatch, n,
                          str(k), "--lambda=-4", f"--mu={mu}", "--generator",
                          str(g), "--order", str(d))
     assert code == 0 and doc["result"]["candidate_count"] == count
-    assert calls == ({"extend_cyclic": 2, "cocycle_check": 2,
-                      "compose_twist": 4 * (d - 1)} if count else {})
+    assert calls == ({"extend_cyclic": 1, "cocycle_check": 1,
+                      "compose_twist": 2 * (d - 1)} if count else {})
 
 
 def test_weil_check_reports_a_torsor_the_oracle_disputes(capsys,
                                                         monkeypatch):
-    # the last candidate's own datum closes, so a torsor that reads every
-    # candidate as failing is an internal error
+    # f0's own datum closes, so a torsor that reads every candidate as
+    # failing is an internal error
     monkeypatch.setattr("pseudoreal.cli.torsor_verdicts",
                         lambda lift, datum: [(False, False, (3, 11))]
                         * len(lift.isos))
@@ -654,3 +674,24 @@ def test_readme_lists_the_subcommands_in_table_order():
             break
         names.append(line[3:].split()[0].rstrip("`"))
     assert names == [entry[0] for entry in SUBCOMMANDS]
+
+
+def test_readme_lists_every_resource_limit_clause():
+    # the clauses that src/ raises through LimitError( against the bullets
+    # of the README's resource-limit list, which ends at its first blank
+    # line after a bullet
+    raised = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        raised.update(re.findall(r'LimitError\(\s*"(\w+)"',
+                                 path.read_text()))
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("Resource limits reject"))
+    listed = []
+    for line in lines[start:]:
+        if line.startswith("* `"):
+            listed.append(line[3:].split("`")[0])
+        elif listed and not line:
+            break
+    assert sorted(listed) == sorted(raised) == [
+        "conductor_limit", "lift_limit", "root_limit", "size_limit"]

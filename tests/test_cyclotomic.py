@@ -10,6 +10,7 @@ from pseudoreal.cyclotomic import (
     MAX_CONDUCTOR,
     CycElt,
     GaloisElement,
+    LimitError,
     NonRealError,
     ParseError,
     approx,
@@ -29,6 +30,7 @@ from pseudoreal.cyclotomic import (
     same_field,
     subgroups,
     units,
+    _unity_exponent,
 )
 
 
@@ -336,6 +338,33 @@ def test_kth_roots_at_the_largest_conductor():
     one_plus_i = CycElt.one(60) + CycElt.zeta(60) ** 15
     assert set(kth_roots(2 * CycElt.zeta(60) ** 15, 2)) == \
         {one_plus_i, -one_plus_i}
+
+
+def test_kth_roots_factors_up_to_the_maximum_degree():
+    # (2 + i)^k has the k-th roots (2 + i) * i^j, which no prime rules
+    # out; x^k - v has degree 2k over Q: 64 is factored, 68 is not
+    v = make_element("2 + z", 4)
+    assert len(kth_roots(v ** 32, 32)) == 4
+    with pytest.raises(LimitError) as exc:
+        kth_roots(v ** 34, 34)
+    assert exc.value.clause == "root_limit"
+    assert str(exc.value).endswith(
+        "need a factorization of degree 68 over Q, more than the maximum 64")
+
+
+def test_unity_exponent_reads_every_power_of_omega():
+    # omega = zeta_m for even m and -zeta_m for odd m, of order lcm(2, m);
+    # at odd m, omega^j and omega^(j + m) differ only in sign
+    for m in range(1, MAX_CONDUCTOR + 1):
+        omega = CycElt.zeta(m) if m % 2 == 0 else -CycElt.zeta(m)
+        power = CycElt.one(m)
+        for j in range(math.lcm(2, m)):
+            assert _unity_exponent(power) == j
+            power = power * omega
+        assert power == 1
+    for m in (1, 4, 5, 8, 15, 120):
+        assert _unity_exponent(CycElt.from_rational(2, m)) is None
+        assert _unity_exponent(make_element("1 + z", m)) is None
 
 
 def test_same_field_oracle():

@@ -17,8 +17,10 @@ from pseudoreal.descent import (
     curve_rows,
     extend_cyclic,
     lift_to_monomial,
+    torsor_verdicts,
     transports_curve,
 )
+from pseudoreal.moduli import classify_sigma
 
 
 def pi4_params(m=16):
@@ -133,6 +135,28 @@ def test_lift_pi4_over_zeta8_reports_missing_radicals():
     # the blocked powers are sigma(mu) and -sigma(mu)
     smu = p.mu.galois_apply(rho)
     assert {m.value for m in lift.missing} == {smu, -smu}
+
+
+def test_torsor_of_a_lift_with_missing_roots_names_the_cause():
+    # the n = 8 lift has no maps, so there is no f0 to read verdicts from,
+    # whatever datum comes with it
+    lift = lift_to_monomial(Moebius(0, -4, 1, 0), pi4_params(8),
+                            GaloisElement(8, 3), 8)
+    datum = extend_cyclic(swap_iso(), 3, 4, pi4_params(), 16)
+    with pytest.raises(ValueError, match="missing roots"):
+        torsor_verdicts(lift, datum)
+
+
+def test_lift_builds_its_maps_without_rechecking_them():
+    # the k = 4 lift at n = 32 holds its 1024 maps' scales at one conductor
+    # already, so none goes through common_field
+    p = validate(-4, make_element("2*z^4", 32), 4)
+    g = GaloisElement(32, 17)
+    witness = classify_sigma(p, g).witness
+    with mock.patch.object(descent, "common_field",
+                           wraps=descent.common_field) as counted:
+        lift = lift_to_monomial(witness, p, g, 32)
+    assert len(lift.isos) == 1024 and counted.call_count == 0
 
 
 def test_lift_requires_matching_mobius():
