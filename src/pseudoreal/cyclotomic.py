@@ -1096,8 +1096,10 @@ def kth_roots(v: CycElt, k: int, conductor: Optional[int] = None) -> tuple:
     primes may certify that there is no root (`_no_root_mod_p`); otherwise
     the search factors x^k - v over Q(zeta_m) (sympy does the
     factorization) when it has degree k * phi(m) <= _MAX_ROOT_DEGREE over
-    Q.  Each candidate root is then re-verified here by exact arithmetic.  An
-    empty result certifies that no k-th root lies in the field.
+    Q and that degree times the size of v in bits is at most
+    _MAX_ROOT_WORK.  Each candidate root is then re-verified here by exact
+    arithmetic.  An empty result certifies that no k-th root lies in the
+    field.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -1123,6 +1125,13 @@ def kth_roots(v: CycElt, k: int, conductor: Optional[int] = None) -> tuple:
                              f"Q(zeta_{m}) need a factorization of degree "
                              f"{degree} over Q, more than the maximum "
                              f"{_MAX_ROOT_DEGREE}")
+        bits = _size_bits(v)
+        if degree * bits > _MAX_ROOT_WORK:
+            raise LimitError("root_limit", f"the {k}-th roots of {v} in "
+                             f"Q(zeta_{m}) need a factorization of degree "
+                             f"{degree} over Q of a {bits:.1f}-bit value, "
+                             f"{degree * bits:.0f} degree-bits, more than "
+                             f"the maximum {_MAX_ROOT_WORK}")
         roots = [CycElt(m, c) for c in _sympy_roots(v.coeffs, k, m)]
     return _checked_roots(roots, v, k)
 
@@ -1306,6 +1315,14 @@ _PRIME_LIMIT = 3 * 10 ** 24
 # 128, of (1 + z)^16 at m = 16, 10-11 s, and at 512, of (2 + z)^256 at
 # m = 4, 73 s
 _MAX_ROOT_DEGREE = 64
+# the largest degree times _size_bits(v) that kth_roots factors (clause
+# root_limit): the cost grows with the size of v, most at large m.  At
+# degree 64 and m = 120, (1 + z + z^7)^2 (3.2 bits) took 7 s,
+# (3^10 + z)^2 (31.7 bits) 15 s, (3^12 + z)^2 (38.0 bits) 19 s,
+# (3^20 + z)^2 (63.4 bits) 52 s and (3^40 + z)^2 (127 bits) more than
+# 100 s; (3^30 + z)^8 at m = 16 (380 bits) 11 s.  (2 + z)^32 at m = 4,
+# 64 times 37.6 bits = 2409, takes about 1 s
+_MAX_ROOT_WORK = 2560
 
 
 def _no_root_mod_p(v: CycElt, k: int, m: int) -> Optional[bool]:

@@ -72,6 +72,14 @@ __all__ = [
 MAX_LIFTS = 8 ** 5
 
 
+def _normalized(vals: list) -> list:
+    """Six nonzero scales at one conductor, divided by the first."""
+    if vals[0] != 1:
+        inv = vals[0].inverse()
+        vals = [v * inv for v in vals]
+    return vals
+
+
 class MonomialIso:
     """[x_1 : ... : x_6] -> [c_1 x_perm(1) : ... : c_6 x_perm(6)].
 
@@ -91,14 +99,11 @@ class MonomialIso:
             raise ValueError("need six scales")
         if any(v.is_zero() for v in vals):
             raise ValueError("scales must be nonzero")
-        self._store(perm, vals, int(k), None)
+        self._store(perm, _normalized(vals), int(k), None)
 
     def _store(self, perm: tuple, vals: list, k: int, powers) -> None:
-        # vals: six nonzero scales at one conductor; powers: None, or the
-        # (m, c_i^k) memo of _kth_powers
-        if vals[0] != 1:
-            inv = vals[0].inverse()
-            vals = [v * inv for v in vals]
+        # vals: six nonzero scales at one conductor with c_1 = 1; powers:
+        # None, or the (m, c_i^k) memo of _kth_powers
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "scales", tuple(vals))
         object.__setattr__(self, "k", k)
@@ -107,8 +112,9 @@ class MonomialIso:
     @classmethod
     def _of(cls, perm: tuple, vals: list, k: int, powers) -> "MonomialIso":
         """The map of a permutation and six nonzero scales at one
-        conductor, which need no checks: the product or twist of maps, or a
-        lift's map with the powers that the lift wrote down."""
+        conductor with c_1 = 1, which need no checks: the normalized product
+        or twist of maps, or a lift's map with the powers that the lift
+        wrote down."""
         f = object.__new__(cls)
         f._store(perm, vals, k, powers)
         return f
@@ -129,7 +135,8 @@ class MonomialIso:
         """Apply a field automorphism to every scale."""
         return MonomialIso._of(
             self.perm,
-            [c.in_conductor(t.conductor).galois_apply(t) for c in self.scales],
+            _normalized([c.in_conductor(t.conductor).galois_apply(t)
+                         for c in self.scales]),
             self.k, None)
 
     def compose(self, other: "MonomialIso") -> "MonomialIso":
@@ -139,7 +146,7 @@ class MonomialIso:
         perm = tuple(other.perm[self.perm[i]] for i in range(6))
         scales = [self.scales[i] * other.scales[self.perm[i]]
                   for i in range(6)]
-        return MonomialIso._of(perm, scales, self.k, None)
+        return MonomialIso._of(perm, _normalized(scales), self.k, None)
 
     def _kth_powers(self, m: int) -> tuple:
         """(num, den) of every c_i^k in Q(zeta_m), the key of the transport

@@ -13,12 +13,17 @@ explicit Moebius witness:
           (lambda +- mu)/(lambda -+ mu), with witness
           +- sigma(mu) (z +- mu)/(z -+ mu)
 
-Every classification is double-checked against the brute-force enumeration
-of all Moebius maps between the two six-point sets; disagreement is an
-internal error, never a result.  The subgroup of matching exponents then
-yields the field of moduli as an explicit fixed field, and the subgroup
-fixing (lambda, mu) pointwise yields the minimal field of definition
-candidate Q(lambda, mu).
+Every matched row's map is checked to carry the six-point set onto its
+twist.  `classify_sigma` double-checks the table against the brute-force
+enumeration of all Moebius maps between the two six-point sets;
+disagreement is an internal error, never a result.  The stabilizer
+matches the table on every exponent but enumerates only sigma_1 and one
+exponent of each coset of the table's hits outside them: the hits are a
+subgroup of the true stabilizer, so each coset lies wholly inside it or
+wholly outside, and a coset the table missed shows up as a disagreement
+at its representative.  The stabilizer then yields the field of moduli
+as an explicit fixed field, and the subgroup fixing (lambda, mu)
+pointwise yields the minimal field of definition candidate Q(lambda, mu).
 """
 
 from __future__ import annotations
@@ -85,8 +90,8 @@ def row_targets(lam: CycElt, mu: CycElt):
 
 @functools.lru_cache(maxsize=1)
 def _row_targets(n_lam, lam_num, lam_den, n_mu, mu_num, mu_den):
-    # one entry, keyed on exact coefficients: the phi(n) calls of one
-    # stabilizer share the table
+    # one entry, keyed on exact coefficients: the phi(n) table matches of
+    # one stabilizer share the table
     lam = _reduced(n_lam, list(lam_num), lam_den)
     mu = _reduced(n_mu, list(mu_num), mu_den)
     one = CycElt.one(lam.n)
@@ -138,6 +143,30 @@ def _row_targets(n_lam, lam_num, lam_den, n_mu, mu_num, mu_den):
     return tuple(rows)
 
 
+def _table(lam, mu, source, slam, smu, target) -> list:
+    """The (RowMatch, map) of every row that (sigma(lambda), sigma(mu))
+    matches.  Each row's map is checked to carry the source's six points
+    onto the target's, so a match certifies sigma to be in the
+    stabilizer."""
+    rows = []
+    for row, sign, want_l, want_m, builder in row_targets(lam, mu):
+        if slam == want_l and smu == want_m:
+            t = builder(slam, smu)
+            if not _same_points(map(t.apply, source), target):
+                raise OracleDisagreement(
+                    f"row ({row}) matched but its map does not carry the "
+                    f"six-point set")
+            rows.append((RowMatch(row=row, sign=sign), t))
+    return rows
+
+
+def _twist(lam, mu, g):
+    """(sigma(lambda), sigma(mu), the twisted six-point set)."""
+    slam = lam.galois_apply(g)
+    smu = mu.galois_apply(g)
+    return slam, smu, make_config(slam, smu, -smu).points()
+
+
 def classify_sigma(p: FamilyParams, a) -> SigmaClassification:
     """Match sigma_a against the twelve shapes and verify against the
     brute-force map enumeration between the two six-point sets."""
@@ -148,28 +177,15 @@ def classify_sigma(p: FamilyParams, a) -> SigmaClassification:
     n = g.conductor
     lam = p.lam.in_conductor(n)
     mu = p.mu.in_conductor(n)
-    slam = lam.galois_apply(g)
-    smu = mu.galois_apply(g)
-
     source = make_config(lam, mu, -mu).points()
-    target = make_config(slam, smu, -smu).points()
+    slam, smu, target = _twist(lam, mu, g)
 
-    matches = []
-    table_maps = {}
-    for row, sign, want_l, want_m, builder in row_targets(lam, mu):
-        if slam == want_l and smu == want_m:
-            t = builder(slam, smu)
-            if not _same_points(map(t.apply, source), target):
-                raise OracleDisagreement(
-                    f"row ({row}) matched but its map does not carry the "
-                    f"six-point set")
-            matches.append(RowMatch(row=row, sign=sign))
-            table_maps[t.key()] = t
-
+    rows = _table(lam, mu, source, slam, smu, target)
+    table_keys = {t.key() for _, t in rows}
     oracle = set_maps(source, target, anti=False)
-    if {m.key() for m in oracle} != set(table_maps):
+    if {m.key() for m in oracle} != table_keys:
         raise OracleDisagreement(
-            f"table witnesses {sorted(table_maps)} != enumeration "
+            f"table witnesses {sorted(table_keys)} != enumeration "
             f"{sorted(m.key() for m in oracle)} for sigma_{g.exponent}")
 
     witness = oracle[0] if oracle else None
@@ -177,7 +193,7 @@ def classify_sigma(p: FamilyParams, a) -> SigmaClassification:
         sigma=g,
         sigma_lambda=slam,
         sigma_mu=smu,
-        matched_rows=tuple(matches),
+        matched_rows=tuple(match for match, _ in rows),
         witness=witness,
         brute_force_agree=True,
     )
@@ -185,12 +201,32 @@ def classify_sigma(p: FamilyParams, a) -> SigmaClassification:
 
 def stabilizer(p: FamilyParams, n: int) -> frozenset:
     """Exponents a mod n whose automorphism preserves the configuration
-    class; verified to be a subgroup of (Z/n)*."""
+    class, certified coset by coset.
+
+    The table is matched on every unit; its hits H_table lie in the true
+    stabilizer H (each row's map is checked) and must form a subgroup.
+    Then `classify_sigma`, table against enumeration, runs on sigma_1
+    (which certifies that the set has no other symmetry) and on one
+    exponent of each other coset of H_table.  That decides H: since
+    H_table <= H and H is a group, a in H gives a H_table <= H, and a
+    not in H gives a H_table disjoint from H.  An exponent of H that the
+    table missed lies in a coset outside H_table, all of it in H, so that
+    coset's representative has a map that its table lacks, which is an
+    `OracleDisagreement`."""
+    lam = p.lam.in_conductor(n)
+    mu = p.mu.in_conductor(n)
+    source = make_config(lam, mu, -mu).points()
     hits = frozenset(
         a for a in units(n)
-        if classify_sigma(p, GaloisElement(n, a)).in_stabilizer)
+        if _table(lam, mu, source, *_twist(lam, mu, GaloisElement(n, a))))
     if not is_subgroup(hits, n):
         raise AssertionError(f"stabilizer {sorted(hits)} is not a subgroup")
+    covered = set()
+    for a in units(n):  # ascending, so sigma_1 comes first
+        if a not in covered:
+            # table against enumeration; a map the table lacks raises
+            classify_sigma(p, GaloisElement(n, a))
+            covered.update(a * h % n for h in hits)
     return hits
 
 

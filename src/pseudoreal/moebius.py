@@ -357,7 +357,7 @@ def _triple_index(n: int, keys: tuple) -> dict:
     """The six points with raw keys `keys` at conductor n, indexed for
     set_maps: each ordered triple is filed under the sorted raw keys of
     the images of the other three points when the triple goes to
-    (inf, 0, 1).  One entry, so the phi(n) calls of one stabilizer share
+    (inf, 0, 1).  One entry, so the calls of one stabilizer share
     the source's normalization."""
     pts = [INF if key == (0,) else SpherePoint(_reduced(n, list(key[1]),
                                                           key[2]))

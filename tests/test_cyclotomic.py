@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -350,6 +351,21 @@ def test_kth_roots_factors_up_to_the_maximum_degree():
     assert exc.value.clause == "root_limit"
     assert str(exc.value).endswith(
         "need a factorization of degree 68 over Q, more than the maximum 64")
+
+
+def test_kth_roots_bounds_degree_times_size():
+    # (3^40 + zeta)^2 has two square roots, which no prime rules out; x^2 - v
+    # has degree 64 over Q, and v has 126.8 bits: the factorization ran
+    # more than 100 s, so it is refused at once
+    v = make_element("3^40+z", 120) ** 2
+    start = time.perf_counter()
+    with pytest.raises(LimitError) as exc:
+        kth_roots(v, 2, 120)
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.clause == "root_limit"
+    assert str(exc.value).endswith(
+        "need a factorization of degree 64 over Q of a 126.8-bit value, "
+        "8115 degree-bits, more than the maximum 2560")
 
 
 def test_unity_exponent_reads_every_power_of_omega():

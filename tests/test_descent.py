@@ -159,6 +159,28 @@ def test_lift_builds_its_maps_without_rechecking_them():
     assert len(lift.isos) == 1024 and counted.call_count == 0
 
 
+def test_lift_builds_its_maps_without_comparing_c1_with_one():
+    # each of the 1024 maps has c_1 = 1 by construction; the lift makes 96
+    # comparisons in all, and made 1120 when every map compared its c_1
+    # with 1
+    p = validate(-4, make_element("2*z^4", 32), 4)
+    g = GaloisElement(32, 17)
+    witness = classify_sigma(p, g).witness
+    compared = []
+    eq = CycElt.__eq__
+    with mock.patch.object(CycElt, "__eq__",
+                           lambda u, v: compared.append(v) or eq(u, v)):
+        lift = lift_to_monomial(witness, p, g, 32)
+    assert len(lift.isos) == 1024 and len(compared) < 1024
+    assert all(f.scales[0] == 1 for f in lift.isos)
+    # a product and the checking constructor still divide by the first scale
+    f = MonomialIso((1, 0, 2, 3, 4, 5), [1, 2, 3, 4, 5, 6], 4)
+    ff = f.compose(f)
+    assert ff.scales[0] == 1
+    assert ff == MonomialIso(range(6), [2, 2, 9, 16, 25, 36], 4)
+    assert MonomialIso(f.perm, [2 * c for c in f.scales], 4) == f
+
+
 def test_lift_requires_matching_mobius():
     p = pi4_params()
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from pseudoreal import moduli
 from pseudoreal.cyclotomic import (
     CycElt,
     GaloisElement,
@@ -187,6 +188,31 @@ def test_stabilizers_of_worked_examples():
     assert stabilizer(p5, 5) == frozenset({1, 4})
     p8 = validate(-4, make_element("2*z", 8), 2)
     assert stabilizer(p8, 8) == frozenset({1, 3, 5, 7})
+
+
+@pytest.mark.parametrize("n, want", [
+    (5, {1, 4}), (8, {1, 3, 5, 7}), (40, {1, 19, 21, 39})])
+def test_stabilizer_enumerates_sigma_1_and_one_exponent_per_coset(
+        n, want, monkeypatch):
+    # the table decides every unit; the enumeration runs once per coset of
+    # the stabilizer, sigma_1 first, and there finds the identity alone
+    p = validate(-4, make_element("2*z", n), 2)
+    found, classified = [], []
+    set_maps, classify = moduli.set_maps, moduli.classify_sigma
+    monkeypatch.setattr(moduli, "set_maps",
+                        lambda *a, **kw: found.append(set_maps(*a, **kw))
+                        or found[-1])
+    monkeypatch.setattr(moduli, "classify_sigma",
+                        lambda p, g: classified.append(g.exponent)
+                        or classify(p, g))
+    assert stabilizer(p, n) == want
+    index = euler_phi(n) // len(want)
+    assert len(found) == len(classified) == index
+    assert classified[0] == 1
+    assert len(found[0]) == 1 and found[0][0].is_identity
+    # one exponent of each coset
+    assert len({frozenset(a * h % n for h in want) for a in classified}) \
+        == index
 
 
 def test_field_of_moduli_p3():

@@ -21,20 +21,20 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pseudoreal import descent, moebius
+from pseudoreal import descent, moduli, moebius
 from pseudoreal.cli import build_parser
 from pseudoreal.configurations import OmegaError, make_config, u_orbit
 from pseudoreal.cyclotomic import MAX_CONDUCTOR, CycElt, GaloisElement, \
     LimitError, _conjugates, _echelon, _no_root_mod_p, _norm_chain, \
     _reduced, _size_bits, _sympy_field, \
     _sympy_roots, _monomial_roots, _related_roots, cyclotomic_polynomial, euler_phi, \
-    format_poly, kth_roots, make_element, subgroups, units
+    format_poly, is_subgroup, kth_roots, make_element, subgroups, units
 from pseudoreal.descent import CocycleResult, LiftResult, MonomialIso, \
     WeilDatum, _annihilated, _curve_kernel, check_order, cocycle_check, \
     compose_twist, curve_rows, extend_cyclic, lift_to_monomial, \
     torsor_verdicts, transports_curve
 from pseudoreal.family import ParameterError, family_cross_ratios, validate
-from pseudoreal.moduli import classify_sigma, stabilizer
+from pseudoreal.moduli import OracleDisagreement, classify_sigma, stabilizer
 from pseudoreal.moebius import INF, Moebius, SpherePoint, _apply_raw, \
     _normalized_triples, _orbit_values, _raw_key, _std_raw, _triple_index, \
     cross_ratio, g_orbit, moebius_from_triple, set_maps, unify_points
@@ -466,6 +466,78 @@ def test_stabilizer_and_witnesses_match_reference(n, lam, mu):
         if ref:
             hits.add(a)
     assert stabilizer(p, n) == hits
+
+
+# -- the stabilizer coset by coset against classify_sigma on every unit ------
+
+
+def reference_stabilizer(p, n):
+    """The earlier stabilizer: classify_sigma, table against enumeration,
+    on every unit of (Z/n)*."""
+    hits = frozenset(a for a in units(n)
+                     if classify_sigma(p, GaloisElement(n, a)).in_stabilizer)
+    assert is_subgroup(hits, n)
+    return hits
+
+
+@settings(max_examples=40, deadline=None)
+@given(admissible_mu())
+@example((40, "-4", "2*z"))
+def test_stabilizer_matches_reference_over_admissible_members(member):
+    n, lam, mu = member
+    try:
+        p = validate(make_element(lam, n), make_element(mu, n), 2)
+    except ParameterError:
+        assume(False)
+    assert stabilizer(p, n) == reference_stabilizer(p, n)
+
+
+def test_stabilizer_matches_reference_on_the_moduli_pool():
+    queries = corpus.pool("moduli-sweep")
+    for q in queries:
+        args = build_parser().parse_args(list(q.argv))
+        n = args.conductor
+        p = validate(make_element(args.lam, n), make_element(args.mu, n),
+                     args.k)
+        assert stabilizer(p, n) == reference_stabilizer(p, n), q.key
+    assert queries
+
+
+# each (row, sign) of the table that admissible members at n <= 24 match,
+# on a member where it is the only row that some sigma matches; rows 5-12
+# matched none of them
+ROW_MEMBERS = [
+    ((1, 1), 3, "-4", "2*z"),
+    ((1, -1), 8, "-4", "2*z"),
+    ((2, 1), 8, "-(3 + 2*(z + z^-1))^2", "(3 + 2*(z + z^-1))*z"),
+    ((2, -1), 8, "-(1 + z + z^-1)^2", "(1 + z + z^-1)*z"),
+    ((3, 1), 8, "-(1 + z + z^-1)^2", "(1 + z + z^-1)*z"),
+    ((3, -1), 8, "-(3 + 2*(z + z^-1))^2", "(3 + 2*(z + z^-1))*z"),
+    ((4, 1), 8, "-4", "2*z"),
+    ((4, -1), 3, "-4", "2*z"),
+]
+
+
+@pytest.mark.parametrize("row, n, lam, mu", ROW_MEMBERS)
+def test_a_table_without_a_matching_row_never_shrinks_the_stabilizer(
+        row, n, lam, mu):
+    p = validate(make_element(lam, n), make_element(mu, n), 2)
+    matched = {tuple((m.row, m.sign) for m in
+                     classify_sigma(p, GaloisElement(n, a)).matched_rows)
+               for a in units(n)}
+    assert (row,) in matched
+    table = moduli.row_targets
+
+    def without_row(lam, mu):
+        return [t for t in table(lam, mu) if t[:2] != row]
+
+    with mock.patch.object(moduli, "row_targets", without_row):
+        # OracleDisagreement, or the AssertionError of a table whose hits
+        # are no subgroup
+        with pytest.raises(AssertionError) as exc:
+            stabilizer(p, n)
+    assert exc.type is OracleDisagreement or \
+        "is not a subgroup" in str(exc.value)
 
 
 def _points(n, *vectors):
