@@ -8,10 +8,11 @@ identical invocations are byte-identical.  Exit codes: 0 success, 1 domain
 rejection (including a conductor above MAX_CONDUCTOR, clause
 conductor_limit, checked before any operand, and an element expression
 above MAX_SIZE_BITS or a result too large to print, integers in the
-document included, clause size_limit, and a lift of more than MAX_LIFTS
-maps, clause lift_limit), 2 usage error, 3 internal error (a
-failed internal cross-check, reported with status and error kind
-internal_error).  Every exit-1 document has status rejected.  The
+document included, clause size_limit, a lift of more than MAX_LIFTS
+maps, clause lift_limit, and a k-th root search past the factorization
+bounds of `kth_roots`, clause root_limit), 2 usage error, 3 internal
+error (a failed internal cross-check, reported with status and error
+kind internal_error).  Every exit-1 document has status rejected.  The
 environment variable PSEUDOREAL_APPROX_BITS (default 64) sets the
 precision of the certified decimal approximations included in reports; a
 value that is not an integer or exceeds MAX_APPROX_BITS is a usage error.
@@ -32,9 +33,8 @@ from .moebius import INF, Moebius, SpherePoint, _triple_index, \
 from .configurations import concircular_quadruples, equivalent, \
     make_config, symmetries, u_orbit
 from .family import analyze, genus, validate
-from .moduli import _row_targets, classify_sigma, field_of_moduli, \
-    stabilizer
-from .descent import _transports, check_order, extend_cyclic, cocycle_check, \
+from .moduli import classify_sigma, field_of_moduli, stabilizer
+from .descent import check_order, extend_cyclic, cocycle_check, \
     lift_to_monomial, torsor_verdicts
 
 __all__ = ["main", "build_parser", "SUBCOMMANDS"]
@@ -395,8 +395,6 @@ def main(argv=None) -> int:
     args.approx_bits = bits
     # one query, one process: nothing is remembered from an earlier query
     _triple_index.cache_clear()
-    _row_targets.cache_clear()
-    _transports.cache_clear()
     try:
         if "conductor" in args:  # before any operand is parsed
             check_conductor(args.conductor)

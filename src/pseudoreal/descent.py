@@ -34,7 +34,6 @@ times the closure of f0, a linear map over Z/w on exponent vectors, so
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from typing import Mapping, Optional, Sequence
 
 from .cyclotomic import CycElt, GaloisElement, LimitError, common_field, \
     kth_roots, units
-from .cyclotomic import _cyclic, _monomial_form, _reduced, _related_roots, \
+from .cyclotomic import _cyclic, _monomial_form, _related_roots, \
     _unity_exponent
 from .moebius import Moebius, _same_points
 from .configurations import make_config
@@ -88,7 +87,7 @@ class MonomialIso:
     plain equality.
     """
 
-    __slots__ = ("perm", "scales", "k", "_powers")
+    __slots__ = ("perm", "scales", "k")
 
     def __init__(self, perm: Sequence[int], scales: Sequence, k: int):
         perm = tuple(perm)
@@ -99,24 +98,21 @@ class MonomialIso:
             raise ValueError("need six scales")
         if any(v.is_zero() for v in vals):
             raise ValueError("scales must be nonzero")
-        self._store(perm, _normalized(vals), int(k), None)
+        self._store(perm, _normalized(vals), int(k))
 
-    def _store(self, perm: tuple, vals: list, k: int, powers) -> None:
-        # vals: six nonzero scales at one conductor with c_1 = 1; powers:
-        # None, or the (m, c_i^k) memo of _kth_powers
+    def _store(self, perm: tuple, vals: list, k: int) -> None:
+        # vals: six nonzero scales at one conductor with c_1 = 1
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "scales", tuple(vals))
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "_powers", powers)
 
     @classmethod
-    def _of(cls, perm: tuple, vals: list, k: int, powers) -> "MonomialIso":
+    def _of(cls, perm: tuple, vals: list, k: int) -> "MonomialIso":
         """The map of a permutation and six nonzero scales at one
         conductor with c_1 = 1, which need no checks: the normalized product
-        or twist of maps, or a lift's map with the powers that the lift
-        wrote down."""
+        or twist of maps, or a lift's map built from its roots."""
         f = object.__new__(cls)
-        f._store(perm, vals, k, powers)
+        f._store(perm, vals, k)
         return f
 
     def __setattr__(self, *a):
@@ -124,7 +120,7 @@ class MonomialIso:
 
     @classmethod
     def identity(cls, k: int) -> "MonomialIso":
-        return cls._of(tuple(range(6)), [CycElt.one()] * 6, int(k), None)
+        return cls._of(tuple(range(6)), [CycElt.one()] * 6, int(k))
 
     @property
     def is_identity(self) -> bool:
@@ -137,7 +133,7 @@ class MonomialIso:
             self.perm,
             _normalized([c.in_conductor(t.conductor).galois_apply(t)
                          for c in self.scales]),
-            self.k, None)
+            self.k)
 
     def compose(self, other: "MonomialIso") -> "MonomialIso":
         """(self @ other)(x) = self(other(x))."""
@@ -146,19 +142,7 @@ class MonomialIso:
         perm = tuple(other.perm[self.perm[i]] for i in range(6))
         scales = [self.scales[i] * other.scales[self.perm[i]]
                   for i in range(6)]
-        return MonomialIso._of(perm, _normalized(scales), self.k, None)
-
-    def _kth_powers(self, m: int) -> tuple:
-        """(num, den) of every c_i^k in Q(zeta_m), the key of the transport
-        memo: computed once per map and conductor, and given to the maps
-        of a lift as its written-down powers d_i."""
-        cached = self._powers
-        if cached is None or cached[0] != m:
-            cached = (m, tuple((x.num, x.den) for x in
-                               (c.in_conductor(m) ** self.k
-                                for c in self.scales)))
-            object.__setattr__(self, "_powers", cached)
-        return cached[1]
+        return MonomialIso._of(perm, _normalized(scales), self.k)
 
     __matmul__ = compose
 
@@ -230,29 +214,22 @@ def transports_curve(f: MonomialIso, p: FamilyParams, a: GaloisElement) -> bool:
     sigma_a-twisted curve: every twisted equation, pulled back through
     y_j -> c_j^k y_perm(j), stays inside the span of the original four."""
     m = a.conductor
-    lam = p.lam.in_conductor(m)
-    mu = p.mu.in_conductor(m)
-    return _transports(m, lam.num, lam.den, mu.num, mu.den, a.exponent,
-                       f.perm, f._kth_powers(m))
+    return _transports(p.lam.in_conductor(m), p.mu.in_conductor(m),
+                       a.exponent, f.perm,
+                       [c.in_conductor(m) ** f.k for c in f.scales])
 
 
-@functools.lru_cache(maxsize=64)
-def _transports(n, lam_num, lam_den, mu_num, mu_den, e, perm, d):
-    # keyed on exact coefficients and on d = c^k, all that the answer
-    # depends on: the candidates of one lift differ by k-th roots of unity,
-    # so they share d, and so do the maps of their cocycles at each exponent
-    lam = _reduced(n, list(lam_num), lam_den)
-    mu = _reduced(n, list(mu_num), mu_den)
-    kernel = _curve_kernel(lam, mu)
-    d = [_reduced(n, list(num), den) for num, den in d]
-    zero = CycElt.zero(n)
-    for row in curve_rows(lam.galois_apply(e), mu.galois_apply(e)):
-        pulled = [zero] * 6
-        for i in range(6):
-            pulled[perm[i]] = row[i] * d[i]
-        if not _annihilated(kernel, pulled):
-            return False
-    return True
+def _transports(lam: CycElt, mu: CycElt, e: int, perm: tuple, d) -> bool:
+    """True iff the monomial map of permutation perm whose scales have the
+    k-th powers d (lambda, mu and d at one conductor) carries the curve of
+    (lambda, mu) onto its sigma_e twist: curve transport depends on the
+    scales only through d.  A twisted equation r, pulled back to
+    r_i d_i y_perm(i), annihilates a kernel vector u of the original four
+    iff r annihilates u pulled forward, d_i u_perm(i)."""
+    pulled = [[di * u[j] for di, j in zip(d, perm)]
+              for u in _curve_kernel(lam, mu)]
+    return all(_annihilated(pulled, row) for row in
+               curve_rows(lam.galois_apply(e), mu.galois_apply(e)))
 
 
 @dataclass(frozen=True)
@@ -340,9 +317,7 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
     inv = ratios[0].inverse()
     d = [r * inv for r in ratios]
     # every lift has c_i^k = d_i, all that curve transport depends on
-    powers = tuple((x.num, x.den) for x in d)
-    if not _transports(m, lam.num, lam.den, mu.num, mu.den, g.exponent,
-                       perm, powers):
+    if not _transports(lam, mu, g.exponent, perm, d):
         raise AssertionError("written-down scale powers fail curve transport")
 
     roots = []
@@ -377,7 +352,7 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
         raise LimitError("lift_limit", f"the lift has {count} monomial "
                          f"isomorphisms, more than the maximum {MAX_LIFTS}")
     one = CycElt.one(m)
-    ordered = [MonomialIso._of(perm, [one, *rest], p.k, (m, powers))
+    ordered = [MonomialIso._of(perm, [one, *rest], p.k)
                for rest in itertools.product(*roots[1:])]
     return LiftResult(isos=tuple(ordered), missing=(), perm=perm,
                       powers=tuple(d), roots=tuple(roots[1:]))

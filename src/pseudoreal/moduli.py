@@ -17,23 +17,24 @@ Every matched row's map is checked to carry the six-point set onto its
 twist.  `classify_sigma` double-checks the table against the brute-force
 enumeration of all Moebius maps between the two six-point sets;
 disagreement is an internal error, never a result.  The stabilizer
-matches the table on every exponent but enumerates only sigma_1 and one
-exponent of each coset of the table's hits outside them: the hits are a
-subgroup of the true stabilizer, so each coset lies wholly inside it or
-wholly outside, and a coset the table missed shows up as a disagreement
-at its representative.  The stabilizer then yields the field of moduli
-as an explicit fixed field, and the subgroup fixing (lambda, mu)
-pointwise yields the minimal field of definition candidate Q(lambda, mu).
+builds the table once and matches it on every exponent, runs
+`classify_sigma` on sigma_1 alone, and enumerates one exponent of each
+coset of the table's hits outside them, where no map may exist: the hits
+are a subgroup of the true stabilizer, so each coset lies wholly inside
+it or wholly outside, and a coset the table missed shows up as a
+disagreement at its representative.  The stabilizer then yields the
+field of moduli as an explicit fixed field, and the subgroup fixing
+(lambda, mu) pointwise yields the minimal field of definition candidate
+Q(lambda, mu).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .cyclotomic import CycElt, GaloisElement, Subfield, _reduced, \
-    fixed_field, fixing_subgroup, is_subgroup, units
+from .cyclotomic import CycElt, GaloisElement, Subfield, fixed_field, \
+    fixing_subgroup, is_subgroup, units
 from .moebius import Moebius, _same_points, set_maps
 from .configurations import make_config
 from .family import FamilyParams
@@ -84,21 +85,18 @@ class SigmaClassification:
 def row_targets(lam: CycElt, mu: CycElt):
     """The twelve (row, sign, sigma_lambda, sigma_mu, witness-builder)
     shapes evaluated at (lambda, mu).  Builders take the actual
-    (sigma_lambda, sigma_mu) and produce the table's Moebius map."""
-    return list(_row_targets(lam.n, lam.num, lam.den, mu.n, mu.num, mu.den))
-
-
-@functools.lru_cache(maxsize=1)
-def _row_targets(n_lam, lam_num, lam_den, n_mu, mu_num, mu_den):
-    # one entry, keyed on exact coefficients: the phi(n) table matches of
-    # one stabilizer share the table
-    lam = _reduced(n_lam, list(lam_num), lam_den)
-    mu = _reduced(n_mu, list(mu_num), mu_den)
+    (sigma_lambda, sigma_mu) and produce the table's Moebius map.  Each
+    of lambda, mu, 1 +- mu and lambda +- mu is inverted once."""
     one = CycElt.one(lam.n)
-    p = (one - mu) / (one + mu)        # (1-mu)/(1+mu)
-    q = (lam + mu) / (lam - mu)        # (lambda+mu)/(lambda-mu)
+    inv_lam, inv_mu = lam.inverse(), mu.inverse()
+    p = (one - mu) * (one + mu).inverse()      # (1-mu)/(1+mu)
+    inv_p = (one + mu) * (one - mu).inverse()
+    q = (lam + mu) * (lam - mu).inverse()      # (lambda+mu)/(lambda-mu)
+    inv_q = (lam - mu) * (lam + mu).inverse()
     pq = p * q
-    inv_pq = one / pq
+    inv_pq = inv_p * inv_q
+    mu_lam = mu * inv_lam
+    lam_mu = lam * inv_mu
 
     def t_id(sl, sm):
         return Moebius.identity()
@@ -127,29 +125,29 @@ def _row_targets(n_lam, lam_num, lam_den, n_mu, mu_num, mu_den):
     rows = []
     for sign in (1, -1):
         rows.append((1, sign, lam, sign * mu, t_id))
-        rows.append((2, sign, one / lam, sign * mu / lam, t_scale))
-        rows.append((3, sign, one / lam, sign / mu, t_inv))
-        rows.append((4, sign, lam, sign * lam / mu, t_scale_inv))
+        rows.append((2, sign, inv_lam, sign * mu_lam, t_scale))
+        rows.append((3, sign, inv_lam, sign * inv_mu, t_inv))
+        rows.append((4, sign, lam, sign * lam_mu, t_scale_inv))
     rows.append((5, None, pq, p, t_plus))
-    rows.append((6, None, inv_pq, one / q, t_plus))
+    rows.append((6, None, inv_pq, inv_q, t_plus))
     rows.append((7, None, pq, -p, t_plus_neg))
-    rows.append((8, None, inv_pq, -one / q, t_plus_neg))
+    rows.append((8, None, inv_pq, -inv_q, t_plus_neg))
     # rows 9 and 11 pair sigma(mu) = +-(1+mu)/(1-mu) with the witness of
     # matching sign; the set-transport check below pins the pairing
-    rows.append((9, None, inv_pq, one / p, t_minus))
+    rows.append((9, None, inv_pq, inv_p, t_minus))
     rows.append((10, None, pq, q, t_minus))
-    rows.append((11, None, inv_pq, -one / p, t_minus_neg))
+    rows.append((11, None, inv_pq, -inv_p, t_minus_neg))
     rows.append((12, None, pq, -q, t_minus_neg))
-    return tuple(rows)
+    return rows
 
 
-def _table(lam, mu, source, slam, smu, target) -> list:
-    """The (RowMatch, map) of every row that (sigma(lambda), sigma(mu))
-    matches.  Each row's map is checked to carry the source's six points
-    onto the target's, so a match certifies sigma to be in the
-    stabilizer."""
+def _table(table, source, slam, smu, target) -> list:
+    """The (RowMatch, map) of every row of the `row_targets` table that
+    (sigma(lambda), sigma(mu)) matches.  Each row's map is checked to carry
+    the source's six points onto the target's, so a match certifies sigma
+    to be in the stabilizer."""
     rows = []
-    for row, sign, want_l, want_m, builder in row_targets(lam, mu):
+    for row, sign, want_l, want_m, builder in table:
         if slam == want_l and smu == want_m:
             t = builder(slam, smu)
             if not _same_points(map(t.apply, source), target):
@@ -180,7 +178,7 @@ def classify_sigma(p: FamilyParams, a) -> SigmaClassification:
     source = make_config(lam, mu, -mu).points()
     slam, smu, target = _twist(lam, mu, g)
 
-    rows = _table(lam, mu, source, slam, smu, target)
+    rows = _table(row_targets(lam, mu), source, slam, smu, target)
     table_keys = {t.key() for _, t in rows}
     oracle = set_maps(source, target, anti=False)
     if {m.key() for m in oracle} != table_keys:
@@ -203,29 +201,35 @@ def stabilizer(p: FamilyParams, n: int) -> frozenset:
     """Exponents a mod n whose automorphism preserves the configuration
     class, certified coset by coset.
 
-    The table is matched on every unit; its hits H_table lie in the true
-    stabilizer H (each row's map is checked) and must form a subgroup.
-    Then `classify_sigma`, table against enumeration, runs on sigma_1
-    (which certifies that the set has no other symmetry) and on one
-    exponent of each other coset of H_table.  That decides H: since
-    H_table <= H and H is a group, a in H gives a H_table <= H, and a
-    not in H gives a H_table disjoint from H.  An exponent of H that the
+    The table is built once and matched on every unit; its hits H_table
+    lie in the true stabilizer H (each row's map is checked) and must form
+    a subgroup.  Then `classify_sigma`, table against enumeration, runs on
+    sigma_1 (which certifies that the set has no other symmetry), and
+    each other coset of H_table has one exponent enumerated: it is no
+    table hit, so the enumeration must find no map.  That decides H:
+    since H_table <= H and H is a group, a in H gives a H_table <= H, and
+    a not in H gives a H_table disjoint from H.  An exponent of H that the
     table missed lies in a coset outside H_table, all of it in H, so that
-    coset's representative has a map that its table lacks, which is an
-    `OracleDisagreement`."""
+    coset's representative has a map, which is an `OracleDisagreement`."""
     lam = p.lam.in_conductor(n)
     mu = p.mu.in_conductor(n)
     source = make_config(lam, mu, -mu).points()
-    hits = frozenset(
-        a for a in units(n)
-        if _table(lam, mu, source, *_twist(lam, mu, GaloisElement(n, a))))
+    table = row_targets(lam, mu)
+    twists = {a: _twist(lam, mu, GaloisElement(n, a)) for a in units(n)}
+    hits = frozenset(a for a, twist in twists.items()
+                     if _table(table, source, *twist))
     if not is_subgroup(hits, n):
         raise AssertionError(f"stabilizer {sorted(hits)} is not a subgroup")
-    covered = set()
-    for a in units(n):  # ascending, so sigma_1 comes first
+    # table against enumeration on sigma_1; a map the table lacks raises
+    classify_sigma(p, GaloisElement(n, 1))
+    covered = set(hits)
+    for a, (_, _, target) in twists.items():  # the least of each coset
         if a not in covered:
-            # table against enumeration; a map the table lacks raises
-            classify_sigma(p, GaloisElement(n, a))
+            oracle = set_maps(source, target, anti=False)
+            if oracle:
+                raise OracleDisagreement(
+                    f"table witnesses [] != enumeration "
+                    f"{sorted(m.key() for m in oracle)} for sigma_{a}")
             covered.update(a * h % n for h in hits)
     return hits
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from pseudoreal import cli
 from pseudoreal.cli import SUBCOMMANDS, _map_doc, build_parser, main
 from pseudoreal.cyclotomic import MAX_CONDUCTOR, MAX_SIZE_BITS, CycElt, \
     GaloisElement, _PRIME_LIMIT, make_element
@@ -695,3 +696,6 @@ def test_readme_lists_every_resource_limit_clause():
             break
     assert sorted(listed) == sorted(raised) == [
         "conductor_limit", "lift_limit", "root_limit", "size_limit"]
+    # and so does the CLI's module docstring, which names each exit-1 clause
+    doc = " ".join(cli.__doc__.split())
+    assert [c for c in sorted(raised) if f"clause {c}" not in doc] == []

@@ -313,14 +313,17 @@ def test_cocycle_check_rejects_maps_off_the_group():
 
 
 def test_lift_maps_carry_their_scale_powers():
-    # each lift map starts with the solved d_i as its c_i^k: the powers that
-    # a map built afresh from the same scales computes
-    p = pi4_params()
-    lift = lift_to_monomial(Moebius(0, -4, 1, 0), p, GaloisElement(16, 3), 16)
+    # each lift map's c_i^k is the written-down d_i at the lift's conductor,
+    # each transports the curve, and the checking constructor builds the
+    # same map from its scales
+    p, g = pi4_params(), GaloisElement(16, 3)
+    lift = lift_to_monomial(Moebius(0, -4, 1, 0), p, g, 16)
+    assert len(lift.isos) == 2 ** 5
     for f in lift.isos:
-        fresh = MonomialIso(f.perm, f.scales, f.k)
-        assert f._kth_powers(16) == fresh._kth_powers(16) == tuple(
-            ((c ** 2).num, (c ** 2).den) for c in f.scales)
+        assert [c.in_conductor(16) ** f.k for c in f.scales] \
+            == list(lift.powers)
+        assert transports_curve(f, p, g)
+        assert MonomialIso(f.perm, f.scales, f.k) == f
 
 
 @pytest.mark.parametrize("g, d", [(3, 4), (9, 2), (1, 1)])

@@ -194,24 +194,41 @@ def test_stabilizers_of_worked_examples():
     (5, {1, 4}), (8, {1, 3, 5, 7}), (40, {1, 19, 21, 39})])
 def test_stabilizer_enumerates_sigma_1_and_one_exponent_per_coset(
         n, want, monkeypatch):
-    # the table decides every unit; the enumeration runs once per coset of
-    # the stabilizer, sigma_1 first, and there finds the identity alone
+    # the table, built once for the stabilizer's own pass and once for
+    # sigma_1's classify_sigma, decides every unit; the enumeration runs
+    # once per coset of the stabilizer, sigma_1 first, and there finds the
+    # identity alone
     p = validate(-4, make_element("2*z", n), 2)
-    found, classified = [], []
-    set_maps, classify = moduli.set_maps, moduli.classify_sigma
-    monkeypatch.setattr(moduli, "set_maps",
-                        lambda *a, **kw: found.append(set_maps(*a, **kw))
-                        or found[-1])
+    lam, mu = p.lam.in_conductor(n), p.mu.in_conductor(n)
+    twisted = {tuple(moduli._twist(lam, mu, GaloisElement(n, a))[2]): a
+               for a in units(n)}
+    assert len(twisted) == euler_phi(n)
+    found, targets, classified, tables = [], [], [], []
+    set_maps, classify, build = \
+        moduli.set_maps, moduli.classify_sigma, moduli.row_targets
+
+    def counting_set_maps(source, target, **kw):
+        targets.append(tuple(target))
+        found.append(set_maps(source, target, **kw))
+        return found[-1]
+
+    monkeypatch.setattr(moduli, "set_maps", counting_set_maps)
     monkeypatch.setattr(moduli, "classify_sigma",
                         lambda p, g: classified.append(g.exponent)
                         or classify(p, g))
+    monkeypatch.setattr(moduli, "row_targets",
+                        lambda lam, mu: tables.append(1) or build(lam, mu))
     assert stabilizer(p, n) == want
     index = euler_phi(n) // len(want)
-    assert len(found) == len(classified) == index
-    assert classified[0] == 1
+    assert classified == [1]
+    assert len(tables) == 2
+    assert len(found) == index
     assert len(found[0]) == 1 and found[0][0].is_identity
-    # one exponent of each coset
-    assert len({frozenset(a * h % n for h in want) for a in classified}) \
+    assert all(maps == [] for maps in found[1:])
+    # one exponent of each coset, sigma_1 first
+    exponents = [twisted[t] for t in targets]
+    assert exponents[0] == 1
+    assert len({frozenset(a * h % n for h in want) for a in exponents}) \
         == index
 
 

@@ -1,9 +1,10 @@
 """Property tests for the shared elimination, field embedding,
 (anti-)Moebius application, field axioms, inverses of dense values and
 the Galois action, and differential tests of set_maps, the cross-ratio
-table, u_orbit, the stabilizer,
+table, u_orbit, the stabilizer, the six-inversion row table,
 the term formatter, check_order, the k-th root search and its shortcuts,
-the kernel test of curve transport, the integer element arithmetic, the
+the kernel test of curve transport and transport from the kernel pulled
+forward, the integer element arithmetic, the
 inverse down the norm chain, the lift as products of coset roots, the
 scale powers written down from the witness, the cocycle check from its
 recursion and closure, every candidate's verdict from the deck-group
@@ -11,6 +12,7 @@ torsor, and validate's collision
 check against the code each replaced, and of cross_ratio against the
 normalizing map."""
 
+import functools
 import itertools
 import math
 import sys
@@ -225,6 +227,63 @@ def test_curve_kernel_spans_the_nullspace_of_the_curve_rows(pair, data):
     assert _echelon(kernel) == _echelon(_nullspace(rows, 6))
     vec = data.draw(st.lists(elements(nu.n, small), min_size=6, max_size=6))
     assert _annihilated(kernel, vec) == _in_span(rows, vec)
+
+
+# -- curve transport from the kernel pulled forward against each twisted
+# equation pulled back and tested by elimination ----------------------------
+
+
+def reference_transports(f, p, g):
+    """Curve transport as decided before the kernel was pulled forward:
+    each twisted equation, pulled back through y_i -> c_i^k y_perm(i), is
+    tested for row-span membership by elimination."""
+    m = g.conductor
+    lam, mu = p.lam.in_conductor(m), p.mu.in_conductor(m)
+    rows = curve_rows(lam, mu)
+    zero = CycElt.zero(m)
+    for row in curve_rows(lam.galois_apply(g), mu.galois_apply(g)):
+        pulled = [zero] * 6
+        for i in range(6):
+            pulled[f.perm[i]] = row[i] * f.scales[i].in_conductor(m) ** f.k
+        if not _in_span(rows, pulled):
+            return False
+    return True
+
+
+# (n, lambda, mu, k, a): sigma_a lifts with every root in the field
+TRANSPORT_LIFTS = [(16, "-4", "2*z^2", 2, 3), (16, "-4", "2*z^2", 2, 5),
+                   (12, "-4", "2*z", 2, 11), (24, "-4", "2*z^3", 2, 13),
+                   (40, "-4", "2*z", 2, 21), (32, "-4", "2*z^4", 4, 5)]
+
+
+@functools.cache
+def transport_lift(member):
+    n, lam, mu, k, a = member
+    p = validate(make_element(lam, n), make_element(mu, n), k)
+    g = GaloisElement(n, a)
+    return p, g, lift_to_monomial(classify_sigma(p, g).witness, p, g, n)
+
+
+@SETTINGS
+@given(st.sampled_from(TRANSPORT_LIFTS), st.data())
+def test_transports_curve_matches_the_pulled_back_rows(member, data):
+    # a lift's map, which transports, or one with a scale multiplied by a
+    # drawn element or with two slots of its permutation swapped
+    p, g, lift = transport_lift(member)
+    f = lift.isos[data.draw(st.integers(0, len(lift.isos) - 1))]
+    change = data.draw(st.sampled_from(["none", "scale", "perm"]))
+    perm, scales = list(f.perm), list(f.scales)
+    if change == "scale":
+        x = data.draw(elements(g.conductor, small))
+        assume(not x.is_zero())
+        scales[data.draw(st.integers(1, 5))] *= x
+    elif change == "perm":
+        i, j = data.draw(st.permutations(range(6)))[:2]
+        perm[i], perm[j] = perm[j], perm[i]
+    f = MonomialIso(perm, scales, f.k)
+    assert transports_curve(f, p, g) == reference_transports(f, p, g)
+    if change == "none":
+        assert transports_curve(f, p, g)
 
 
 @SETTINGS
@@ -501,6 +560,45 @@ def test_stabilizer_matches_reference_on_the_moduli_pool():
                      args.k)
         assert stabilizer(p, n) == reference_stabilizer(p, n), q.key
     assert queries
+
+
+# -- the six-inversion row table against the quotient-form table -----------
+
+
+def reference_row_targets(lam, mu):
+    """The earlier table: (row, sign, sigma_lambda, sigma_mu) of the twelve
+    shapes, each quotient taken by its own division."""
+    one = CycElt.one(lam.n)
+    p = (one - mu) / (one + mu)
+    q = (lam + mu) / (lam - mu)
+    pq = p * q
+    inv_pq = one / pq
+    rows = []
+    for sign in (1, -1):
+        rows += [(1, sign, lam, sign * mu),
+                 (2, sign, one / lam, sign * mu / lam),
+                 (3, sign, one / lam, sign / mu),
+                 (4, sign, lam, sign * lam / mu)]
+    return rows + [(5, None, pq, p), (6, None, inv_pq, one / q),
+                   (7, None, pq, -p), (8, None, inv_pq, -one / q),
+                   (9, None, inv_pq, one / p), (10, None, pq, q),
+                   (11, None, inv_pq, -one / p), (12, None, pq, -q)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(admissible_mu())
+@example((40, "-4", "2*z"))
+def test_row_targets_match_the_quotient_form_table(member):
+    n, lam, mu = member
+    try:
+        p = validate(make_element(lam, n), make_element(mu, n), 2)
+    except ParameterError:
+        assume(False)
+    # as validate leaves them, and in the conductor the stabilizer uses
+    for lam, mu in ((p.lam, p.mu),
+                    (p.lam.in_conductor(n), p.mu.in_conductor(n))):
+        assert [t[:4] for t in moduli.row_targets(lam, mu)] == \
+            reference_row_targets(lam, mu)
 
 
 # each (row, sign) of the table that admissible members at n <= 24 match,
