@@ -12,7 +12,10 @@ document included, clause size_limit, a lift of more than MAX_LIFTS
 maps, clause lift_limit, and a k-th root search past the factorization
 bounds of `kth_roots`, clause root_limit), 2 usage error, 3 internal
 error (a failed internal cross-check, reported with status and error
-kind internal_error).  Every exit-1 document has status rejected.  The
+kind internal_error).  Every exit-1 document has status rejected.
+`weil-check`'s `descends` is `closing_count > 0`: with missing roots it
+reads false, which says only that no monomial datum is defined over
+Q(zeta_n), not that the curve has no model over the fixed field.  The
 environment variable PSEUDOREAL_APPROX_BITS (default 64) sets the
 precision of the certified decimal approximations included in reports; a
 value that is not an integer or exceeds MAX_APPROX_BITS is a usage error.

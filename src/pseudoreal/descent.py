@@ -14,9 +14,10 @@ sets forces the coordinate permutation of any compatible monomial map
 image in y-space is a line, y_1 = W, y_2 = -Z and y_j = Z - z_j W over
 (Z : W), so the values d_i = c_i^k, up to one global scale, are written
 down from the witness: each is the ratio of a twisted form composed with
-the map to the form it must become.  The scales themselves are whatever
-k-th roots of the d_i the ambient cyclotomic field contains; missing roots
-are reported, never adjoined.
+the map to the form it must become.  Curve transport is decided on that
+line alone: the map must push it onto the twisted line.  The scales
+themselves are whatever k-th roots of the d_i the ambient cyclotomic
+field contains; missing roots are reported, never adjoined.
 
 A family of such maps indexed by a cyclic Galois group is a Weil datum
 when f_{tau sigma} = f_sigma^tau o f_tau for all pairs; `cocycle_check`
@@ -45,7 +46,7 @@ from .cyclotomic import _cyclic, _monomial_form, _related_roots, \
     _unity_exponent
 from .moebius import Moebius, _same_points
 from .configurations import make_config
-from .family import FamilyParams
+from .family import FamilyParams, _twist
 
 __all__ = [
     "MAX_LIFTS",
@@ -190,14 +191,6 @@ def curve_rows(nu: CycElt, eta: CycElt):
     )
 
 
-def _annihilated(kernel, vec) -> bool:
-    """True iff vec . u = 0 for every u in kernel.  The row space of a
-    matrix is the annihilator of its kernel, so with kernel a basis of the
-    nullspace of some rows this is membership in their span."""
-    return all(sum((a * b for a, b in zip(vec, u) if not a.is_zero()),
-                   CycElt.zero(vec[0].n)).is_zero() for u in kernel)
-
-
 def _curve_kernel(nu: CycElt, eta: CycElt):
     """A basis of the nullspace of curve_rows(nu, eta).  The last four
     columns of the rows are the identity, so the rank is 4 and the two
@@ -211,25 +204,30 @@ def _curve_kernel(nu: CycElt, eta: CycElt):
 
 def transports_curve(f: MonomialIso, p: FamilyParams, a: GaloisElement) -> bool:
     """True iff f carries the curve with parameters (lambda, mu) onto the
-    sigma_a-twisted curve: every twisted equation, pulled back through
-    y_j -> c_j^k y_perm(j), stays inside the span of the original four."""
+    sigma_a-twisted curve: the curve's line, pushed forward through
+    y_j -> c_j^k y_perm(j), is the twisted curve's line."""
     m = a.conductor
-    return _transports(p.lam.in_conductor(m), p.mu.in_conductor(m),
-                       a.exponent, f.perm,
-                       [c.in_conductor(m) ** f.k for c in f.scales])
+    lam, mu = p.lam.in_conductor(m), p.mu.in_conductor(m)
+    return _transports(lam, mu, lam.galois_apply(a), mu.galois_apply(a),
+                       f.perm, [c.in_conductor(m) ** f.k for c in f.scales])
 
 
-def _transports(lam: CycElt, mu: CycElt, e: int, perm: tuple, d) -> bool:
+def _transports(lam: CycElt, mu: CycElt, slam: CycElt, smu: CycElt,
+                perm: tuple, d) -> bool:
     """True iff the monomial map of permutation perm whose scales have the
-    k-th powers d (lambda, mu and d at one conductor) carries the curve of
-    (lambda, mu) onto its sigma_e twist: curve transport depends on the
-    scales only through d.  A twisted equation r, pulled back to
-    r_i d_i y_perm(i), annihilates a kernel vector u of the original four
-    iff r annihilates u pulled forward, d_i u_perm(i)."""
-    pulled = [[di * u[j] for di, j in zip(d, perm)]
-              for u in _curve_kernel(lam, mu)]
-    return all(_annihilated(pulled, row) for row in
-               curve_rows(lam.galois_apply(e), mu.galois_apply(e)))
+    k-th powers d carries the curve of (lambda, mu) onto that of its twist
+    (slam, smu), all at one conductor.  It pushes the curve's line forward
+    to the span of the v = (d_i u_perm(i)), u in `_curve_kernel`; the
+    twisted line's basis is the identity on coordinates 1 and 2, so v lies
+    on it iff v_3 = -(v_1 + v_2), v_4 = -(slam v_1 + v_2), v_5 = -(smu v_1
+    + v_2) and v_6 = smu v_1 - v_2: 12 products, and 4 to test them."""
+    for u in _curve_kernel(lam, mu):
+        v1, v2, v3, v4, v5, v6 = (di * u[j] for di, j in zip(d, perm))
+        s = smu * v1
+        if not ((v1 + v2 + v3).is_zero() and (slam * v1 + v2 + v4).is_zero()
+                and (s + v2 + v5).is_zero() and (s - v2 - v6).is_zero()):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -287,12 +285,8 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
     """
     if T.conj_first:
         raise ValueError("T must be a plain Moebius map")
-    lam = p.lam.in_conductor(m)
-    mu = p.mu.in_conductor(m)
-    g = GaloisElement(m, _restrict(a, m))
-    slam = lam.galois_apply(g)
-    smu = mu.galois_apply(g)
-    tgt_branch = make_config(slam, smu, -smu).points()
+    lam, mu = p.lam.in_conductor(m), p.mu.in_conductor(m)
+    slam, smu, tgt_branch = _twist(lam, mu, GaloisElement(m, _restrict(a, m)))
     images = [T.apply(b) for b in make_config(lam, mu, -mu).points()]
     if not _same_points(images, tgt_branch):
         raise ValueError("T does not carry the branch set onto its twist")
@@ -317,7 +311,7 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
     inv = ratios[0].inverse()
     d = [r * inv for r in ratios]
     # every lift has c_i^k = d_i, all that curve transport depends on
-    if not _transports(lam, mu, g.exponent, perm, d):
+    if not _transports(lam, mu, slam, smu, perm, d):
         raise AssertionError("written-down scale powers fail curve transport")
 
     roots = []

@@ -68,6 +68,14 @@ class FamilyParams:
         return f"(lambda={self.lam}, mu={self.mu}, k={self.k})"
 
 
+def _twist(lam, mu, g):
+    """(sigma(lambda), sigma(mu), the twisted six-point set in branch order
+    (inf, 0, 1, sigma(lambda), sigma(mu), -sigma(mu)))."""
+    slam = lam.galois_apply(g)
+    smu = mu.galois_apply(g)
+    return slam, smu, make_config(slam, smu, -smu).points()
+
+
 def family_cross_ratios(lam: CycElt, mu: CycElt):
     """Cross-ratios of the three circular quadruples: [inf,0,1,lam],
     [inf,0,mu,-mu], [1,lam,mu,-mu]."""

@@ -37,7 +37,7 @@ from .cyclotomic import CycElt, GaloisElement, Subfield, fixed_field, \
     fixing_subgroup, is_subgroup, units
 from .moebius import Moebius, _same_points, set_maps
 from .configurations import make_config
-from .family import FamilyParams
+from .family import FamilyParams, _twist
 
 __all__ = [
     "OracleDisagreement",
@@ -158,13 +158,6 @@ def _table(table, source, slam, smu, target) -> list:
     return rows
 
 
-def _twist(lam, mu, g):
-    """(sigma(lambda), sigma(mu), the twisted six-point set)."""
-    slam = lam.galois_apply(g)
-    smu = mu.galois_apply(g)
-    return slam, smu, make_config(slam, smu, -smu).points()
-
-
 def classify_sigma(p: FamilyParams, a) -> SigmaClassification:
     """Match sigma_a against the twelve shapes and verify against the
     brute-force map enumeration between the two six-point sets."""
@@ -173,8 +166,7 @@ def classify_sigma(p: FamilyParams, a) -> SigmaClassification:
     else:
         raise TypeError("a must be a GaloisElement (conductor + exponent)")
     n = g.conductor
-    lam = p.lam.in_conductor(n)
-    mu = p.mu.in_conductor(n)
+    lam, mu = p.lam.in_conductor(n), p.mu.in_conductor(n)
     source = make_config(lam, mu, -mu).points()
     slam, smu, target = _twist(lam, mu, g)
 
@@ -211,8 +203,7 @@ def stabilizer(p: FamilyParams, n: int) -> frozenset:
     a not in H gives a H_table disjoint from H.  An exponent of H that the
     table missed lies in a coset outside H_table, all of it in H, so that
     coset's representative has a map, which is an `OracleDisagreement`."""
-    lam = p.lam.in_conductor(n)
-    mu = p.mu.in_conductor(n)
+    lam, mu = p.lam.in_conductor(n), p.mu.in_conductor(n)
     source = make_config(lam, mu, -mu).points()
     table = row_targets(lam, mu)
     twists = {a: _twist(lam, mu, GaloisElement(n, a)) for a in units(n)}
@@ -248,8 +239,7 @@ def field_of_moduli(p: FamilyParams, n: int) -> ModuliResult:
     """Field of moduli (fixed field of the stabilizer) and the minimal
     field of definition candidate Q(lambda, mu), with the two hypotheses
     of the quadratic-extension rule evaluated exactly."""
-    lam = p.lam.in_conductor(n)
-    mu = p.mu.in_conductor(n)
+    lam, mu = p.lam.in_conductor(n), p.mu.in_conductor(n)
 
     stab = stabilizer(p, n)
     moduli = fixed_field(stab, n)

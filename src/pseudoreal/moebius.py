@@ -357,8 +357,9 @@ def _triple_index(n: int, keys: tuple) -> dict:
     """The six points with raw keys `keys` at conductor n, indexed for
     set_maps: each ordered triple is filed under the sorted raw keys of
     the images of the other three points when the triple goes to
-    (inf, 0, 1).  One entry, so the calls of one stabilizer share
-    the source's normalization."""
+    (inf, 0, 1).  One entry, so the calls of one stabilizer, and the
+    conformal and anticonformal calls of one `symmetries`, share the
+    source's normalization."""
     pts = [INF if key == (0,) else SpherePoint(_reduced(n, list(key[1]),
                                                           key[2]))
            for key in keys]
@@ -379,17 +380,19 @@ def set_maps(S, T, anti: bool = False) -> list:
     remaining three points of each set at the same spots.  So the 120
     ordered triples of S are normalized once (and kept for the next call
     with the same source) and looked up by the spots of T's base triple;
-    the witness matrix is only assembled for the triples found.
+    the witness matrix is only assembled for the triples found.  An
+    anti-map z -> M(conj z) carries S onto T iff conj(M) carries S onto
+    conj(T), so anti maps use the same index and conjugate the target.
     """
     s_in, t_in = list(S), list(T)
     n, everything = unify_points(s_in + t_in)
-    src = everything[:len(s_in)]
+    src = tuple(sorted({_raw_key(p) for p in everything[:len(s_in)]}))
+    tgt = everything[len(s_in):]
     if anti:
-        src = [p.conjugate() for p in src]
-    src = tuple(sorted({_raw_key(p) for p in src}))
+        tgt = [p.conjugate() for p in tgt]
     # the base triple is T's first three distinct points: (inf, 0, 1) for a
     # configuration, whose normalization costs least
-    tgt = list({_raw_key(p): p for p in everything[len(s_in):]}.values())
+    tgt = list({_raw_key(p): p for p in tgt}.values())
     if len(src) != 6 or len(tgt) != 6:
         raise ValueError("both sets must contain exactly six points")
     base, mat = tgt[:3], _std_raw(*tgt[:3])
@@ -398,7 +401,8 @@ def set_maps(S, T, anti: bool = False) -> list:
     for triple in _triple_index(n, src).get(spots, ()):
         m = moebius_from_triple(triple, base)
         if anti:
-            m = Moebius(*m.coefficients(), conj_first=True)
+            m = Moebius(*(x.conjugate() for x in m.coefficients()),
+                        conj_first=True)
         found[(m.conj_first, *((x.num, x.den) for x in m.coefficients()))] = m
     return sorted(found.values(), key=lambda m: (
         m.conj_first, *(x.coeffs for x in m.coefficients())))

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from pseudoreal.cyclotomic import CycElt, make_element
-from pseudoreal.moebius import INF, Moebius, SpherePoint
+from pseudoreal.moebius import INF, Moebius, SpherePoint, _triple_index
 from pseudoreal.configurations import (
     OmegaError,
     concircular_quadruples,
@@ -144,6 +144,18 @@ def test_symmetries_imaginary_angle_has_plain_conjugation():
     conj = Moebius(1, 0, 0, 1, conj_first=True)
     assert conj in sym.anticonformal
     assert len(sym.conformal) > 1  # extra conformal symmetries appear
+
+
+def test_symmetries_normalize_the_source_once():
+    # the anti call conjugates its target, not its source, so both calls
+    # read one source index
+    _triple_index.cache_clear()
+    mu = make_element("2*z", 5)
+    sym = symmetries(family_config(CycElt.from_rational(-4, 5), mu))
+    info = _triple_index.cache_info()
+    _triple_index.cache_clear()
+    assert (info.misses, info.hits) == (1, 1)
+    assert list(sym.anticonformal) == [Moebius(0, -4, 1, 0, conj_first=True)]
 
 
 def test_symmetries_generic_trivial():

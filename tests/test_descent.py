@@ -94,6 +94,29 @@ def test_transports_rejects_wrong_map():
     assert not transports_curve(f, p, one)
 
 
+def test_lift_twists_once_and_tests_transport_on_the_line(monkeypatch):
+    # the lift takes sigma(lambda), sigma(mu) and the twisted branch points
+    # from one family._twist call and hands the first two to _transports,
+    # which pushes the curve's line forward in 12 products and tests it on
+    # the twisted line in 4; against every twisted equation it took 36
+    p = pi4_params()
+    twist, transports = descent._twist, descent._transports
+    twists, calls = [], []
+    monkeypatch.setattr(descent, "_twist",
+                        lambda *a: twists.append(twist(*a)) or twists[-1])
+    monkeypatch.setattr(descent, "_transports",
+                        lambda *a: calls.append(a) or transports(*a))
+    lift = lift_to_monomial(Moebius(0, -4, 1, 0), p, GaloisElement(16, 3), 16)
+    assert lift.ok and len(twists) == 1 and len(calls) == 1
+    assert all(x is y for x, y in zip(calls[0][2:4], twists[0][:2]))
+    products = []
+    mul = CycElt.__mul__
+    monkeypatch.setattr(CycElt, "__mul__",
+                        lambda u, v: products.append(v) or mul(u, v))
+    assert transports(*calls[0])
+    assert len(products) == 16
+
+
 def test_lift_identity_contains_deck_translates():
     p = pi4_params()
     lift = lift_to_monomial(Moebius.identity(), p, GaloisElement(16, 1), 16)

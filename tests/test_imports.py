@@ -1,9 +1,13 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+private name it defines.
 
-Only the package's `__init__.py` is exempt: it imports names to re-export
-them.  A name counts as used when the module's syntax tree loads it
-anywhere (an attribute base such as `functools.cache` included) or lists
-it in `__all__`."""
+Only the package's `__init__.py` is exempt from the import check: it
+imports names to re-export them.  An imported name counts as used when the
+module's syntax tree loads it anywhere (an attribute base such as
+`functools.cache` included) or lists it in `__all__`.  A private name (a
+leading underscore, not a dunder) defined at module or class level counts
+as used when some module of the package loads it or reads it as an
+attribute; one that only the tests use belongs in the tests."""
 
 import ast
 from pathlib import Path
@@ -46,3 +50,68 @@ def test_no_module_imports_a_name_it_never_uses():
     assert modules
     unused = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def _defined(body) -> list:
+    """The names that a module or class body binds at its own level."""
+    names = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            names.extend(_defined(node.body))
+    return names
+
+
+def unused_private_names(sources: dict) -> list:
+    """(module, name) for every private name that a module of sources
+    (module name -> source) defines at module or class level and that no
+    module of sources loads or reads as an attribute, sorted."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                                ast.Load):
+                used.add(node.attr)
+    return sorted((module, name) for module, tree in trees.items()
+                  for name in _defined(tree.body)
+                  if _is_private(name) and name not in used)
+
+
+def test_unused_private_names_are_found():
+    assert unused_private_names({
+        "a": "_LIMIT = 3\n"
+             "def _helper(x):\n"
+             "    return x\n"
+             "def _orphan():\n"
+             "    def _nested():\n"
+             "        pass\n"
+             "class C:\n"
+             "    _slot = 1\n"
+             "    def _read(self):\n"
+             "        return self._slot\n"
+             "    def _unread(self):\n"
+             "        pass\n"
+             "    def __eq__(self, other):\n"
+             "        pass\n",
+        "b": "from .a import _helper, _LIMIT\n"
+             "x = _helper(_LIMIT)\n"
+             "C()._read()\n"}) == [("a", "_orphan"), ("a", "_unread")]
+
+
+def test_no_module_defines_a_private_name_that_src_never_uses():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert sources
+    assert unused_private_names(sources) == []

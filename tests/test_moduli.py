@@ -15,7 +15,7 @@ from pseudoreal.cyclotomic import (
     same_field,
     units,
 )
-from pseudoreal.family import ParameterError, validate
+from pseudoreal.family import ParameterError, _twist, validate
 from pseudoreal.moebius import INF, Moebius, SpherePoint
 from pseudoreal.moduli import (
     RowMatch,
@@ -200,7 +200,7 @@ def test_stabilizer_enumerates_sigma_1_and_one_exponent_per_coset(
     # identity alone
     p = validate(-4, make_element("2*z", n), 2)
     lam, mu = p.lam.in_conductor(n), p.mu.in_conductor(n)
-    twisted = {tuple(moduli._twist(lam, mu, GaloisElement(n, a))[2]): a
+    twisted = {tuple(_twist(lam, mu, GaloisElement(n, a))[2]): a
                for a in units(n)}
     assert len(twisted) == euler_phi(n)
     found, targets, classified, tables = [], [], [], []

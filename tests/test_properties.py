@@ -3,8 +3,8 @@
 the Galois action, and differential tests of set_maps, the cross-ratio
 table, u_orbit, the stabilizer, the six-inversion row table,
 the term formatter, check_order, the k-th root search and its shortcuts,
-the kernel test of curve transport and transport from the kernel pulled
-forward, the integer element arithmetic, the
+the kernel test of span membership and curve transport on the curve's
+line pushed forward, the integer element arithmetic, the
 inverse down the norm chain, the lift as products of coset roots, the
 scale powers written down from the witness, the cocycle check from its
 recursion and closure, every candidate's verdict from the deck-group
@@ -32,7 +32,7 @@ from pseudoreal.cyclotomic import MAX_CONDUCTOR, CycElt, GaloisElement, \
     _sympy_roots, _monomial_roots, _related_roots, cyclotomic_polynomial, euler_phi, \
     format_poly, is_subgroup, kth_roots, make_element, subgroups, units
 from pseudoreal.descent import CocycleResult, LiftResult, MonomialIso, \
-    WeilDatum, _annihilated, _curve_kernel, check_order, cocycle_check, \
+    WeilDatum, _curve_kernel, check_order, cocycle_check, \
     compose_twist, curve_rows, extend_cyclic, lift_to_monomial, \
     torsor_verdicts, transports_curve
 from pseudoreal.family import ParameterError, family_cross_ratios, validate
@@ -179,6 +179,16 @@ def test_nullspace_is_annihilated_and_has_full_dimension(case):
     assert len(_echelon(basis)[1]) == len(basis)
 
 
+def _annihilated(kernel, vec) -> bool:
+    """True iff vec . u = 0 for every u in kernel.  The row space of a
+    matrix is the annihilator of its kernel, so with kernel a basis of the
+    nullspace of some rows this is membership in their span: the test
+    that transports_curve ran on every twisted row before it tested the
+    pushed-forward line."""
+    return all(sum((a * b for a, b in zip(vec, u) if not a.is_zero()),
+                   CycElt.zero(vec[0].n)).is_zero() for u in kernel)
+
+
 def _in_span(rows, vec) -> bool:
     """Row-span membership by elimination: the echelon test that
     transports_curve ran on every twisted row before the kernel test."""
@@ -229,7 +239,7 @@ def test_curve_kernel_spans_the_nullspace_of_the_curve_rows(pair, data):
     assert _annihilated(kernel, vec) == _in_span(rows, vec)
 
 
-# -- curve transport from the kernel pulled forward against each twisted
+# -- curve transport on the curve's line pushed forward against each twisted
 # equation pulled back and tested by elimination ----------------------------
 
 
