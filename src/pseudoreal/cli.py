@@ -31,8 +31,7 @@ import sys
 
 from .cyclotomic import CycError, GaloisElement, ParseError, \
     _print_limit, approx, check_conductor, format_poly, make_element
-from .moebius import INF, Moebius, SpherePoint, _triple_index, \
-    cross_ratio, g_orbit
+from .moebius import INF, Moebius, SpherePoint, cross_ratio, g_orbit
 from .configurations import concircular_quadruples, equivalent, \
     make_config, symmetries, u_orbit
 from .family import analyze, genus, validate
@@ -396,8 +395,6 @@ def main(argv=None) -> int:
         parser.exit(EXIT_USAGE, f"pseudoreal: {exc}\n")
     args = parser.parse_args(argv)
     args.approx_bits = bits
-    # one query, one process: nothing is remembered from an earlier query
-    _triple_index.cache_clear()
     try:
         if "conductor" in args:  # before any operand is parsed
             check_conductor(args.conductor)

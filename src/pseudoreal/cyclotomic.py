@@ -1346,19 +1346,38 @@ def _no_root_mod_p(v: CycElt, k: int, m: int) -> Optional[bool]:
         if v.den % p == 0 or not _is_prime(p):
             continue
         r = _root_of_unity_mod(m, p)
-        scale = pow(v.den, -1, p)
         for a in units(m):
-            x = pow(r, a, p)
-            image = 0
-            for c in reversed(v.num):
-                image = (image * x + c) % p
-            image = image * scale % p
+            image = _residue(v, pow(r, a, p), p)
             if image and pow(image, (p - 1) // k, p) != 1:
                 return True
         tried += 1
         if tried == _CERT_PRIMES:
             break
     return False if tried else None
+
+
+def _residue(v: CycElt, r: int, p: int) -> Optional[int]:
+    """The image of v in F_p under zeta_n -> r, for a prime p and a
+    primitive n-th root of unity r mod p (n = v's conductor): sum_i num[i]
+    r^i / den.  It is a ring homomorphism on the elements whose
+    denominator p does not divide, and None on the others."""
+    if v.den % p == 0:
+        return None
+    image = 0
+    for c in reversed(v.num):
+        image = (image * r + c) % p
+    return image * pow(v.den, -1, p) % p
+
+
+@functools.cache
+def _split_prime(n: int) -> tuple:
+    """(p, r) for the least prime p = 1 (mod n) above 2^31 and a primitive
+    n-th root of unity r mod p, for `_residue` at conductor n.  The prime is
+    large, so that a few elements rarely share a residue."""
+    p = (1 << 31) // n * n + 1
+    while p < 1 << 31 or not _is_prime(p):
+        p += n
+    return p, _root_of_unity_mod(n, p)
 
 
 def _is_prime(p: int) -> bool:

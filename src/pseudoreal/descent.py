@@ -45,8 +45,7 @@ from .cyclotomic import CycElt, GaloisElement, LimitError, common_field, \
 from .cyclotomic import _cyclic, _monomial_form, _related_roots, \
     _unity_exponent
 from .moebius import Moebius, _same_points
-from .configurations import make_config
-from .family import FamilyParams, _twist
+from .family import FamilyParams, _configuration, _twist
 
 __all__ = [
     "MAX_LIFTS",
@@ -287,7 +286,7 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
         raise ValueError("T must be a plain Moebius map")
     lam, mu = p.lam.in_conductor(m), p.mu.in_conductor(m)
     slam, smu, tgt_branch = _twist(lam, mu, GaloisElement(m, _restrict(a, m)))
-    images = [T.apply(b) for b in make_config(lam, mu, -mu).points()]
+    images = [T.apply(b) for b in _configuration(lam, mu).points()]
     if not _same_points(images, tgt_branch):
         raise ValueError("T does not carry the branch set onto its twist")
     # output slot i reads the source coordinate whose branch value T sends

@@ -59,7 +59,7 @@ class FamilyParams:
         return math.lcm(self.lam.n, self.mu.n)
 
     def config(self) -> Configuration:
-        return make_config(self.lam, self.mu, -self.mu)
+        return _configuration(self.lam, self.mu)
 
     def r_squared(self) -> CycElt:
         return -self.lam
@@ -68,12 +68,18 @@ class FamilyParams:
         return f"(lambda={self.lam}, mu={self.mu}, k={self.k})"
 
 
+def _configuration(lam, mu) -> Configuration:
+    """The configuration of (lambda, mu), whose points are in branch order
+    (inf, 0, 1, lambda, mu, -mu)."""
+    return make_config(lam, mu, -mu)
+
+
 def _twist(lam, mu, g):
     """(sigma(lambda), sigma(mu), the twisted six-point set in branch order
     (inf, 0, 1, sigma(lambda), sigma(mu), -sigma(mu)))."""
     slam = lam.galois_apply(g)
     smu = mu.galois_apply(g)
-    return slam, smu, make_config(slam, smu, -smu).points()
+    return slam, smu, _configuration(slam, smu).points()
 
 
 def family_cross_ratios(lam: CycElt, mu: CycElt):

@@ -15,8 +15,10 @@ explicit Moebius witness:
 
 Every matched row's map is checked to carry the six-point set onto its
 twist.  `classify_sigma` double-checks the table against the brute-force
-enumeration of all Moebius maps between the two six-point sets;
-disagreement is an internal error, never a result.  The stabilizer
+enumeration of all Moebius maps between the two six-point sets (`set_maps`,
+which refutes the ordered triples that carry no map by reduction at a
+split prime and tests the others exactly); disagreement is an internal
+error, never a result.  The stabilizer
 builds the table once and matches it on every exponent, runs
 `classify_sigma` on sigma_1 alone, and enumerates one exponent of each
 coset of the table's hits outside them, where no map may exist: the hits
@@ -36,8 +38,7 @@ from typing import Optional
 from .cyclotomic import CycElt, GaloisElement, Subfield, fixed_field, \
     fixing_subgroup, is_subgroup, units
 from .moebius import Moebius, _same_points, set_maps
-from .configurations import make_config
-from .family import FamilyParams, _twist
+from .family import FamilyParams, _configuration, _twist
 
 __all__ = [
     "OracleDisagreement",
@@ -167,7 +168,7 @@ def classify_sigma(p: FamilyParams, a) -> SigmaClassification:
         raise TypeError("a must be a GaloisElement (conductor + exponent)")
     n = g.conductor
     lam, mu = p.lam.in_conductor(n), p.mu.in_conductor(n)
-    source = make_config(lam, mu, -mu).points()
+    source = _configuration(lam, mu).points()
     slam, smu, target = _twist(lam, mu, g)
 
     rows = _table(row_targets(lam, mu), source, slam, smu, target)
@@ -204,7 +205,7 @@ def stabilizer(p: FamilyParams, n: int) -> frozenset:
     table missed lies in a coset outside H_table, all of it in H, so that
     coset's representative has a map, which is an `OracleDisagreement`."""
     lam, mu = p.lam.in_conductor(n), p.mu.in_conductor(n)
-    source = make_config(lam, mu, -mu).points()
+    source = _configuration(lam, mu).points()
     table = row_targets(lam, mu)
     twists = {a: _twist(lam, mu, GaloisElement(n, a)) for a in units(n)}
     hits = frozenset(a for a, twist in twists.items()

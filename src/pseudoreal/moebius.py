@@ -1,6 +1,8 @@
 """The projective line over Q(zeta_n): points, (anti-)Moebius maps,
 cross-ratios, generalized-circle membership, and exhaustive enumeration of
-maps between six-point sets.
+maps between six-point sets.  The enumeration reduces the source's ordered
+triples at a split prime, which refutes almost all of them, and tests the
+rest exactly; it keeps nothing from one call to the next.
 
 A transformation is stored as projective coefficients (a, b, c, d) for
 z -> (a z + b)/(c z + d), normalized so the first nonzero coefficient is 1;
@@ -17,7 +19,7 @@ import itertools
 import operator
 from typing import Optional
 
-from .cyclotomic import CycElt, _reduced, common_field
+from .cyclotomic import CycElt, _residue, _split_prime, common_field
 
 __all__ = [
     "SpherePoint",
@@ -352,22 +354,66 @@ def _same_points(A, B) -> bool:
             == {_raw_key(p) for p in pts[len(a):]})
 
 
-@functools.lru_cache(maxsize=1)
-def _triple_index(n: int, keys: tuple) -> dict:
-    """The six points with raw keys `keys` at conductor n, indexed for
-    set_maps: each ordered triple is filed under the sorted raw keys of
-    the images of the other three points when the triple goes to
-    (inf, 0, 1).  One entry, so the calls of one stabilizer, and the
-    conformal and anticonformal calls of one `symmetries`, share the
-    source's normalization."""
-    pts = [INF if key == (0,) else SpherePoint(_reduced(n, list(key[1]),
-                                                          key[2]))
-           for key in keys]
-    index = {}
-    for triple, images in _normalized_triples(pts):
-        spots = tuple(sorted(map(_raw_key, images)))
-        index.setdefault(spots, []).append(triple)
-    return index
+# the ordered triples (a, b, c) of six indices, in itertools.permutations
+# order, each with the other three: (a, b, c, rest)
+_TRIPLES = [(*t, tuple(x for x in range(6) if x not in t))
+            for t in itertools.permutations(range(6), 3)]
+
+
+def _unrefuted_triples(n: int, src: list, spots: list):
+    """The entries of `_TRIPLES` for the ordered triples of the six points
+    src that reduction at the split prime of conductor n leaves possible:
+    those whose images under the map to (inf, 0, 1) may be the points
+    `spots`, which lie off inf, 0 and 1.
+
+    Reduction zeta_n -> r mod p (`cyclotomic._split_prime`) sends each
+    element whose denominator p does not divide to its residue in F_p, and
+    is a ring homomorphism there.  The image of x under the triple (u, v, w)
+    is the cross-ratio ((x - v)/(x - u)) * ((w - u)/(w - v)), each factor
+    that holds infinity dropped.  When u, v, w and x have distinct residues
+    in P^1(F_p), every factor is a unit at the prime, so the image reduces
+    to the cross-ratio of the residues.  A triple whose images are the
+    spots then has the spots' residues as the residues of its images, so a
+    triple whose image residues differ from the spots' is refuted.  Any
+    other triple is yielded: one with two of its four points on one
+    residue, or every triple when a point or spot has no residue."""
+    p, r = _split_prime(n)
+    # infinity reduces to p, the point at infinity of P^1(F_p)
+    res = [p if q.is_infinity else _residue(q.value, r, p) for q in src]
+    want = [_residue(q.value, r, p) for q in spots]
+    if None in res or None in want:
+        yield from _TRIPLES
+        return
+    want.sort()
+    # x - y and its inverse, 1 where infinity drops the factor; `clash`
+    # holds the points that share a residue with another
+    diff, inv, clash = {}, {}, set()
+    for i, j in itertools.combinations(range(6), 2):
+        if p in (res[i], res[j]):
+            diff[i, j] = diff[j, i] = inv[i, j] = inv[j, i] = 1
+        elif res[i] == res[j]:
+            clash.update((i, j))
+        else:
+            d = res[i] - res[j]
+            diff[i, j], diff[j, i] = d, -d
+            inv[i, j] = pow(d, -1, p)
+            inv[j, i] = -inv[i, j]
+    wanted = set(want)
+    for a, b, c, rest in _TRIPLES:
+        # a point of the triple and its partner lie under one image
+        if clash and (a in clash or b in clash or c in clash):
+            yield a, b, c, rest
+            continue
+        h = diff[c, a] * inv[c, b] % p
+        images = []
+        for x in rest:
+            image = diff[x, b] * inv[x, a] * h % p
+            if image not in wanted:
+                break
+            images.append(image)
+        else:
+            if sorted(images) == want:
+                yield a, b, c, rest
 
 
 def set_maps(S, T, anti: bool = False) -> list:
@@ -377,16 +423,21 @@ def set_maps(S, T, anti: bool = False) -> list:
 
     Every map sends some ordered triple of S to a fixed base triple of T,
     and it does so iff normalizing both triples to (inf, 0, 1) puts the
-    remaining three points of each set at the same spots.  So the 120
-    ordered triples of S are normalized once (and kept for the next call
-    with the same source) and looked up by the spots of T's base triple;
-    the witness matrix is only assembled for the triples found.  An
-    anti-map z -> M(conj z) carries S onto T iff conj(M) carries S onto
-    conj(T), so anti maps use the same index and conjugate the target.
+    remaining three points of each set at the same spots.  The base triple
+    is normalized exactly.  The 120 ordered triples of S are first reduced
+    at a split prime (`_unrefuted_triples`).  Reduction is a ring
+    homomorphism on the values involved, so a triple whose images reduce
+    to other residues than the spots is certified to carry no map.  A
+    triple with two of the points behind an image on one residue, or with
+    a value that has no residue, is not refuted, so one prime is enough.
+    Each remaining triple is normalized exactly, and the witness matrix is
+    assembled only when its images are the spots.  An anti-map
+    z -> M(conj z) carries S onto T iff conj(M) carries S onto conj(T), so
+    anti maps conjugate the target and the source is reduced as it is.
     """
     s_in, t_in = list(S), list(T)
     n, everything = unify_points(s_in + t_in)
-    src = tuple(sorted({_raw_key(p) for p in everything[:len(s_in)]}))
+    src = list({_raw_key(p): p for p in everything[:len(s_in)]}.values())
     tgt = everything[len(s_in):]
     if anti:
         tgt = [p.conjugate() for p in tgt]
@@ -396,9 +447,14 @@ def set_maps(S, T, anti: bool = False) -> list:
     if len(src) != 6 or len(tgt) != 6:
         raise ValueError("both sets must contain exactly six points")
     base, mat = tgt[:3], _std_raw(*tgt[:3])
-    spots = tuple(sorted(_raw_key(_apply_raw(mat, p)) for p in tgt[3:]))
+    spots = [_apply_raw(mat, p) for p in tgt[3:]]
+    want = sorted(map(_raw_key, spots))
     found = {}
-    for triple in _triple_index(n, src).get(spots, ()):
+    for *idx, rest in _unrefuted_triples(n, src, spots):
+        triple = [src[i] for i in idx]
+        mat = _std_raw(*triple)
+        if sorted(_raw_key(_apply_raw(mat, src[x])) for x in rest) != want:
+            continue
         m = moebius_from_triple(triple, base)
         if anti:
             m = Moebius(*(x.conjugate() for x in m.coefficients()),

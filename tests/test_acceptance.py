@@ -43,6 +43,8 @@ from pseudoreal.moduli import classify_sigma, field_of_moduli, row_targets, \
     stabilizer
 from pseudoreal.descent import cocycle_check, extend_cyclic, lift_to_monomial
 
+from test_descent import transport_checked_once
+
 
 def verdict(ok, number, label):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {label}")
@@ -319,8 +321,9 @@ def test_criterion_9_each_even_k():
         g = GaloisElement(n, 4 * k + 1)
         lift = lift_to_monomial(classify_sigma(p, g).witness, p, g, n)
         ok = ok and len(lift.isos) == k ** 5 and not lift.missing
-        closes = [cocycle_check(extend_cyclic(f, 4 * k + 1, 2, p, n)).ok
-                  for f in lift.isos]
+        with transport_checked_once(lift, p, 4 * k + 1, n):
+            closes = [cocycle_check(extend_cyclic(f, 4 * k + 1, 2, p, n)).ok
+                      for f in lift.isos]
         print(f"[report] criterion 9: k = {k}: {sum(closes)} of "
               f"{len(closes)} candidates close")
         ok = ok and sum(closes) == closing

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from pseudoreal import moebius
 from pseudoreal.cyclotomic import CycElt, make_element
-from pseudoreal.moebius import INF, Moebius, SpherePoint, _triple_index
+from pseudoreal.moebius import INF, Moebius, SpherePoint
 from pseudoreal.configurations import (
     OmegaError,
     concircular_quadruples,
@@ -146,16 +147,27 @@ def test_symmetries_imaginary_angle_has_plain_conjugation():
     assert len(sym.conformal) > 1  # extra conformal symmetries appear
 
 
-def test_symmetries_normalize_the_source_once():
-    # the anti call conjugates its target, not its source, so both calls
-    # read one source index
-    _triple_index.cache_clear()
+def test_symmetries_test_only_their_maps_exactly(monkeypatch):
+    # the split prime refutes every ordered triple that carries no map, so
+    # only the two maps' triples are tested exactly, and neither call
+    # normalizes the source as a whole
+    unrefuted, survivors = moebius._unrefuted_triples, []
+
+    def counting(*args):
+        for triple in unrefuted(*args):
+            survivors.append(triple)
+            yield triple
+
+    def refuse(pts):
+        raise AssertionError("the source was normalized")
+
+    monkeypatch.setattr(moebius, "_unrefuted_triples", counting)
+    monkeypatch.setattr(moebius, "_normalized_triples", refuse)
     mu = make_element("2*z", 5)
     sym = symmetries(family_config(CycElt.from_rational(-4, 5), mu))
-    info = _triple_index.cache_info()
-    _triple_index.cache_clear()
-    assert (info.misses, info.hits) == (1, 1)
+    assert list(sym.conformal) == [Moebius.identity()]
     assert list(sym.anticonformal) == [Moebius(0, -4, 1, 0, conj_first=True)]
+    assert len(survivors) == 2
 
 
 def test_symmetries_generic_trivial():

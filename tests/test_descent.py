@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 from unittest import mock
 
@@ -366,3 +367,47 @@ def test_order_d_candidate_costs_2d_minus_2_compositions(g, d):
         mock.patch.stopall()
     assert counted["compose_twist"].call_count == 2 * (d - 1)
     assert counted["transports_curve"].call_count == 2
+
+
+@contextlib.contextmanager
+def transport_checked_once(lift, p, a, m):
+    """Within the block, `transports_curve` checks each distinct map once
+    for p, and the maps of the lift under sigma_a once in all.  Transport
+    reads only a map's permutation and scale powers, and every map of a
+    lift has the lift's (`test_lift_maps_carry_their_scale_powers`), so the
+    candidates' data need no check of their own for their generator map,
+    nor for the identity that an order-1 datum checks."""
+    check, gen = descent.transports_curve, GaloisElement(m, a)
+    ids, verdicts = {id(f) for f in lift.isos}, {}
+
+    def once(f, params, t):
+        if params is not p:
+            return check(f, params, t)
+        key = lift.perm if id(f) in ids and t == gen else (f, t)
+        if key not in verdicts:
+            verdicts[key] = check(f, params, t)
+        return verdicts[key]
+
+    with mock.patch.object(descent, "transports_curve", once):
+        yield
+
+
+def test_transport_checked_once_gives_every_candidates_verdict():
+    # the pi/4 lift at n = 16 under sigma_3 of order 4: the per-candidate
+    # data decide the same with one transport check for the lift
+    p, a = pi4_params(), 3
+    lift = lift_to_monomial(Moebius(0, -4, 1, 0), p, GaloisElement(16, a), 16)
+
+    def verdicts():
+        out = []
+        for f in lift.isos:
+            datum = extend_cyclic(f, a, 4, p, 16)
+            out.append((datum.closes, cocycle_check(datum)))
+        return out
+
+    want = verdicts()
+    with mock.patch.object(descent, "transports_curve",
+                           wraps=descent.transports_curve) as counted:
+        with transport_checked_once(lift, p, a, 16):
+            assert verdicts() == want
+    assert counted.call_count == 1

@@ -10,8 +10,9 @@ from pseudoreal.moebius import (
     INF,
     Moebius,
     SpherePoint,
-    _raw_key,
-    _triple_index,
+    _apply_raw,
+    _normalized_triples,
+    _std_raw,
     concircular,
     cross_ratio,
     g_orbit,
@@ -216,7 +217,7 @@ def test_set_maps_requires_six_points():
         set_maps([INF, SpherePoint.of(0)], [INF, SpherePoint.of(1)])
 
 
-def test_one_index_build_counts_its_products(monkeypatch):
+def test_one_cross_ratio_table_counts_its_products(monkeypatch):
     # the product per image took 461 products and 687 element
     # constructions for this set; the cross-ratio table took 116 and 248,
     # and with its inversions down the norm chain it takes 96 and at most
@@ -233,16 +234,33 @@ def test_one_index_build_counts_its_products(monkeypatch):
         return store(self, *args)
 
     cfg = make_config(*(make_element(x, 8) for x in ("-4", "2*z", "-2*z")))
-    n, pts = unify_points(cfg.points())
-    keys = tuple(sorted(map(_raw_key, pts)))
+    _, pts = unify_points(cfg.points())
     monkeypatch.setattr(CycElt, "__mul__", counting_mul)
     monkeypatch.setattr(CycElt, "__rmul__", counting_mul)
     monkeypatch.setattr(CycElt, "_store", counting_store)
-    _triple_index.cache_clear()
-    try:
-        index = _triple_index(n, keys)
-    finally:
-        _triple_index.cache_clear()
-    assert sum(map(len, index.values())) == 120
+    rows = list(_normalized_triples(pts))
+    assert len(rows) == 120
     assert counts["mul"] <= 96
     assert counts["store"] <= 216
+
+
+def test_set_maps_without_a_map_inverts_only_the_spots(monkeypatch):
+    # sigma_3 is outside the stabilizer of this member: the split prime
+    # refutes all 120 triples, so the only inversions are the three that
+    # put the target's last points at their spots
+    lam, mu = make_element("-4", 40), make_element("2*z", 40)
+    src = family_points(lam, mu)
+    dst = family_points(lam.galois_apply(3), mu.galois_apply(3))
+    inverse, count = CycElt.inverse, [0]
+
+    def counting(self):
+        count[0] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(CycElt, "inverse", counting)
+    mat = _std_raw(*unify_points(dst)[1][:3])
+    for p in unify_points(dst)[1][3:]:
+        _apply_raw(mat, p)
+    spots, count[0] = count[0], 0
+    assert set_maps(src, dst) == []
+    assert count[0] == spots == 3

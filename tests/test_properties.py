@@ -1,6 +1,7 @@
 """Property tests for the shared elimination, field embedding,
 (anti-)Moebius application, field axioms, inverses of dense values and
-the Galois action, and differential tests of set_maps, the cross-ratio
+the Galois action, and differential tests of set_maps (also through a
+tiny split prime, against the exact 120-triple index), the cross-ratio
 table, u_orbit, the stabilizer, the six-inversion row table,
 the term formatter, check_order, the k-th root search and its shortcuts,
 the kernel test of span membership and curve transport on the curve's
@@ -28,7 +29,7 @@ from pseudoreal.cli import build_parser
 from pseudoreal.configurations import OmegaError, make_config, u_orbit
 from pseudoreal.cyclotomic import MAX_CONDUCTOR, CycElt, GaloisElement, \
     LimitError, _conjugates, _echelon, _no_root_mod_p, _norm_chain, \
-    _reduced, _size_bits, _sympy_field, \
+    _reduced, _root_of_unity_mod, _size_bits, _split_prime, _sympy_field, \
     _sympy_roots, _monomial_roots, _related_roots, cyclotomic_polynomial, euler_phi, \
     format_poly, is_subgroup, kth_roots, make_element, subgroups, units
 from pseudoreal.descent import CocycleResult, LiftResult, MonomialIso, \
@@ -38,9 +39,11 @@ from pseudoreal.descent import CocycleResult, LiftResult, MonomialIso, \
 from pseudoreal.family import ParameterError, family_cross_ratios, validate
 from pseudoreal.moduli import OracleDisagreement, classify_sigma, stabilizer
 from pseudoreal.moebius import INF, Moebius, SpherePoint, _apply_raw, \
-    _normalized_triples, _orbit_values, _raw_key, _std_raw, _triple_index, \
-    cross_ratio, g_orbit, moebius_from_triple, set_maps, unify_points
+    _normalized_triples, _orbit_values, _raw_key, _std_raw, \
+    _unrefuted_triples, cross_ratio, g_orbit, moebius_from_triple, \
+    set_maps, unify_points
 
+from test_descent import transport_checked_once
 from test_moduli import admissible_mu
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -345,14 +348,45 @@ def reference_set_maps(S, T, anti=False):
     return [found[k] for k in sorted(found)]
 
 
+def reference_index_set_maps(S, T, anti=False,
+                             normalize=_normalized_triples):
+    """The set_maps before the split-prime filter: every ordered triple of
+    S normalized exactly by `normalize` and filed under the sorted raw keys
+    of its images, then looked up by the spots of T's base triple."""
+    s_in, t_in = list(S), list(T)
+    _, everything = unify_points(s_in + t_in)
+    src = sorted({_raw_key(p): p for p in everything[:len(s_in)]}.values(),
+                 key=_raw_key)
+    tgt = everything[len(s_in):]
+    if anti:
+        tgt = [p.conjugate() for p in tgt]
+    tgt = list({_raw_key(p): p for p in tgt}.values())
+    assert len(src) == len(tgt) == 6
+    index = {}
+    for triple, images in normalize(src):
+        index.setdefault(tuple(sorted(map(_raw_key, images))), []).append(
+            triple)
+    mat = _std_raw(*tgt[:3])
+    spots = tuple(sorted(_raw_key(_apply_raw(mat, p)) for p in tgt[3:]))
+    found = {}
+    for triple in index.get(spots, ()):
+        m = moebius_from_triple(triple, tgt[:3])
+        if anti:
+            m = Moebius(*(x.conjugate() for x in m.coefficients()),
+                        conj_first=True)
+        found[_map_key(m)] = m
+    return [found[k] for k in sorted(found)]
+
+
 def _map_key(m):
     return (m.conj_first,) + tuple(x.coeffs for x in m.coefficients())
 
 
 def assert_matches_reference(S, T, anti):
     got = set_maps(S, T, anti=anti)
-    assert [_map_key(m) for m in got] == \
-        [_map_key(m) for m in reference_set_maps(S, T, anti)]
+    keys = [_map_key(m) for m in got]
+    assert keys == [_map_key(m) for m in reference_set_maps(S, T, anti)]
+    assert keys == [_map_key(m) for m in reference_index_set_maps(S, T, anti)]
     return got
 
 
@@ -422,16 +456,6 @@ def reference_u_orbit(cfg):
             if key not in seen:
                 seen[key] = triple
     return [seen[k] for k in sorted(seen)]
-
-
-def set_maps_indexed_by(normalize, S, T, anti):
-    """set_maps with its source index built by `normalize`."""
-    with mock.patch.object(moebius, "_normalized_triples", normalize):
-        _triple_index.cache_clear()
-        try:
-            return set_maps(S, T, anti=anti)
-        finally:
-            _triple_index.cache_clear()
 
 
 @st.composite
@@ -506,10 +530,107 @@ def test_set_maps_on_the_table_match_the_product_per_image(S, anti, data):
     assume(not (a * d - b * c).is_zero())
     M = Moebius(a, b, c, d, conj_first=anti)
     T = [M.apply(p) for p in S]
-    got = set_maps(S, T, anti=anti)
-    assert M in got
-    assert [_map_key(m) for m in got] == [_map_key(m) for m in (
-        set_maps_indexed_by(reference_normalized_triples, S, T, anti))]
+    got = [_map_key(m) for m in set_maps(S, T, anti=anti)]
+    assert _map_key(M) in got
+    for normalize in (_normalized_triples, reference_normalized_triples):
+        assert got == [_map_key(m) for m in reference_index_set_maps(
+            S, T, anti, normalize)]
+
+
+# -- set_maps through the split prime against the exact index ---------------
+
+
+def _images(S, anti, data, n):
+    """A target for S: its image under a drawn (anti-)map, which carries S
+    onto it; S itself; or that image with one point moved, which usually
+    has no map."""
+    a, b, c, d, x = data.draw(st.lists(elements(n, small), min_size=5,
+                                       max_size=5))
+    assume(not (a * d - b * c).is_zero())
+    T = [Moebius(a, b, c, d, conj_first=anti).apply(p) for p in S]
+    kind = data.draw(st.sampled_from(["image", "itself", "moved"]))
+    if kind == "itself":
+        return S
+    if kind == "moved":
+        T[data.draw(st.integers(0, 5))] = SpherePoint(x)
+        assume(len({_raw_key(p) for p in unify_points(T)[1]}) == 6)
+    return T
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_sets(), st.booleans(), st.data())
+def test_set_maps_match_the_exact_index(S, anti, data):
+    assume(len(S) == 6)
+    n = next(p.value.n for p in S if not p.is_infinity)
+    T = _images(S, anti, data, n)
+    assert [_map_key(m) for m in set_maps(S, T, anti=anti)] == \
+        [_map_key(m) for m in reference_index_set_maps(S, T, anti)]
+
+
+# a family member and its twists at n = 40, the largest conductor of the
+# corpus, and at the limit n = 120, plain and anti, and their images under
+# a sparse map
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(40, "-4", "2*z"), (40, "-4", "2*z^3"),
+                        (120, "-4", "2*z"), (120, "-9", "3*z^5")]),
+       st.booleans(), st.data())
+def test_set_maps_match_the_exact_index_at_conductors_40_and_120(
+        member, anti, data):
+    n, lam, mu = member
+    lam, mu = make_element(lam, n), make_element(mu, n)
+    S = make_config(lam, mu, -mu).points()
+    a = data.draw(st.sampled_from(units(n)))
+    T = make_config(lam.galois_apply(a), mu.galois_apply(a),
+                    -mu.galois_apply(a)).points()
+    if data.draw(st.booleans()):
+        z = CycElt.zeta(n)
+        T = [Moebius(z, 1, 1, -z).apply(p) for p in T]
+    assert [_map_key(m) for m in set_maps(S, T, anti=anti)] == \
+        [_map_key(m) for m in reference_index_set_maps(S, T, anti)]
+
+
+def _tiny_prime(n, p):
+    """`_split_prime` with the prime p at conductor n: its residues collide
+    often, and the spots may have none."""
+    def split(m):
+        return (p, _root_of_unity_mod(n, p)) if m == n else _split_prime(m)
+    return mock.patch.object(moebius, "_split_prime", split)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(12, 13), (16, 17)]).flatmap(lambda np: st.tuples(
+    st.just(np), st.lists(elements(np[0], small), min_size=6, max_size=6),
+    st.sampled_from([None, 0, 3, 5]))), st.booleans(), st.data())
+def test_a_tiny_split_prime_finds_the_same_maps(case, anti, data):
+    (n, p), values, at = case
+    S = [SpherePoint(v) for v in values]
+    if at is not None:
+        S[at] = INF
+    assume(len({_raw_key(q) for q in S}) == 6)
+    T = _images(S, anti, data, n)
+    want = [_map_key(m) for m in set_maps(S, T, anti=anti)]
+    with _tiny_prime(n, p):
+        assert [_map_key(m) for m in set_maps(S, T, anti=anti)] == want
+    assert want == [_map_key(m) for m in reference_index_set_maps(S, T, anti)]
+
+
+def test_a_collision_at_the_split_prime_rejects_no_triple():
+    # mod 13, 0 and 13 share a residue; the spots 13, z and z^2 + 2 have
+    # residues, so the filter runs, refutes triples away from 0 and 13, and
+    # passes on the map's own triple (inf, 0, 1), which holds 0
+    S = [INF] + [SpherePoint(make_element(x, 12))
+                 for x in ("0", "1", "13", "z", "z^2 + 2")]
+    M = Moebius(1, make_element("z", 12), 0, 1)
+    T = [M.apply(q) for q in S]
+    n, src = unify_points(S)
+    mat = _std_raw(*T[:3])
+    spots = [_apply_raw(mat, q) for q in T[3:]]
+    with _tiny_prime(12, 13):
+        survivors = [t[:3] for t in _unrefuted_triples(n, src, spots)]
+        maps = set_maps(S, T)
+    assert (0, 1, 2) in survivors and len(survivors) < 120
+    assert [t[:3] for t in _unrefuted_triples(n, src, spots)] == [(0, 1, 2)]
+    assert maps == set_maps(S, T) == reference_index_set_maps(S, T) == [M]
 
 
 # the moduli-sweep parameter forms: mu = q zeta^j with lambda = -q^2, and
@@ -652,9 +773,10 @@ def _points(n, *vectors):
     return make_config(*(CycElt(n, v) for v in vectors)).points()
 
 
-def test_set_maps_memo_is_keyed_on_exact_source():
+def test_set_maps_in_a_row_match_the_reference():
+    # calls in a row keep nothing but the split prime of each conductor
     maps = (Moebius(1, 2, 0, 1), Moebius(0, 1, 1, 0))
-    # sources A, B, A, each with two targets in a row (a miss, then a hit)
+    # sources A, B, A, which differ in one coefficient, two targets each
     A = _points(8, (0, 1), (2, 0, 1), (0, 0, 0, 3))
     B = _points(8, (0, 1), (2, 0, 1), (0, 0, 0, -3))
     for S in (A, B, A):
@@ -1286,12 +1408,14 @@ def test_cocycle_check_failing_pair_matches_the_pair_table(case, perm, powers,
 def oracle_verdicts(lift, p, a, d, n):
     """(closes, cocycle_ok, failing_pair) of each candidate from its own
     extend_cyclic datum and cocycle_check: the per-candidate path that
-    weil-check ran before the torsor."""
+    weil-check ran before the torsor, with transport checked once for the
+    lift."""
     out = []
-    for f in lift.isos:
-        datum = extend_cyclic(f, a, d, p, n)
-        chk = cocycle_check(datum)
-        out.append((datum.closes, chk.ok, chk.failing))
+    with transport_checked_once(lift, p, a, n):
+        for f in lift.isos:
+            datum = extend_cyclic(f, a, d, p, n)
+            chk = cocycle_check(datum)
+            out.append((datum.closes, chk.ok, chk.failing))
     return out
 
 
