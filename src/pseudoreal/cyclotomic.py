@@ -180,6 +180,22 @@ def _norm_chain(n: int) -> tuple:
     return tuple(reversed(steps))
 
 
+@functools.cache
+def _step_units(n: int, d: int, p: int) -> tuple:
+    """Units that generate the kernel of (Z/n)* -> (Z/(d/p))* together
+    with the kernel of (Z/n)* -> (Z/d)*, for a prime p | d | n: an element
+    of Q(zeta_d), which the second kernel fixes, lies in Q(zeta_(d/p)) iff
+    these units fix it too.  Mostly one unit, none when Q(zeta_d) =
+    Q(zeta_(d/p)) (d = 2 mod 4, p = 2)."""
+    e = d // p
+    span, gens = {a for a in units(n) if a % d == 1 % d}, []
+    for a in units(n):
+        if a % e == 1 % e and a not in span:
+            gens.append(a)
+            span = {s * b % n for s in span for b in _cyclic(a, n)}
+    return tuple(gens)
+
+
 def _fixed_support(h: frozenset, n: int) -> int:
     """The number of power-basis coordinates in use in the fixed field of
     the subgroup h of (Z/n)*.  The field is spanned by the h-traces of the
@@ -343,22 +359,30 @@ class CycElt:
             f"element of conductor {d} does not lie in Q(zeta_{m})")
 
     def _minimal_form(self):
-        """(d, coeffs) at the smallest conductor d | n containing the element."""
+        """(d, coeffs) at the smallest conductor d | n containing the element.
+
+        Q(zeta_d) and Q(zeta_e) meet in Q(zeta_gcd(d, e)), so the d | n
+        with the element in Q(zeta_d) are closed under gcd: the least one
+        divides all others and is reached one prime at a time, from d = n
+        (d = 1 for a rational) down to d/p while the element lies in
+        Q(zeta_(d/p)).  A prime that fails at d fails at every later d,
+        which divides this one with the same power of p, so each prime
+        steps until it fails once.  The element of Q(zeta_d) lies in
+        Q(zeta_(d/p)) iff the units of `_step_units(n, d, p)` fix it."""
         cached = object.__getattribute__(self, "_min")
         if cached is not None:
             return cached
-        result = (self.n, self.coeffs)
-        for d in _divisors(self.n)[:-1]:
-            # the element lies in Q(zeta_d) iff it is fixed by every unit
-            # a = 1 mod d of (Z/n)*
-            kernel = [a for a in units(self.n) if a % d == 1 % d]
-            if all(self.galois_apply(a) == self for a in kernel):
-                vec = self._rewrite_in(d)
-                if vec is not None:
-                    result = (d, vec)
-                    break
-        _set_min(self, result)
-        return result
+        n = self.n
+        d = 1 if self.is_rational() else n
+        for p in [p for p in _divisors(d) if _is_prime(p)]:
+            while d % p == 0 and all(self.galois_apply(a) == self
+                                     for a in _step_units(n, d, p)):
+                d //= p
+        vec = self.coeffs if d == n else self._rewrite_in(d)
+        if vec is None:
+            raise AssertionError(f"element is not in Q(zeta_{d})")
+        _set_min(self, (d, vec))
+        return d, vec
 
     def _rewrite_in(self, d: int):
         """Coordinates of self in the power basis of Q(zeta_d), as

@@ -44,7 +44,7 @@ from .cyclotomic import CycElt, GaloisElement, LimitError, common_field, \
     kth_roots, units
 from .cyclotomic import _cyclic, _monomial_form, _related_roots, \
     _unity_exponent
-from .moebius import Moebius, _same_points
+from .moebius import Moebius, _pairing
 from .family import FamilyParams, _configuration, _twist
 
 __all__ = [
@@ -286,12 +286,12 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
         raise ValueError("T must be a plain Moebius map")
     lam, mu = p.lam.in_conductor(m), p.mu.in_conductor(m)
     slam, smu, tgt_branch = _twist(lam, mu, GaloisElement(m, _restrict(a, m)))
-    images = [T.apply(b) for b in _configuration(lam, mu).points()]
-    if not _same_points(images, tgt_branch):
+    pairing = _pairing(T, _configuration(lam, mu).points(), tgt_branch)
+    if pairing is None:
         raise ValueError("T does not carry the branch set onto its twist")
     # output slot i reads the source coordinate whose branch value T sends
     # to the i-th target branch value
-    perm = tuple(images.index(pt) for pt in tgt_branch)
+    perm = tuple(pairing.index(i) for i in range(6))
 
     # the curve is the line y_1 = W, y_2 = -Z, y_j = Z - z_j W in (Z : W),
     # and T = (a b; c d) acts on (Z, W); y'_i o T vanishes where y_perm(i)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .cyclotomic import CycElt, common_field, real_sign
-from .moebius import INF, Moebius, _orbit_values, cross_ratio
+from .moebius import INF, Moebius, _in_orbit, cross_ratio
 from .configurations import Configuration, make_config, symmetries
 
 __all__ = [
@@ -121,13 +121,13 @@ def validate(lam, mu, k: int) -> FamilyParams:
     if k % 2 != 0:
         raise ParameterError("k_odd", f"k = {k} is odd")
     # defensive exactness check: the three circular cross-ratios must be
-    # pairwise inequivalent under the six-map group; compared on exact
-    # coefficients in one field, which needs no minimal forms
+    # pairwise inequivalent under the six-map group; two orbits meet iff
+    # one value lies in the other's orbit, decided by cross-multiplication
+    # in one field, which needs no minimal forms and no inversion
     _, cr = common_field(family_cross_ratios(lam, mu))
-    orbits = [{(v.num, v.den) for v in _orbit_values(c)} for c in cr]
     for i in range(3):
         for j in range(i + 1, 3):
-            if orbits[i] & orbits[j]:
+            if _in_orbit(cr[j], cr[i]):
                 raise ParameterError(
                     "cross_ratio_collision",
                     f"cross-ratios {cr[i]} and {cr[j]} share an orbit")

@@ -14,11 +14,12 @@ explicit Moebius witness:
           +- sigma(mu) (z +- mu)/(z -+ mu)
 
 Every matched row's map is checked to carry the six-point set onto its
-twist.  `classify_sigma` double-checks the table against the brute-force
-enumeration of all Moebius maps between the two six-point sets (`set_maps`,
-which refutes the ordered triples that carry no map by reduction at a
-split prime and tests the others exactly); disagreement is an internal
-error, never a result.  The stabilizer
+twist, by cross-multiplication (`moebius._pairing`).  `classify_sigma`
+double-checks the table against the brute-force enumeration of all
+Moebius maps between the two six-point sets (`set_maps`, which refutes
+the ordered triples that carry no map by reduction at a split prime and
+tests the others exactly); disagreement is an internal error, never a
+result.  The stabilizer
 builds the table once and matches it on every exponent, runs
 `classify_sigma` on sigma_1 alone, and enumerates one exponent of each
 coset of the table's hits outside them, where no map may exist: the hits
@@ -37,7 +38,7 @@ from typing import Optional
 
 from .cyclotomic import CycElt, GaloisElement, Subfield, fixed_field, \
     fixing_subgroup, is_subgroup, units
-from .moebius import Moebius, _same_points, set_maps
+from .moebius import Moebius, _pairing, set_maps
 from .family import FamilyParams, _configuration, _twist
 
 __all__ = [
@@ -145,13 +146,13 @@ def row_targets(lam: CycElt, mu: CycElt):
 def _table(table, source, slam, smu, target) -> list:
     """The (RowMatch, map) of every row of the `row_targets` table that
     (sigma(lambda), sigma(mu)) matches.  Each row's map is checked to carry
-    the source's six points onto the target's, so a match certifies sigma
-    to be in the stabilizer."""
+    the source's six points onto the target's, by cross-multiplication, so
+    a match certifies sigma to be in the stabilizer."""
     rows = []
     for row, sign, want_l, want_m, builder in table:
         if slam == want_l and smu == want_m:
             t = builder(slam, smu)
-            if not _same_points(map(t.apply, source), target):
+            if _pairing(t, source, target) is None:
                 raise OracleDisagreement(
                     f"row ({row}) matched but its map does not carry the "
                     f"six-point set")

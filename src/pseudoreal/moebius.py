@@ -2,7 +2,10 @@
 cross-ratios, generalized-circle membership, and exhaustive enumeration of
 maps between six-point sets.  The enumeration reduces the source's ordered
 triples at a split prime, which refutes almost all of them, and tests the
-rest exactly; it keeps nothing from one call to the next.
+rest exactly; it keeps nothing from one call to the next.  Whether a given
+map carries one point set onto another (`_pairing`), and whether a value
+lies in the orbit of a cross-ratio (`_in_orbit`), are decided by
+cross-multiplication, with no inversion.
 
 A transformation is stored as projective coefficients (a, b, c, d) for
 z -> (a z + b)/(c z + d), normalized so the first nonzero coefficient is 1;
@@ -224,6 +227,16 @@ def _orbit_values(c) -> list:
     return [c, one / c, one - c, one / (one - c), (c - one) / c, c / (c - one)]
 
 
+def _in_orbit(v: CycElt, c: CycElt) -> bool:
+    """Whether v is one of the `_orbit_values` of c (neither 0 nor 1),
+    decided by cross-multiplication with one product and no inversion: v
+    is c, 1/c, 1 - c, 1/(1 - c), (c - 1)/c or c/(c - 1) iff v = c, vc = 1,
+    v = 1 - c, v - vc = 1, vc = c - 1 or vc - v = c."""
+    vc = v * c
+    return (v == c or vc == 1 or v == 1 - c or v - vc == 1
+            or vc == c - 1 or vc - v == c)
+
+
 def g_orbit(c: CycElt) -> list:
     """Orbit of a cross-ratio value under the six maps generated by
     z -> 1/z and z -> z/(z-1); at most six values, canonically sorted."""
@@ -345,13 +358,39 @@ def _raw_key(p: SpherePoint):
     return (0,) if p.is_infinity else (1, p.value.num, p.value.den)
 
 
-def _same_points(A, B) -> bool:
-    """Whether A and B hold the same points, decided on exact coefficients
-    in one common field (no minimal forms, unlike hashing)."""
-    a, b = list(A), list(B)
-    _, pts = unify_points(a + b)
-    return ({_raw_key(p) for p in pts[:len(a)]}
-            == {_raw_key(p) for p in pts[len(a):]})
+def _pairing(t: Moebius, A, B) -> Optional[list]:
+    """For each point of A, the index in B of its image under t; None when
+    some image is not in B.  The points of A are taken distinct, and so are
+    those of B.
+
+    Decided by cross-multiplication in one common field, with no inversion:
+    t(x) = (N : D), with (N, D) = (a x + b, c x + d) for finite x (x
+    conjugated first for an anti-map) and (a, c) for x = inf, is inf iff
+    D = 0 and the finite point y iff D != 0 and N = y D."""
+    A, B = list(A), list(B)
+    _, pts = unify_points([*A, *B, *t.coefficients()])
+    k = len(A) + len(B)
+    A, B = pts[:len(A)], pts[len(A):k]
+    a, b, c, d = (p.value for p in pts[k:])
+    free = dict(enumerate(B))
+    out = []
+    for x in A:
+        if t.conj_first:
+            x = x.conjugate()
+        if x.is_infinity:
+            num, den = a, c
+        else:
+            num, den = a * x.value + b, c * x.value + d
+        if den.is_zero():
+            hit = next((j for j, y in free.items() if y.is_infinity), None)
+        else:
+            hit = next((j for j, y in free.items()
+                        if not y.is_infinity and num == y.value * den), None)
+        if hit is None:
+            return None
+        del free[hit]
+        out.append(hit)
+    return out
 
 
 # the ordered triples (a, b, c) of six indices, in itertools.permutations

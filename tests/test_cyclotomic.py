@@ -462,6 +462,27 @@ def test_rational_inverse_is_one_construction(monkeypatch):
             (0, 0, 1)
 
 
+@pytest.mark.parametrize("n, text, images", [
+    (16, "z", 1), (16, "z + 2*z^3", 1), (120, "z", 3)])
+def test_key_outside_every_proper_subfield_tries_one_unit_a_prime(
+        monkeypatch, n, text, images):
+    # the loop over the divisors d of n applied the units a = 1 mod d,
+    # 1 included, until one moved the value: 8 Galois images at n = 16,
+    # 30 at n = 120
+    u, calls = make_element(text, n), []
+    galois = CycElt.galois_apply
+
+    def counting(*args):
+        calls.append(args)
+        return galois(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(CycElt, "galois_apply", counting)
+        key = u.key()
+    assert key == (n, u.coeffs)
+    assert len(calls) == images
+
+
 @pytest.mark.parametrize("e", [5, 8])
 def test_power_stops_after_the_last_bit(monkeypatch, e):
     # squaring once more after the last bit, from one * base, took 5

@@ -24,6 +24,22 @@ def test_validate_accepts_worked_parameters():
     validate(-(mu * mu.conjugate()), mu, 2)
 
 
+def test_validate_inverts_only_for_its_cross_ratios(monkeypatch):
+    # the orbit test took four more for each cross-ratio: 15 in all
+    lam, mu = make_element("-4", 8), make_element("2*z", 8)
+    inverse, count = CycElt.inverse, [0]
+
+    def counting(self):
+        count[0] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(CycElt, "inverse", counting)
+    family_cross_ratios(lam, mu)
+    ratios, count[0] = count[0], 0
+    validate(lam, mu, 2)
+    assert count[0] == ratios == 3
+
+
 def test_validate_clause_order_and_diagnostics():
     mu3 = make_element("2*z", 3)
     cases = [

@@ -9,8 +9,9 @@ line pushed forward, the integer element arithmetic, the
 inverse down the norm chain, the lift as products of coset roots, the
 scale powers written down from the witness, the cocycle check from its
 recursion and closure, every candidate's verdict from the deck-group
-torsor, and validate's collision
-check against the code each replaced, and of cross_ratio against the
+torsor, the map check by cross-multiplication, minimal forms one prime
+at a time, and validate's collision check by cross-multiplication
+against the code each replaced, and of cross_ratio against the
 normalizing map."""
 
 import functools
@@ -36,12 +37,13 @@ from pseudoreal.descent import CocycleResult, LiftResult, MonomialIso, \
     WeilDatum, _curve_kernel, check_order, cocycle_check, \
     compose_twist, curve_rows, extend_cyclic, lift_to_monomial, \
     torsor_verdicts, transports_curve
-from pseudoreal.family import ParameterError, family_cross_ratios, validate
+from pseudoreal.family import ParameterError, _configuration, _twist, \
+    family_cross_ratios, validate
 from pseudoreal.moduli import OracleDisagreement, classify_sigma, stabilizer
 from pseudoreal.moebius import INF, Moebius, SpherePoint, _apply_raw, \
-    _normalized_triples, _orbit_values, _raw_key, _std_raw, \
-    _unrefuted_triples, cross_ratio, g_orbit, moebius_from_triple, \
-    set_maps, unify_points
+    _in_orbit, _normalized_triples, _orbit_values, _pairing, _raw_key, \
+    _std_raw, _unrefuted_triples, cross_ratio, g_orbit, \
+    moebius_from_triple, set_maps, unify_points
 
 from test_descent import transport_checked_once
 from test_moduli import admissible_mu
@@ -794,6 +796,116 @@ def test_set_maps_in_a_row_match_the_reference():
         S, [maps[0](p) for p in S], False)
     assert anti in assert_matches_reference(S, [anti(p) for p in S], True)
     assert_matches_reference(S, S, True)
+
+
+# -- the pairing by cross-multiplication against apply-then-compare --------
+
+
+def reference_same_points(A, B) -> bool:
+    """The earlier point-set comparison: raw keys in one common field."""
+    a, b = list(A), list(B)
+    _, pts = unify_points(a + b)
+    return ({_raw_key(p) for p in pts[:len(a)]}
+            == {_raw_key(p) for p in pts[len(a):]})
+
+
+def reference_pairing(t, A, B):
+    """The earlier check: apply t to each point of A, which inverts once
+    for each finite image, compare the images with B as sets, then look
+    each image up in B."""
+    images = [t.apply(x) for x in A]
+    if not reference_same_points(images, B):
+        return None
+    return [list(B).index(y) for y in images]
+
+
+PAIRING_CONDUCTORS = [1, 3, 4, 5, 8]
+
+
+@st.composite
+def pairing_cases(draw):
+    """(t, A, B): six distinct points A at one conductor, infinity among
+    them or not; a plain or anti map t at another, which may send a point
+    of A to infinity; and B, the images of A shuffled and embedded in a
+    larger field, one of them moved off the image set or not."""
+    n, m = (draw(st.sampled_from(PAIRING_CONDUCTORS)) for _ in range(2))
+    A = [SpherePoint(x) for x in draw(st.lists(elements(n), min_size=6,
+                                                max_size=6))]
+    if draw(st.booleans()):
+        A[draw(st.integers(0, 5))] = INF
+    assume(all(A[i] != A[j] for i, j in itertools.combinations(range(6), 2)))
+    a, b, c, d = draw(st.lists(elements(m), min_size=4, max_size=4))
+    anti = draw(st.booleans())
+    pole = draw(st.sampled_from([None, *range(6)]))
+    if pole is not None and not A[pole].is_infinity and not c.is_zero():
+        x = A[pole].value
+        d = -c * (x.conjugate() if anti else x)
+    assume(not (a * d - b * c).is_zero())
+    t = Moebius(a, b, c, d, conj_first=anti)
+    B = [t.apply(x) for x in A]
+    B = draw(st.permutations(B))
+    scale = math.lcm(n, m) * draw(st.sampled_from([1, 2, 3]))
+    B = [y if y.is_infinity else SpherePoint(y.value.embed(scale))
+         for y in B]
+    if draw(st.booleans()):
+        moved = SpherePoint(draw(elements(n)))
+        assume(moved not in B)
+        B[draw(st.integers(0, 5))] = moved
+    return t, A, B
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairing_cases())
+def test_pairing_matches_apply_then_compare(case):
+    t, A, B = case
+    assert _pairing(t, A, B) == reference_pairing(t, A, B)
+
+
+def test_a_wrong_row_map_is_an_oracle_disagreement():
+    lam, mu = make_element("-4", 8), make_element("2*z", 8)
+    source = _configuration(lam, mu).points()
+    twist = _twist(lam, mu, GaloisElement(8, 1))
+    table = moduli.row_targets(lam, mu)
+    assert moduli._table(table, source, *twist)
+    # z -> 1/z sends -4 to -1/4, off the set
+    wrong = [(*row[:4], lambda sl, sm: Moebius(0, 1, 1, 0)) for row in table]
+    with pytest.raises(OracleDisagreement, match="does not carry"):
+        moduli._table(wrong, source, *twist)
+
+
+def test_row_and_witness_checks_make_no_inversion(monkeypatch):
+    # through Moebius.apply each finite image was inverted once: up to six
+    # inversions a check
+    n, a = 16, GaloisElement(16, 3)
+    p = validate(make_element("-4", n), make_element("2*z^2", n), 2)
+    witness = classify_sigma(p, a).witness
+    # [pairings, inversions inside them] of each module
+    counts, inside = {moduli: [0, 0], descent: [0, 0]}, []
+    inverse = CycElt.inverse
+
+    def counting_inverse(self):
+        if inside:
+            counts[inside[-1]][1] += 1
+        return inverse(self)
+
+    def counted(module, pairing):
+        def call(*args):
+            counts[module][0] += 1
+            inside.append(module)
+            try:
+                return pairing(*args)
+            finally:
+                inside.pop()
+        return call
+
+    monkeypatch.setattr(CycElt, "inverse", counting_inverse)
+    for module in counts:
+        monkeypatch.setattr(module, "_pairing",
+                            counted(module, module._pairing))
+    assert len(stabilizer(p, n)) == 8
+    assert len(lift_to_monomial(witness, p, a, n).isos) == 32
+    # eight table hits and sigma_1's row in classify_sigma
+    assert counts == {moduli: [9, 0], descent: [1, 0]}
 
 
 # -- the shared term formatter against the two it replaced -------------------
@@ -1809,15 +1921,44 @@ def test_inverse_where_chain_steps_are_skipped(n, text, norm):
     assert u * u.inverse() == 1
 
 
+def reference_minimal_form(u):
+    """The earlier minimal form, a loop over the divisors d of n: the
+    least d whose kernel units a = 1 mod d all fix u, and u's
+    coordinates at d."""
+    n = u.n
+    for d in (d for d in range(1, n) if n % d == 0):
+        kernel = [a for a in units(n) if a % d == 1 % d]
+        if all(u.galois_apply(a) == u for a in kernel):
+            vec = u._rewrite_in(d)
+            if vec is not None:
+                return d, vec
+    return n, u.coeffs
+
+
+def _subfield_values(n, u, subgroups_of_n):
+    """A rational, u and u's trace over each subgroup: sums of Galois
+    conjugates over a subgroup fall into subfields."""
+    return [CycElt.from_rational(Fraction(-3, 7), n), u] + [
+        sum((u.galois_apply(h) for h in H), CycElt.zero(n))
+        for H in subgroups_of_n]
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([1, 2, 3, 4, 5, 8, 12, 16, 24, 40]), st.data())
+@given(st.integers(1, MAX_CONDUCTOR), st.data())
 def test_key_matches_the_fraction_minimal_form(n, data):
-    # sums of Galois conjugates over a random subgroup fall into subfields
     u = CycElt(n, data.draw(raw_coefficients(n)))
     H = data.draw(st.sampled_from(subgroups(n)))
-    t = sum((u.galois_apply(h) for h in H), CycElt.zero(n))
-    for w in (u, t):
-        assert w.key() == ref_key(n, w.coeffs)
+    for w in _subfield_values(n, u, [H]):
+        assert w.key() == ref_key(n, w.coeffs) == reference_minimal_form(w)
+
+
+def test_key_matches_the_divisor_loop_at_every_conductor():
+    # n = 2 (mod 4) included, where Q(zeta_n) = Q(zeta_(n/2))
+    for n in range(1, MAX_CONDUCTOR + 1):
+        u = CycElt(n, [Fraction(i * i - 5 * i + 2, 3)
+                       for i in range(euler_phi(n))])
+        for w in _subfield_values(n, u, subgroups(n)):
+            assert w.key() == reference_minimal_form(w), (n, w)
 
 
 # -- validate's collision check against the minimal-form keys ----------------
@@ -1840,6 +1981,16 @@ def test_collision_check_matches_the_key_based_intersection(mu):
     assert [len(exact[i] & exact[j]) for i, j in pairs] == \
         [len(by_key[i] & by_key[j]) for i, j in pairs]
     assert collided == any(by_key[i] & by_key[j] for i, j in pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(*[st.sampled_from([3, 4, 5, 8, 12]).flatmap(elements)] * 2)
+def test_product_orbit_test_takes_every_mate_and_matches_the_keys(c, other):
+    assume(not c.is_zero() and c != 1)
+    assert all(_in_orbit(v, c) for v in _orbit_values(c))
+    # an unrelated value, also at another conductor
+    assert _in_orbit(other, c) == \
+        (other.key() in {v.key() for v in g_orbit(c)})
 
 
 @settings(max_examples=60, deadline=None)
