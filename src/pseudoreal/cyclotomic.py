@@ -10,7 +10,11 @@ is 0/1), so two elements of the same conductor are equal iff their
 (num, den) pairs are equal; elements of different conductors are compared
 after embedding both into the lcm field via zeta_n = zeta_lcm^(lcm/n).
 `coeffs`, the coordinates as Fractions, is a view derived on first use;
-sorting keys, printing, enclosures and minimal forms read it.  `inverse`
+sorting keys, printing and enclosures read it.  A sorting key is the
+element at the least conductor that holds it, reached from n one prime p
+at a time by a closed-form step down to n/p (`CycElt._step_down`): a
+slice of the coordinates when p | n/p, else one Galois image and a
+trace.  `inverse`
 stays on the ints: 1/u = den * P / N for the integral w = den * u, where
 x = w * P is taken down a chain of prime-order Galois steps (`_norm_chain`)
 until it is fixed by the whole group, that is, a rational integer N.
@@ -180,22 +184,6 @@ def _norm_chain(n: int) -> tuple:
     return tuple(reversed(steps))
 
 
-@functools.cache
-def _step_units(n: int, d: int, p: int) -> tuple:
-    """Units that generate the kernel of (Z/n)* -> (Z/(d/p))* together
-    with the kernel of (Z/n)* -> (Z/d)*, for a prime p | d | n: an element
-    of Q(zeta_d), which the second kernel fixes, lies in Q(zeta_(d/p)) iff
-    these units fix it too.  Mostly one unit, none when Q(zeta_d) =
-    Q(zeta_(d/p)) (d = 2 mod 4, p = 2)."""
-    e = d // p
-    span, gens = {a for a in units(n) if a % d == 1 % d}, []
-    for a in units(n):
-        if a % e == 1 % e and a not in span:
-            gens.append(a)
-            span = {s * b % n for s in span for b in _cyclic(a, n)}
-    return tuple(gens)
-
-
 def _fixed_support(h: frozenset, n: int) -> int:
     """The number of power-basis coordinates in use in the fixed field of
     the subgroup h of (Z/n)*.  The field is spanned by the h-traces of the
@@ -256,7 +244,7 @@ class CycElt:
     """Element of Q(zeta_n): integer numerators over one positive
     denominator, canonical in the power basis mod Phi_n."""
 
-    __slots__ = ("n", "num", "den", "_coeffs", "_min")
+    __slots__ = ("n", "num", "den", "_coeffs")
 
     def __init__(self, n: int, coeffs: Sequence):
         if n < 1:
@@ -287,7 +275,6 @@ class CycElt:
         _set_num(self, tuple(num))
         _set_den(self, den)
         _set_coeffs(self, None)
-        _set_min(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("CycElt is immutable")
@@ -352,14 +339,14 @@ class CycElt:
             return self
         if m % self.n == 0:
             return self.embed(m)
-        d, vec = self._minimal_form()
-        if m % d == 0:
-            return CycElt(d, vec).embed(m)
+        x = self._minimal_form()
+        if m % x.n == 0:
+            return x.embed(m)
         raise ValueError(
-            f"element of conductor {d} does not lie in Q(zeta_{m})")
+            f"element of conductor {x.n} does not lie in Q(zeta_{m})")
 
-    def _minimal_form(self):
-        """(d, coeffs) at the smallest conductor d | n containing the element.
+    def _minimal_form(self) -> "CycElt":
+        """The element at the smallest conductor d | n containing it.
 
         Q(zeta_d) and Q(zeta_e) meet in Q(zeta_gcd(d, e)), so the d | n
         with the element in Q(zeta_d) are closed under gcd: the least one
@@ -367,37 +354,60 @@ class CycElt:
         (d = 1 for a rational) down to d/p while the element lies in
         Q(zeta_(d/p)).  A prime that fails at d fails at every later d,
         which divides this one with the same power of p, so each prime
-        steps until it fails once.  The element of Q(zeta_d) lies in
-        Q(zeta_(d/p)) iff the units of `_step_units(n, d, p)` fix it."""
-        cached = object.__getattribute__(self, "_min")
-        if cached is not None:
-            return cached
-        n = self.n
-        d = 1 if self.is_rational() else n
-        for p in [p for p in _divisors(d) if _is_prime(p)]:
-            while d % p == 0 and all(self.galois_apply(a) == self
-                                     for a in _step_units(n, d, p)):
-                d //= p
-        vec = self.coeffs if d == n else self._rewrite_in(d)
-        if vec is None:
-            raise AssertionError(f"element is not in Q(zeta_{d})")
-        _set_min(self, (d, vec))
-        return d, vec
+        steps until it fails once.  Each step is in closed form
+        (`_step_down`): a slice of the coordinates when p | d/p, else one
+        Galois image and the trace over p - 1."""
+        if self.is_rational():
+            return _reduced(1, [self.num[0]], self.den)
+        x = self
+        for p in [p for p in _divisors(self.n) if _is_prime(p)]:
+            while x.n % p == 0:
+                y = x._step_down(p)
+                if y is None:
+                    break
+                x = y
+        return x
 
-    def _rewrite_in(self, d: int):
-        """Coordinates of self in the power basis of Q(zeta_d), as
-        Fractions; None when self does not lie in Q(zeta_d)."""
-        rows, scale = _subfield_rows(d, self.n)
-        vec = tuple(Fraction(sum(c * self.num[i] for i, c in row),
-                             scale * self.den) for row in rows)
-        if CycElt(d, vec).embed(self.n) != self:
-            return None
-        return vec
+    def _step_down(self, p: int) -> Optional["CycElt"]:
+        """The element at conductor e = n/p, for a prime p | n; None when it
+        does not lie in Q(zeta_e).
+
+        When p | e, phi(n) = p phi(e) and z = zeta_n is a root of
+        x^p - zeta_e, so z^(p j + r) = zeta_e^j z^r, j < phi(e), r < p:
+        the power basis of Q(zeta_n) is the basis z^r over Q(zeta_e) times
+        the power basis of Q(zeta_e).  The element lies in Q(zeta_e) iff
+        its coordinates off the multiples of p are zero, and then those at
+        z^(p j) = zeta_e^j are its coordinates there.
+
+        When p does not divide e, Gal(Q(zeta_n)/Q(zeta_e)) is cyclic of
+        order p - 1, generated by the unit a = 1 (mod e) that is a
+        primitive root r mod p, and the element lies in Q(zeta_e) iff a
+        fixes it (for p = 2 the two fields are one).  Then it is its trace
+        over p - 1.  With s e + t p = 1, z^i = zeta_e^(t i) zeta_p^(s i),
+        and the trace of zeta_p^j is p - 1 when p | j and -1 otherwise, so
+        the trace of z^i is (p - 1) zeta_e^(t i) when p | i and
+        -zeta_e^(t i) otherwise."""
+        num, e = self.num, self.n // p
+        if e % p == 0:
+            if any(c for i, c in enumerate(num) if i % p):
+                return None
+            return _reduced(e, list(num[::p]), self.den)
+        if p > 2:
+            r = _root_of_unity_mod(p - 1, p)
+            if self.galois_apply(1 + e * ((r - 1) * pow(e, -1, p) % p)) \
+                    != self:
+                return None
+        t = pow(p, -1, e)
+        out = [0] * e
+        for i, c in enumerate(num):
+            if c:
+                out[t * i % e] += c * (p - 1) if i % p == 0 else -c
+        return _reduced(e, out, self.den * (p - 1))
 
     def key(self):
         """Canonical sort/hash key: minimal conductor + coefficients there."""
-        d, vec = self._minimal_form()
-        return (d, vec)
+        x = self._minimal_form()
+        return (x.n, x.coeffs)
 
     @property
     def conductor(self) -> int:
@@ -575,7 +585,7 @@ class CycElt:
 
 # the setters of CycElt's slot descriptors, which write past its
 # immutability guard
-_set_n, _set_num, _set_den, _set_coeffs, _set_min = (
+_set_n, _set_num, _set_den, _set_coeffs = (
     getattr(CycElt, slot).__set__ for slot in CycElt.__slots__)
 
 
@@ -623,53 +633,6 @@ def common_field(values) -> tuple:
             for x in values]
     m = math.lcm(*(x.n for x in vals))
     return m, [x.embed(m) for x in vals]
-
-
-def _echelon(rows):
-    """Reduced row echelon form of a matrix over a field; returns (nonzero
-    rows, pivot columns).  Entries may be Fractions or CycElts: only
-    `!= 0`, `*`, `-` and `1 / x` are used."""
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r == len(mat):
-            break
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [u - f * v for u, v in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    return mat[:r], pivots
-
-
-@functools.cache
-def _subfield_rows(d: int, n: int) -> tuple:
-    """A left inverse of the embedding Q(zeta_d) -> Q(zeta_n) on power-basis
-    coordinates, as (rows, scale): coordinate j at conductor d is
-    sum(c * x[i] for i, c in rows[j]) / scale for an element of Q(zeta_d)
-    with coordinates x at conductor n."""
-    width = euler_phi(d)
-    basis = [CycElt(d, [0] * j + [1]).embed(n).coeffs for j in range(width)]
-    # phi(d) coordinates at n on which the embedded basis is invertible
-    # (its pivot columns), then the inverse of that square block
-    _, picked = _echelon(basis)
-    ech, _ = _echelon([[basis[j][i] for j in range(width)]
-                       + [Fraction(int(r == c)) for c in range(width)]
-                       for r, i in enumerate(picked)])
-    left = [row[width:] for row in ech]
-    scale = math.lcm(*(c.denominator for row in left for c in row))
-    return (tuple(tuple((picked[r], int(c * scale))
-                        for r, c in enumerate(row) if c) for row in left),
-            scale)
 
 
 # ---------------------------------------------------------------------------
@@ -1054,9 +1017,8 @@ class Subfield:
 
 
 def _seed_candidates(n: int):
-    z = CycElt.zeta(n)
     yield CycElt.one(n)
-    powers = [z ** j for j in range(1, n)]
+    powers = [_reduced(n, list(num)) for num in _powers_of_zeta(n)[1:]]
     yield from powers
     for i, j in itertools.combinations(range(len(powers)), 2):
         yield powers[i] + powers[j]

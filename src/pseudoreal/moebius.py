@@ -240,15 +240,10 @@ def _in_orbit(v: CycElt, c: CycElt) -> bool:
 def g_orbit(c: CycElt) -> list:
     """Orbit of a cross-ratio value under the six maps generated by
     z -> 1/z and z -> z/(z-1); at most six values, canonically sorted."""
-    out = []
-    seen = set()
+    by_key = {}
     for v in _orbit_values(c):
-        k = v.key()
-        if k not in seen:
-            seen.add(k)
-            out.append(v)
-    out.sort(key=lambda v: v.key())
-    return out
+        by_key.setdefault(v.key(), v)
+    return [by_key[k] for k in sorted(by_key)]
 
 
 def concircular(a, b, c, d) -> bool:

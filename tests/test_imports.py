@@ -7,7 +7,9 @@ module's syntax tree loads it anywhere (an attribute base such as
 `functools.cache` included) or lists it in `__all__`.  A private name (a
 leading underscore, not a dunder) defined at module or class level counts
 as used when some module of the package loads it or reads it as an
-attribute; one that only the tests use belongs in the tests."""
+attribute; one that only the tests use belongs in the tests.  The tables
+that `functools.cache` keeps are pinned by name, so a new per-conductor
+table, or a per-query memo, is a reviewed change."""
 
 import ast
 from pathlib import Path
@@ -115,3 +117,53 @@ def test_no_module_defines_a_private_name_that_src_never_uses():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert sources
     assert unused_private_names(sources) == []
+
+
+def cached_functions(source: str) -> list:
+    """The names of the functions that source decorates with `cache` or
+    `lru_cache` (called or not, bare or as `functools.` attributes),
+    sorted."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                if isinstance(dec, ast.Call):
+                    dec = dec.func
+                name = dec.attr if isinstance(dec, ast.Attribute) \
+                    else getattr(dec, "id", None)
+                if name in ("cache", "lru_cache"):
+                    names.append(node.name)
+    return sorted(names)
+
+
+def test_cached_functions_are_found():
+    assert cached_functions(
+        "import functools\n"
+        "@functools.cache\n"
+        "def a(n):\n"
+        "    return n\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def b(n):\n"
+        "    return n\n"
+        "@cache\n"
+        "def c(n):\n"
+        "    return n\n"
+        "@staticmethod\n"
+        "def d(n):\n"
+        "    return n\n") == ["a", "b", "c"]
+
+
+# the library's tables: the CLI parser, and tables keyed by a conductor or
+# a prime, never by a query's values
+CACHED = {
+    "cli.py": ["build_parser"],
+    "cyclotomic.py": ["_norm_chain", "_powers_of_zeta", "_reduction_table",
+                      "_split_prime", "_sqrt_prime", "_sympy_field",
+                      "cyclotomic_polynomial", "units"],
+}
+
+
+def test_src_keeps_exactly_the_pinned_cache_tables():
+    cached = {p.name: cached_functions(p.read_text())
+              for p in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in cached.items() if names} == CACHED

@@ -10,9 +10,9 @@ inverse down the norm chain, the lift as products of coset roots, the
 scale powers written down from the witness, the cocycle check from its
 recursion and closure, every candidate's verdict from the deck-group
 torsor, the map check by cross-multiplication, minimal forms one prime
-at a time, and validate's collision check by cross-multiplication
-against the code each replaced, and of cross_ratio against the
-normalizing map."""
+at a time and each closed-form subfield step, and validate's collision
+check by cross-multiplication against the code each replaced, and of
+cross_ratio against the normalizing map."""
 
 import functools
 import itertools
@@ -29,10 +29,11 @@ from pseudoreal import descent, moduli, moebius
 from pseudoreal.cli import build_parser
 from pseudoreal.configurations import OmegaError, make_config, u_orbit
 from pseudoreal.cyclotomic import MAX_CONDUCTOR, CycElt, GaloisElement, \
-    LimitError, _conjugates, _echelon, _no_root_mod_p, _norm_chain, \
-    _reduced, _root_of_unity_mod, _size_bits, _split_prime, _sympy_field, \
-    _sympy_roots, _monomial_roots, _related_roots, cyclotomic_polynomial, euler_phi, \
-    format_poly, is_subgroup, kth_roots, make_element, subgroups, units
+    LimitError, _conjugates, _cyclic, _is_prime, _no_root_mod_p, \
+    _norm_chain, _reduced, _root_of_unity_mod, _size_bits, _split_prime, \
+    _sympy_field, _sympy_roots, _monomial_roots, _related_roots, \
+    cyclotomic_polynomial, euler_phi, format_poly, is_subgroup, kth_roots, \
+    make_element, subgroups, units
 from pseudoreal.descent import CocycleResult, LiftResult, MonomialIso, \
     WeilDatum, _curve_kernel, check_order, cocycle_check, \
     compose_twist, curve_rows, extend_cyclic, lift_to_monomial, \
@@ -82,10 +83,39 @@ def test_embed_then_in_conductor_round_trips(pair):
 small = st.integers(-2, 2).map(Fraction)
 
 
+def _echelon(rows):
+    """Reduced row echelon form of a matrix over a field; returns (nonzero
+    rows, pivot columns).  Entries may be Fractions or CycElts: only
+    `!= 0`, `*`, `-` and `1 / x` are used.  The row reduction behind the
+    references below: the library ran it for its scale powers, its span
+    tests and its minimal forms until each got a closed form."""
+    mat = [list(r) for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r == len(mat):
+            break
+        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [u - f * v for u, v in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    return mat[:r], pivots
+
+
 def _solve_exact(columns, target):
     """Solve sum_j x_j * columns[j] = target over Q; None if inconsistent:
-    the elimination that CycElt._rewrite_in ran before its cached left
-    inverse, and the reference for key() below."""
+    the elimination that rewrote an element in a subfield before the
+    closed-form steps of CycElt._step_down, and the reference for key()
+    below."""
     rows = len(target)
     ncols = len(columns)
     ech, pivots = _echelon([[columns[j][i] for j in range(ncols)] + [target[i]]
@@ -1468,7 +1498,10 @@ def test_cocycle_check_on_a_tampered_datum_agrees_with_the_pair_table(
     n, lam, mu, k, a = case
     p, lift = _family_lift(n, lam, mu, k, a)
     d = brute_order(a, n)
-    datum = extend_cyclic(data.draw(st.sampled_from(lift.isos)), a, d, p, n)
+    # an index, not sampled_from(lift.isos), which hashes all 1024 maps of
+    # the k = 4 member to probe them, each hash six minimal forms
+    f = lift.isos[data.draw(st.integers(0, len(lift.isos) - 1))]
+    datum = extend_cyclic(f, a, d, p, n)
     e = pow(a, data.draw(st.integers(0, d - 1)), n)
     if transports:
         coords = data.draw(st.sets(st.integers(1, 5), min_size=1))
@@ -1929,7 +1962,9 @@ def reference_minimal_form(u):
     for d in (d for d in range(1, n) if n % d == 0):
         kernel = [a for a in units(n) if a % d == 1 % d]
         if all(u.galois_apply(a) == u for a in kernel):
-            vec = u._rewrite_in(d)
+            basis = [CycElt(d, [0] * j + [1]).embed(n).coeffs
+                     for j in range(euler_phi(d))]
+            vec = _solve_exact(basis, u.coeffs)
             if vec is not None:
                 return d, vec
     return n, u.coeffs
@@ -1959,6 +1994,60 @@ def test_key_matches_the_divisor_loop_at_every_conductor():
                        for i in range(euler_phi(n))])
         for w in _subfield_values(n, u, subgroups(n)):
             assert w.key() == reference_minimal_form(w), (n, w)
+
+
+# -- the closed-form subfield steps against the kernel units they replaced --
+
+
+def reference_step_units(n, d, p):
+    """Units that generate the kernel of (Z/n)* -> (Z/(d/p))* together
+    with the kernel of (Z/n)* -> (Z/d)*, for a prime p | d | n: an element
+    of Q(zeta_d), which the second kernel fixes, lies in Q(zeta_(d/p)) iff
+    these units fix it too.  The span walk whose table the minimal form
+    read before CycElt._step_down."""
+    e = d // p
+    span, gens = {a for a in units(n) if a % d == 1 % d}, []
+    for a in units(n):
+        if a % e == 1 % e and a not in span:
+            gens.append(a)
+            span = {s * b % n for s in span for b in _cyclic(a, n)}
+    return tuple(gens)
+
+
+def assert_step(w, p):
+    """The step from w's conductor n down to n/p refuses exactly when a
+    unit a = 1 (mod n/p) moves w, and otherwise embeds back to w."""
+    n = w.n
+    step = w._step_down(p)
+    moved = any(w.galois_apply(a) != w for a in reference_step_units(n, n, p))
+    assert (step is None) == moved, (n, p, w)
+    if step is not None:
+        assert step.n == n // p and step.embed(n) == w, (n, p, w)
+
+
+def _primes(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, MAX_CONDUCTOR), st.data())
+def test_step_down_matches_the_kernel_units(n, data):
+    u = CycElt(n, data.draw(raw_coefficients(n)))
+    H = data.draw(st.sampled_from(subgroups(n)))
+    p = data.draw(st.sampled_from(_primes(n)))
+    for w in _subfield_values(n, u, [H]):
+        assert_step(w, p)
+
+
+def test_step_down_matches_the_kernel_units_at_every_conductor():
+    # both rules: p | n/p (no arithmetic) and p prime to n/p (one Galois
+    # image and the trace), p = 2 at n = 2 (mod 4) included
+    for n in range(2, MAX_CONDUCTOR + 1):
+        u = CycElt(n, [Fraction(i * i - 5 * i + 2, 3)
+                       for i in range(euler_phi(n))])
+        for w in _subfield_values(n, u, subgroups(n)):
+            for p in _primes(n):
+                assert_step(w, p)
 
 
 # -- validate's collision check against the minimal-form keys ----------------
