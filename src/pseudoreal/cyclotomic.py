@@ -3,12 +3,19 @@
 An element is stored by its coordinates in the power basis
 1, z, ..., z^(phi(n)-1) of Q[x]/Phi_n(x), where z stands for
 zeta_n = exp(2*pi*i/n): phi(n) Python-int numerators `num` over one
-positive int denominator `den`.  Products are reduced mod Phi_n in one
-integer pass (Phi_n is monic and integral).  The representation at a
-fixed conductor is canonical (reduced mod Phi_n, gcd(den, *num) = 1, zero
-is 0/1), so two elements of the same conductor are equal iff their
-(num, den) pairs are equal; elements of different conductors are compared
-after embedding both into the lcm field via zeta_n = zeta_lcm^(lcm/n).
+positive int denominator `den`.  The representation at a fixed conductor
+is canonical (reduced mod Phi_n, gcd(den, *num) = 1, zero is 0/1), so two
+elements of the same conductor are equal iff their (num, den) pairs are
+equal; elements of different conductors are compared after embedding both
+into the lcm field via zeta_n = zeta_lcm^(lcm/n).  Construction does only
+the work that can change the value: a list longer than phi(n) (a
+convolution, a scatter) is reduced mod Phi_n in one integer pass (Phi_n is
+monic and integral), a shorter one is padded, and the gcd is taken only
+when den != 1, since gcd(1, *num) = 1.  Most operands in the geometry are
+rational (the 0/1 entries of Moebius matrices, lambda = -4), so a product
+with a rational factor scales the other factor's numerators, a sum with a
+zero term returns the other term, and `embed` and `galois_apply` write a
+rational down as it is; none of these convolves, scatters or reduces.
 `coeffs`, the coordinates as Fractions, is a view derived on first use;
 sorting keys, printing and enclosures read it.  A sorting key is the
 element at the least conductor that holds it, reached from n one prime p
@@ -255,22 +262,26 @@ class CycElt:
                     den)
 
     def _store(self, n: int, num: list, den: int):
-        # top down, x^i = -sum_j c_j x^(i - phi + j); Phi_n is monic, so no
-        # division
         phi, table = _reduction_table(n)
-        for i in range(len(num) - 1, phi - 1, -1):
-            t = num[i]
-            if t:
-                base = i - phi
-                for j, c in table:
-                    num[base + j] -= t * c
-        del num[phi:]
-        num.extend([0] * (phi - len(num)))
-        # canonical: gcd(den, *num) = 1, so zero is (0, ..., 0) / 1
-        g = math.gcd(den, *num)
-        if g != 1:
-            num = [x // g for x in num]
-            den //= g
+        if len(num) > phi:
+            # top down, x^i = -sum_j c_j x^(i - phi + j); Phi_n is monic, so
+            # no division
+            for i in range(len(num) - 1, phi - 1, -1):
+                t = num[i]
+                if t:
+                    base = i - phi
+                    for j, c in table:
+                        num[base + j] -= t * c
+            del num[phi:]
+        elif len(num) < phi:
+            num.extend([0] * (phi - len(num)))
+        # canonical: gcd(den, *num) = 1, so zero is (0, ..., 0) / 1; at
+        # den = 1 the gcd is 1
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
         _set_n(self, n)
         _set_num(self, tuple(num))
         _set_den(self, den)
@@ -291,6 +302,8 @@ class CycElt:
 
     @classmethod
     def from_rational(cls, q, n: int = 1) -> "CycElt":
+        if type(q) is int:
+            return _reduced(n, [q])
         q = Fraction(q)
         return _reduced(n, [q.numerator], q.denominator)
 
@@ -316,6 +329,8 @@ class CycElt:
             return self
         if m % self.n != 0:
             raise ValueError(f"cannot embed conductor {self.n} into {m}")
+        if self.is_rational():
+            return _reduced(m, [self.num[0]], self.den)
         return self._scatter(m // self.n, m)
 
     def _scatter(self, mult: int, m: int) -> "CycElt":
@@ -445,6 +460,10 @@ class CycElt:
         if o is None:
             return NotImplemented
         a, b = self._unify(o)
+        if b.is_zero():
+            return a
+        if a.is_zero():
+            return b if sign == 1 else -b
         den = math.lcm(a.den, b.den)
         fa, fb = den // a.den, sign * (den // b.den)
         return _reduced(a.n, [x * fa + y * fb for x, y in zip(a.num, b.num)],
@@ -469,6 +488,13 @@ class CycElt:
         if o is None:
             return NotImplemented
         a, b = self._unify(o)
+        # a rational factor (zero included) scales the other one's
+        # numerators; the product stays in the power basis
+        if a.is_rational():
+            a, b = b, a
+        if b.is_rational():
+            y = b.num[0]
+            return _reduced(a.n, [x * y for x in a.num], a.den * b.den)
         # integer convolution over the nonzero terms, reduced once
         terms = [(j, y) for j, y in enumerate(b.num) if y]
         out = [0] * (2 * len(a.num) - 1)
@@ -553,6 +579,8 @@ class CycElt:
         a %= self.n
         if math.gcd(a, self.n) != 1:
             raise ValueError(f"{a} is not a unit mod {self.n}")
+        if self.is_rational():
+            return self
         return self._scatter(a, self.n)
 
     def conjugate(self) -> "CycElt":

@@ -5,14 +5,15 @@ tiny split prime, against the exact 120-triple index), the cross-ratio
 table, u_orbit, the stabilizer, the six-inversion row table,
 the term formatter, check_order, the k-th root search and its shortcuts,
 the kernel test of span membership and curve transport on the curve's
-line pushed forward, the integer element arithmetic, the
-inverse down the norm chain, the lift as products of coset roots, the
-scale powers written down from the witness, the cocycle check from its
-recursion and closure, every candidate's verdict from the deck-group
-torsor, the map check by cross-multiplication, minimal forms one prime
-at a time and each closed-form subfield step, and validate's collision
-check by cross-multiplication against the code each replaced, and of
-cross_ratio against the normalizing map."""
+line pushed forward, the integer element arithmetic and its short-cuts
+for rational and zero operands, the inverse down the norm chain, the
+lift as products of coset roots, the scale powers written down from the
+witness, the cocycle check from its recursion and closure, every
+candidate's verdict from the deck-group torsor, the map check by
+cross-multiplication, minimal forms one prime at a time and each
+closed-form subfield step, and validate's collision check by
+cross-multiplication against the code each replaced, and of cross_ratio
+against the normalizing map."""
 
 import functools
 import itertools
@@ -1855,6 +1856,92 @@ def test_integer_core_matches_fraction_vectors(n, data):
         assert u == a[0] and hash(u) == hash(a[0])
 
 
+small_or_huge_ints = st.one_of(st.integers(-3, 3), huge)
+
+
+@st.composite
+def sparse_operands(draw, m):
+    """(x, n, vec): an operand x at a conductor n dividing m, of a kind
+    that the rational and zero short-cuts of the integer core take, and its
+    Fraction coordinates vec at n.  The kinds: zero at 1 or at d, an int,
+    a Fraction (1000-bit included), a rational element at 1 or at d, a
+    monomial q z^t and a sparse raw vector at d.  A plain int or Fraction
+    is at conductor 1."""
+    d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    scalars = st.one_of(small_or_huge_ints, core_rationals)
+    kinds = [
+        st.just((CycElt.zero(), 1, ref_vec(1, []))),
+        st.just((CycElt.zero(d), d, ref_vec(d, []))),
+        small_or_huge_ints.map(lambda q: (q, 1, ref_vec(1, [q]))),
+        core_rationals.map(lambda q: (q, 1, ref_vec(1, [q]))),
+        scalars.map(lambda q: (CycElt.from_rational(q), 1, ref_vec(1, [q]))),
+        scalars.map(lambda q: (CycElt.from_rational(q, d), d,
+                               ref_vec(d, [q]))),
+        st.builds(lambda t, q: (CycElt(d, [0] * t + [q]), d,
+                                ref_vec(d, [0] * t + [q])),
+                  st.integers(0, d - 1), core_rationals),
+        raw_coefficients(d).map(lambda c: (CycElt(d, c), d, ref_vec(d, c))),
+    ]
+    return draw(st.one_of(kinds))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CORE_CONDUCTORS), st.data())
+def test_rational_and_zero_operands_match_fraction_vectors(m, data):
+    # products and sums with a rational or zero side scale or return the
+    # other side, and embed and galois_apply write a rational down
+    # directly; each result must still be canonical at the lcm conductor
+    operands = [data.draw(sparse_operands(m)) for _ in range(2)]
+    (u, nu, a), (v, nv, b) = operands
+    assume(isinstance(u, CycElt) or isinstance(v, CycElt))
+    big = math.lcm(nu, nv)
+    a, b = ref_scatter(a, big // nu, big), ref_scatter(b, big // nv, big)
+    for w, poly in [(u * v, _ref_pmul(a, b)), (v * u, _ref_pmul(b, a)),
+                    (u + v, _ref_padd(a, b)),
+                    (u - v, _ref_padd(a, _ref_pneg(b))),
+                    (v - u, _ref_padd(b, _ref_pneg(a)))]:
+        assert w.n == big
+        assert_canonical(w, ref_vec(big, poly))
+    for x, n, vec in operands:
+        if not isinstance(x, CycElt):
+            continue
+        assert x.n == n
+        assert_canonical(x, vec)
+        g = data.draw(st.sampled_from(units(n)))
+        image = x.galois_apply(g)
+        assert image.n == n
+        assert_canonical(image, ref_scatter(vec, g, n))
+        non_units = [k for k in range(n) if math.gcd(k, n) != 1]
+        if non_units:
+            with pytest.raises(ValueError, match="not a unit"):
+                x.galois_apply(data.draw(st.sampled_from(non_units)))
+        w = x.embed(m)
+        assert w.n == m
+        assert_canonical(w, ref_scatter(vec, m // n, m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CORE_CONDUCTORS), st.data())
+def test_reduced_reduces_pads_and_cancels_as_needed(n, data):
+    # the mod-Phi_n pass runs on lists longer than phi(n), padding on
+    # shorter ones, and the gcd only at den != 1
+    phi = euler_phi(n)
+    length = data.draw(st.one_of(st.integers(0, phi - 1), st.just(phi),
+                                 st.integers(phi + 1, 2 * phi + 1)))
+    num = data.draw(st.lists(small_or_huge_ints, min_size=length,
+                             max_size=length))
+    den = 1
+    kind = data.draw(st.sampled_from(["den 1", "shared factor", "zero"]))
+    if kind != "den 1":
+        g = data.draw(st.integers(2, 2 ** 64))
+        den = g * data.draw(st.integers(1, 2 ** 64))
+        num = [0] * length if kind == "zero" else [g * x for x in num]
+    w = _reduced(n, list(num), den)
+    assert_canonical(w, ref_vec(n, [Fraction(x, den) for x in num]))
+    if kind == "zero":
+        assert (w.num, w.den) == ((0,) * phi, 1)
+
+
 @st.composite
 def dense_elements(draw, n):
     """An element with all phi(n) coordinates drawn: ints of up to b bits
@@ -1954,6 +2041,40 @@ def test_inverse_where_chain_steps_are_skipped(n, text, norm):
     assert u * u.inverse() == 1
 
 
+@functools.cache
+def _subfield_echelon(d, n):
+    """(D, ((pivot, row), ...)): the reduced echelon form of the power
+    basis of Q(zeta_d) embedded in Q(zeta_n), one row per basis element
+    z^j followed by the j-th unit vector, so that the tail of each row
+    writes its head in that basis; the rows as ints over one common
+    denominator D."""
+    size = euler_phi(d)
+    ech, pivots = _echelon(
+        [list(CycElt(d, [0] * j + [1]).embed(n).coeffs)
+         + [Fraction(int(i == j)) for i in range(size)] for j in range(size)])
+    assert len(pivots) == size and pivots[-1] < euler_phi(n)
+    den = math.lcm(*(c.denominator for row in ech for c in row))
+    return den, tuple((col, [c.numerator * (den // c.denominator)
+                             for c in row]) for row, col in zip(ech, pivots))
+
+
+def _solve_in_subfield(d, u):
+    """The coordinates at d of u, by elimination against the basis of
+    Q(zeta_d) row-reduced once per (d, n); None when u is outside its
+    span.  In reduced form every pivot column is zero outside its own row,
+    so u's pivot coordinates are the weights of the rows."""
+    den, rows = _subfield_echelon(d, u.n)
+    size = euler_phi(u.n)
+    total = [0] * (size + euler_phi(d))
+    for col, row in rows:
+        f = u.num[col]
+        if f:
+            total = [t + f * c for t, c in zip(total, row)]
+    if total[:size] != [den * x for x in u.num]:
+        return None
+    return tuple(Fraction(t, den * u.den) for t in total[size:])
+
+
 def reference_minimal_form(u):
     """The earlier minimal form, a loop over the divisors d of n: the
     least d whose kernel units a = 1 mod d all fix u, and u's
@@ -1962,9 +2083,7 @@ def reference_minimal_form(u):
     for d in (d for d in range(1, n) if n % d == 0):
         kernel = [a for a in units(n) if a % d == 1 % d]
         if all(u.galois_apply(a) == u for a in kernel):
-            basis = [CycElt(d, [0] * j + [1]).embed(n).coeffs
-                     for j in range(euler_phi(d))]
-            vec = _solve_exact(basis, u.coeffs)
+            vec = _solve_in_subfield(d, u)
             if vec is not None:
                 return d, vec
     return n, u.coeffs
