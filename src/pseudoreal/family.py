@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .cyclotomic import CycElt, common_field, real_sign
-from .moebius import INF, Moebius, _in_orbit, cross_ratio
+from .moebius import INF, Moebius, _cross_ratio_pair, _in_orbit, \
+    cross_ratio
 from .configurations import Configuration, make_config, symmetries
 
 __all__ = [
@@ -82,14 +83,16 @@ def _twist(lam, mu, g):
     return slam, smu, _configuration(slam, smu).points()
 
 
+def _circular_quadruples(lam, mu) -> tuple:
+    """The three circular quadruples [inf,0,1,lam], [inf,0,mu,-mu] and
+    [1,lam,mu,-mu]."""
+    return ((INF, 0, 1, lam), (INF, 0, mu, -mu), (1, lam, mu, -mu))
+
+
 def family_cross_ratios(lam: CycElt, mu: CycElt):
     """Cross-ratios of the three circular quadruples: [inf,0,1,lam],
     [inf,0,mu,-mu], [1,lam,mu,-mu]."""
-    return (
-        cross_ratio(INF, 0, 1, lam),
-        cross_ratio(INF, 0, mu, -mu),
-        cross_ratio(1, lam, mu, -mu),
-    )
+    return tuple(cross_ratio(*q) for q in _circular_quadruples(lam, mu))
 
 
 def validate(lam, mu, k: int) -> FamilyParams:
@@ -122,12 +125,14 @@ def validate(lam, mu, k: int) -> FamilyParams:
         raise ParameterError("k_odd", f"k = {k} is odd")
     # defensive exactness check: the three circular cross-ratios must be
     # pairwise inequivalent under the six-map group; two orbits meet iff
-    # one value lies in the other's orbit, decided by cross-multiplication
-    # in one field, which needs no minimal forms and no inversion
-    _, cr = common_field(family_cross_ratios(lam, mu))
+    # one value lies in the other's orbit, decided on (numerator,
+    # denominator) pairs by cross-multiplication, which needs no minimal
+    # forms and no inversion; only the message divides them out
+    pairs = [_cross_ratio_pair(*q) for q in _circular_quadruples(lam, mu)]
     for i in range(3):
         for j in range(i + 1, 3):
-            if _in_orbit(cr[j], cr[i]):
+            if _in_orbit(pairs[j], pairs[i]):
+                _, cr = common_field(family_cross_ratios(lam, mu))
                 raise ParameterError(
                     "cross_ratio_collision",
                     f"cross-ratios {cr[i]} and {cr[j]} share an orbit")

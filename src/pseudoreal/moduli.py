@@ -13,19 +13,23 @@ explicit Moebius witness:
           (lambda +- mu)/(lambda -+ mu), with witness
           +- sigma(mu) (z +- mu)/(z -+ mu)
 
+The table is written once (`_SHAPES`), each target a quotient of
+products of 1, lambda, mu, 1 +- mu and lambda +- mu; `row_targets` divides
+it out, and the matcher `_table` never does.  A row is first refuted or
+kept by the residues of lambda and mu at the conductor's split prime, and
+a kept row is tested exactly by cross-multiplication, with no inversion.
 Every matched row's map is checked to carry the six-point set onto its
 twist, by cross-multiplication (`moebius._pairing`).  `classify_sigma`
 double-checks the table against the brute-force enumeration of all
 Moebius maps between the two six-point sets (`set_maps`, which refutes
 the ordered triples that carry no map by reduction at a split prime and
 tests the others exactly); disagreement is an internal error, never a
-result.  The stabilizer
-builds the table once and matches it on every exponent, runs
-`classify_sigma` on sigma_1 alone, and enumerates one exponent of each
-coset of the table's hits outside them, where no map may exist: the hits
-are a subgroup of the true stabilizer, so each coset lies wholly inside
-it or wholly outside, and a coset the table missed shows up as a
-disagreement at its representative.  The stabilizer then yields the
+result.  The stabilizer runs `classify_sigma` on sigma_1 once, matches
+the table on every other exponent in one pass, and enumerates one
+exponent of each coset of the table's hits outside them, where no map may
+exist: the hits are a subgroup of the true stabilizer, so each coset lies
+wholly inside it or wholly outside, and a coset the table missed shows up
+as a disagreement at its representative.  The stabilizer then yields the
 field of moduli as an explicit fixed field, and the subgroup fixing
 (lambda, mu) pointwise yields the minimal field of definition candidate
 Q(lambda, mu).
@@ -36,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cyclotomic import CycElt, GaloisElement, Subfield, fixed_field, \
-    fixing_subgroup, is_subgroup, units
+from .cyclotomic import CycElt, GaloisElement, Subfield, _residue, \
+    _split_prime, fixed_field, fixing_subgroup, is_subgroup, units
 from .moebius import Moebius, _pairing, set_maps
 from .family import FamilyParams, _configuration, _twist
 
@@ -84,85 +88,139 @@ class SigmaClassification:
         return bool(self.matched_rows)
 
 
+def _quantities(lam, mu) -> tuple:
+    """The quantities each target of `_SHAPES` is a quotient of: 1, lambda,
+    mu, 1 - mu, 1 + mu, lambda + mu, lambda - mu, A = (1 - mu)(lambda + mu)
+    and B = (1 + mu)(lambda - mu), of elements or of residues (left
+    unreduced).  For admissible parameters none is zero: lambda is real
+    and nonzero, and mu is not real."""
+    one_minus, one_plus = 1 - mu, 1 + mu
+    lam_plus, lam_minus = lam + mu, lam - mu
+    return (1, lam, mu, one_minus, one_plus, lam_plus, lam_minus,
+            one_minus * lam_plus, one_plus * lam_minus)
+
+
+# indices into `_quantities`
+_ONE, _LAM, _MU, _ONE_MINUS, _ONE_PLUS, _LAM_PLUS, _LAM_MINUS, _A, _B = \
+    range(9)
+
+
+def _moved(e, f):
+    """The witness z -> e sigma(mu) (z + f mu)/(z - f mu) of rows 5-12."""
+    return lambda sl, sm, mu: (e * sm, e * f * sm * mu, 1, -f * mu)
+
+
+# the twelve shapes as (row, sign, sigma(lambda), sigma(mu), witness), rows
+# 1-4 once for each sign of sigma(mu).  Each target (s, num, den) is the
+# value s * num/den of two `_quantities`; with p = (1 - mu)/(1 + mu) and
+# q = (lambda + mu)/(lambda - mu), pq = A/B.  A witness takes
+# (sigma(lambda), sigma(mu), mu) to the coefficients (a, b, c, d) of the
+# row's map z -> (a z + b)/(c z + d), up to scale.
+_SHAPES = tuple(
+    (row, sign, (1, *sl), (sign, *sm), witness)
+    for sign in (1, -1)
+    for row, sl, sm, witness in (
+        (1, (_LAM, _ONE), (_MU, _ONE), lambda sl, sm, mu: (1, 0, 0, 1)),
+        (2, (_ONE, _LAM), (_MU, _LAM), lambda sl, sm, mu: (sl, 0, 0, 1)),
+        (3, (_ONE, _LAM), (_ONE, _MU), lambda sl, sm, mu: (0, 1, 1, 0)),
+        (4, (_LAM, _ONE), (_LAM, _MU), lambda sl, sm, mu: (0, sl, 1, 0)))
+) + (
+    (5, None, (1, _A, _B), (1, _ONE_MINUS, _ONE_PLUS), _moved(1, 1)),
+    (6, None, (1, _B, _A), (1, _LAM_MINUS, _LAM_PLUS), _moved(1, 1)),
+    (7, None, (1, _A, _B), (-1, _ONE_MINUS, _ONE_PLUS), _moved(-1, 1)),
+    (8, None, (1, _B, _A), (-1, _LAM_MINUS, _LAM_PLUS), _moved(-1, 1)),
+    # rows 9 and 11 pair sigma(mu) = +-(1+mu)/(1-mu) with the witness of
+    # matching sign; the set-transport check pins the pairing
+    (9, None, (1, _B, _A), (1, _ONE_PLUS, _ONE_MINUS), _moved(1, -1)),
+    (10, None, (1, _A, _B), (1, _LAM_PLUS, _LAM_MINUS), _moved(1, -1)),
+    (11, None, (1, _B, _A), (-1, _ONE_PLUS, _ONE_MINUS), _moved(-1, -1)),
+    (12, None, (1, _A, _B), (-1, _LAM_PLUS, _LAM_MINUS), _moved(-1, -1)),
+)
+
+
+def _gap(x, target, q):
+    """x den - s num for the target (s, num, den) over the quantities q,
+    which is zero iff x = s num/den, as den is nonzero."""
+    s, num, den = target
+    return x * q[den] - s * q[num]
+
+
 def row_targets(lam: CycElt, mu: CycElt):
     """The twelve (row, sign, sigma_lambda, sigma_mu, witness-builder)
-    shapes evaluated at (lambda, mu).  Builders take the actual
-    (sigma_lambda, sigma_mu) and produce the table's Moebius map.  Each
-    of lambda, mu, 1 +- mu and lambda +- mu is inverted once."""
-    one = CycElt.one(lam.n)
-    inv_lam, inv_mu = lam.inverse(), mu.inverse()
-    p = (one - mu) * (one + mu).inverse()      # (1-mu)/(1+mu)
-    inv_p = (one + mu) * (one - mu).inverse()
-    q = (lam + mu) * (lam - mu).inverse()      # (lambda+mu)/(lambda-mu)
-    inv_q = (lam - mu) * (lam + mu).inverse()
-    pq = p * q
-    inv_pq = inv_p * inv_q
-    mu_lam = mu * inv_lam
-    lam_mu = lam * inv_mu
+    shapes of `_SHAPES` evaluated at (lambda, mu).  Builders take the
+    actual (sigma_lambda, sigma_mu) and produce the table's Moebius map.
+    Each target is divided out; the matcher `_table` cross-multiplies
+    instead."""
+    q = _quantities(lam, mu)
 
-    def t_id(sl, sm):
-        return Moebius.identity()
+    def value(s, num, den):
+        return s * q[num] / q[den]
 
-    def t_scale(sl, sm):
-        return Moebius(sl, 0, 0, 1)
+    def builder(witness):
+        return lambda sl, sm: Moebius(*witness(sl, sm, mu))
 
-    def t_inv(sl, sm):
-        return Moebius(0, 1, 1, 0)
-
-    def t_scale_inv(sl, sm):
-        return Moebius(0, sl, 1, 0)
-
-    def t_plus(sl, sm):
-        return Moebius(sm, sm * mu, 1, -mu)
-
-    def t_plus_neg(sl, sm):
-        return Moebius(-sm, -sm * mu, 1, -mu)
-
-    def t_minus(sl, sm):
-        return Moebius(sm, -sm * mu, 1, mu)
-
-    def t_minus_neg(sl, sm):
-        return Moebius(-sm, sm * mu, 1, mu)
-
-    rows = []
-    for sign in (1, -1):
-        rows.append((1, sign, lam, sign * mu, t_id))
-        rows.append((2, sign, inv_lam, sign * mu_lam, t_scale))
-        rows.append((3, sign, inv_lam, sign * inv_mu, t_inv))
-        rows.append((4, sign, lam, sign * lam_mu, t_scale_inv))
-    rows.append((5, None, pq, p, t_plus))
-    rows.append((6, None, inv_pq, inv_q, t_plus))
-    rows.append((7, None, pq, -p, t_plus_neg))
-    rows.append((8, None, inv_pq, -inv_q, t_plus_neg))
-    # rows 9 and 11 pair sigma(mu) = +-(1+mu)/(1-mu) with the witness of
-    # matching sign; the set-transport check below pins the pairing
-    rows.append((9, None, inv_pq, inv_p, t_minus))
-    rows.append((10, None, pq, q, t_minus))
-    rows.append((11, None, inv_pq, -inv_p, t_minus_neg))
-    rows.append((12, None, pq, -q, t_minus_neg))
-    return rows
+    return [(row, sign, value(*sl), value(*sm), builder(witness))
+            for row, sign, sl, sm, witness in _SHAPES]
 
 
-def _table(table, source, slam, smu, target) -> list:
-    """The (RowMatch, map) of every row of the `row_targets` table that
-    (sigma(lambda), sigma(mu)) matches.  Each row's map is checked to carry
-    the source's six points onto the target's, by cross-multiplication, so
-    a match certifies sigma to be in the stabilizer."""
-    rows = []
-    for row, sign, want_l, want_m, builder in table:
-        if slam == want_l and smu == want_m:
-            t = builder(slam, smu)
-            if _pairing(t, source, target) is None:
-                raise OracleDisagreement(
-                    f"row ({row}) matched but its map does not carry the "
-                    f"six-point set")
-            rows.append((RowMatch(row=row, sign=sign), t))
-    return rows
+def _table(lam, mu, source, exponents) -> list:
+    """For each exponent a in turn, (a, matches, twist): the (RowMatch,
+    coefficients) of every row of `_SHAPES` that (sigma_a(lambda),
+    sigma_a(mu)) matches, in table order, and sigma_a's `_twist`, None
+    where the residues refute every row.  lambda and mu share one
+    conductor n; the coefficients are the row's map up to scale.
+
+    A row matches iff sigma(lambda) den = s num for its target s num/den,
+    and likewise for sigma(mu) (`_gap`).  Each row is first tested mod the
+    split prime p of n (`cyclotomic._split_prime`): zeta_n -> r mod p is a
+    ring homomorphism on the elements whose denominator p does not divide,
+    and it sends sigma_a(x) to x evaluated at r^a, so a row whose identity
+    fails mod p does not match.  The exact test runs on the rows the
+    residues leave: the matches, rows whose identity holds mod p by
+    coincidence (den and num both 0 mod p among them), and every row when
+    p divides the denominator of lambda or mu, which then have no
+    residues.  Each exact match's map is checked to carry the source's six
+    points onto the twisted ones (`moebius._pairing`), so a match
+    certifies sigma_a to be in the stabilizer.  Nothing is inverted."""
+    n = lam.n
+    p, r = _split_prime(n)
+    base = (_residue(lam, r, p), _residue(mu, r, p))
+    residues = None if None in base else _quantities(*base)
+    exact = None
+    out = []
+    for a in exponents:
+        shapes = _SHAPES
+        if residues is not None:
+            ra = pow(r, a, p)
+            sl, sm = _residue(lam, ra, p), _residue(mu, ra, p)
+            shapes = [shape for shape in shapes
+                      if _gap(sl, shape[2], residues) % p == 0
+                      and _gap(sm, shape[3], residues) % p == 0]
+        if not shapes:
+            out.append((a, [], None))
+            continue
+        twist = _twist(lam, mu, GaloisElement(n, a))
+        slam, smu, target = twist
+        if exact is None:
+            exact = _quantities(lam, mu)
+        rows = []
+        for row, sign, want_l, want_m, witness in shapes:
+            if _gap(slam, want_l, exact).is_zero() \
+                    and _gap(smu, want_m, exact).is_zero():
+                t = witness(slam, smu, mu)
+                if _pairing(t, source, target) is None:
+                    raise OracleDisagreement(
+                        f"row ({row}) matched but its map does not carry "
+                        f"the six-point set")
+                rows.append((RowMatch(row=row, sign=sign), t))
+        out.append((a, rows, twist))
+    return out
 
 
 def classify_sigma(p: FamilyParams, a) -> SigmaClassification:
-    """Match sigma_a against the twelve shapes and verify against the
-    brute-force map enumeration between the two six-point sets."""
+    """Match sigma_a against the twelve shapes (`_table`) and verify
+    against the brute-force map enumeration between the two six-point
+    sets."""
     if isinstance(a, GaloisElement):
         g = a
     else:
@@ -170,10 +228,10 @@ def classify_sigma(p: FamilyParams, a) -> SigmaClassification:
     n = g.conductor
     lam, mu = p.lam.in_conductor(n), p.mu.in_conductor(n)
     source = _configuration(lam, mu).points()
-    slam, smu, target = _twist(lam, mu, g)
+    [(_, rows, twist)] = _table(lam, mu, source, [g.exponent])
+    slam, smu, target = twist or _twist(lam, mu, g)
 
-    rows = _table(row_targets(lam, mu), source, slam, smu, target)
-    table_keys = {t.key() for _, t in rows}
+    table_keys = {Moebius(*t).key() for _, t in rows}
     oracle = set_maps(source, target, anti=False)
     if {m.key() for m in oracle} != table_keys:
         raise OracleDisagreement(
@@ -195,29 +253,38 @@ def stabilizer(p: FamilyParams, n: int) -> frozenset:
     """Exponents a mod n whose automorphism preserves the configuration
     class, certified coset by coset.
 
-    The table is built once and matched on every unit; its hits H_table
-    lie in the true stabilizer H (each row's map is checked) and must form
-    a subgroup.  Then `classify_sigma`, table against enumeration, runs on
-    sigma_1 (which certifies that the set has no other symmetry), and
-    each other coset of H_table has one exponent enumerated: it is no
-    table hit, so the enumeration must find no map.  That decides H:
-    since H_table <= H and H is a group, a in H gives a H_table <= H, and
-    a not in H gives a H_table disjoint from H.  An exponent of H that the
-    table missed lies in a coset outside H_table, all of it in H, so that
-    coset's representative has a map, which is an `OracleDisagreement`."""
+    `classify_sigma`, table against enumeration, runs on sigma_1 first,
+    which certifies that the set has no other symmetry and puts 1 among
+    the hits.  The table then matches every other unit in one pass
+    (`_table`): residues at the conductor's split prime refute almost
+    every row, the rows they leave are tested exactly by
+    cross-multiplication, and the twisted set is built only for a unit
+    with such a row.  The hits H_table lie in the true stabilizer H (each
+    row's map is checked) and must form a subgroup.  Each other coset of
+    H_table has one exponent enumerated: it is no table hit, so the
+    enumeration must find no map.  That decides H: since H_table <= H and
+    H is a group, a in H gives a H_table <= H, and a not in H gives
+    a H_table disjoint from H.  An exponent of H that the table missed
+    lies in a coset outside H_table, all of it in H, so that coset's
+    representative has a map, which is an `OracleDisagreement`."""
     lam, mu = p.lam.in_conductor(n), p.mu.in_conductor(n)
     source = _configuration(lam, mu).points()
-    table = row_targets(lam, mu)
-    twists = {a: _twist(lam, mu, GaloisElement(n, a)) for a in units(n)}
-    hits = frozenset(a for a, twist in twists.items()
-                     if _table(table, source, *twist))
+    # table against enumeration on sigma_1; a map the table lacks raises
+    hits = {1} if classify_sigma(p, GaloisElement(n, 1)).in_stabilizer \
+        else set()
+    twists = {}
+    for a, rows, twist in _table(lam, mu, source,
+                                 [a for a in units(n) if a != 1]):
+        twists[a] = twist
+        if rows:
+            hits.add(a)
+    hits = frozenset(hits)
     if not is_subgroup(hits, n):
         raise AssertionError(f"stabilizer {sorted(hits)} is not a subgroup")
-    # table against enumeration on sigma_1; a map the table lacks raises
-    classify_sigma(p, GaloisElement(n, 1))
     covered = set(hits)
-    for a, (_, _, target) in twists.items():  # the least of each coset
+    for a in units(n):  # the least of each coset
         if a not in covered:
+            _, _, target = twists[a] or _twist(lam, mu, GaloisElement(n, a))
             oracle = set_maps(source, target, anti=False)
             if oracle:
                 raise OracleDisagreement(

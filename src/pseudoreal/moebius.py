@@ -4,7 +4,8 @@ maps between six-point sets.  The enumeration reduces the source's ordered
 triples at a split prime, which refutes almost all of them, and tests the
 rest exactly; it keeps nothing from one call to the next.  Whether a given
 map carries one point set onto another (`_pairing`), and whether a value
-lies in the orbit of a cross-ratio (`_in_orbit`), are decided by
+lies in the orbit of a cross-ratio (`_in_orbit`, on cross-ratios kept as
+(numerator, denominator) pairs by `_cross_ratio_pair`), are decided by
 cross-multiplication, with no inversion.
 
 A transformation is stored as projective coefficients (a, b, c, d) for
@@ -198,22 +199,29 @@ def _require_distinct(pts):
                 raise ValueError("points must be pairwise distinct")
 
 
+def _cross_ratio_pair(a, b, c, d) -> tuple:
+    """(N, D) with [a, b, c, d] = N / D and D != 0: N = (c - a)(d - b) and
+    D = (c - b)(d - a), each factor that holds infinity dropped."""
+    a, b, c, d = _as_points((a, b, c, d))
+    _require_distinct([a, b, c, d])
+    if a.is_infinity:
+        return d.value - b.value, c.value - b.value
+    if b.is_infinity:
+        return c.value - a.value, d.value - a.value
+    if c.is_infinity:
+        return d.value - b.value, d.value - a.value
+    if d.is_infinity:
+        return c.value - a.value, c.value - b.value
+    return ((c.value - a.value) * (d.value - b.value),
+            (c.value - b.value) * (d.value - a.value))
+
+
 def cross_ratio(a, b, c, d) -> CycElt:
     """[a,b,c,d] = T(d) for the unique Moebius T with T(a)=inf, T(b)=0,
     T(c)=1; computed as ((c-a)/(c-b))*((d-b)/(d-a)) with the usual limits
     when one point is infinity (drop both factors containing it)."""
-    a, b, c, d = _as_points((a, b, c, d))
-    _require_distinct([a, b, c, d])
-    if a.is_infinity:
-        return (d.value - b.value) / (c.value - b.value)
-    if b.is_infinity:
-        return (c.value - a.value) / (d.value - a.value)
-    if c.is_infinity:
-        return (d.value - b.value) / (d.value - a.value)
-    if d.is_infinity:
-        return (c.value - a.value) / (c.value - b.value)
-    return ((c.value - a.value) * (d.value - b.value)) / (
-        (c.value - b.value) * (d.value - a.value))
+    num, den = _cross_ratio_pair(a, b, c, d)
+    return num / den
 
 
 def _orbit_values(c) -> list:
@@ -227,14 +235,19 @@ def _orbit_values(c) -> list:
     return [c, one / c, one - c, one / (one - c), (c - one) / c, c / (c - one)]
 
 
-def _in_orbit(v: CycElt, c: CycElt) -> bool:
-    """Whether v is one of the `_orbit_values` of c (neither 0 nor 1),
-    decided by cross-multiplication with one product and no inversion: v
-    is c, 1/c, 1 - c, 1/(1 - c), (c - 1)/c or c/(c - 1) iff v = c, vc = 1,
-    v = 1 - c, v - vc = 1, vc = c - 1 or vc - v = c."""
-    vc = v * c
-    return (v == c or vc == 1 or v == 1 - c or v - vc == 1
-            or vc == c - 1 or vc - v == c)
+def _in_orbit(v: tuple, c: tuple) -> bool:
+    """Whether the value of the pair v = (a, b), a/b, is one of the
+    `_orbit_values` of c = e/f for the pair c = (e, f) (neither 0 nor 1),
+    decided by cross-multiplication with six products and no inversion:
+    a/b is c, 1/c, 1 - c = (f - e)/f, 1/(1 - c), (c - 1)/c or c/(c - 1)
+    iff af = eb, ae = bf, af = (f - e)b, a(f - e) = bf, ae = -(f - e)b or
+    -a(f - e) = eb.  Both denominators are nonzero."""
+    a, b = v
+    e, f = c
+    g = f - e
+    af, eb, ae, bf, gb, ag = a * f, e * b, a * e, b * f, g * b, a * g
+    return (af == eb or ae == bf or af == gb or ag == bf
+            or ae == -gb or -ag == eb)
 
 
 def g_orbit(c: CycElt) -> list:
@@ -353,24 +366,31 @@ def _raw_key(p: SpherePoint):
     return (0,) if p.is_infinity else (1, p.value.num, p.value.den)
 
 
-def _pairing(t: Moebius, A, B) -> Optional[list]:
+def _pairing(t, A, B) -> Optional[list]:
     """For each point of A, the index in B of its image under t; None when
     some image is not in B.  The points of A are taken distinct, and so are
-    those of B.
+    those of B.  t is a Moebius map, or the coefficients (a, b, c, d) of a
+    plain map z -> (a z + b)/(c z + d) taken up to scale, which need not be
+    normalized.  A degenerate map (ad = bc) pairs no two sets of three or
+    more points: it sends every point but at most one to one value.
 
     Decided by cross-multiplication in one common field, with no inversion:
     t(x) = (N : D), with (N, D) = (a x + b, c x + d) for finite x (x
     conjugated first for an anti-map) and (a, c) for x = inf, is inf iff
     D = 0 and the finite point y iff D != 0 and N = y D."""
+    if isinstance(t, Moebius):
+        coefficients, anti = t.coefficients(), t.conj_first
+    else:
+        coefficients, anti = t, False
     A, B = list(A), list(B)
-    _, pts = unify_points([*A, *B, *t.coefficients()])
+    _, pts = unify_points([*A, *B, *coefficients])
     k = len(A) + len(B)
     A, B = pts[:len(A)], pts[len(A):k]
     a, b, c, d = (p.value for p in pts[k:])
     free = dict(enumerate(B))
     out = []
     for x in A:
-        if t.conj_first:
+        if anti:
             x = x.conjugate()
         if x.is_infinity:
             num, den = a, c

@@ -194,18 +194,18 @@ def test_stabilizers_of_worked_examples():
     (5, {1, 4}), (8, {1, 3, 5, 7}), (40, {1, 19, 21, 39})])
 def test_stabilizer_enumerates_sigma_1_and_one_exponent_per_coset(
         n, want, monkeypatch):
-    # the table, built once for the stabilizer's own pass and once for
-    # sigma_1's classify_sigma, decides every unit; the enumeration runs
-    # once per coset of the stabilizer, sigma_1 first, and there finds the
-    # identity alone
+    # the table matches sigma_1 once, in classify_sigma, and every other
+    # unit in the stabilizer's one pass; the enumeration runs once per
+    # coset of the stabilizer, sigma_1 first, and there finds the identity
+    # alone
     p = validate(-4, make_element("2*z", n), 2)
     lam, mu = p.lam.in_conductor(n), p.mu.in_conductor(n)
     twisted = {tuple(_twist(lam, mu, GaloisElement(n, a))[2]): a
                for a in units(n)}
     assert len(twisted) == euler_phi(n)
     found, targets, classified, tables = [], [], [], []
-    set_maps, classify, build = \
-        moduli.set_maps, moduli.classify_sigma, moduli.row_targets
+    set_maps, classify, table = \
+        moduli.set_maps, moduli.classify_sigma, moduli._table
 
     def counting_set_maps(source, target, **kw):
         targets.append(tuple(target))
@@ -216,8 +216,8 @@ def test_stabilizer_enumerates_sigma_1_and_one_exponent_per_coset(
     monkeypatch.setattr(moduli, "classify_sigma",
                         lambda p, g: classified.append(g.exponent)
                         or classify(p, g))
-    monkeypatch.setattr(moduli, "row_targets",
-                        lambda lam, mu: tables.append(1) or build(lam, mu))
+    monkeypatch.setattr(moduli, "_table",
+                        lambda *args: tables.append(1) or table(*args))
     assert stabilizer(p, n) == want
     index = euler_phi(n) // len(want)
     assert classified == [1]
@@ -230,6 +230,27 @@ def test_stabilizer_enumerates_sigma_1_and_one_exponent_per_coset(
     assert exponents[0] == 1
     assert len({frozenset(a * h % n for h in want) for a in exponents}) \
         == index
+
+
+@pytest.mark.parametrize("n, lam, mu", [
+    (5, "-4", "2*z"), (8, "-4", "2*z"), (40, "-4", "2*z"),
+    (8, "-(3 + 2*(z + z^-1))^2", "(3 + 2*(z + z^-1))*z")])
+def test_validate_and_stabilizer_invert_no_irrational_element(
+        n, lam, mu, monkeypatch):
+    # an operation count, the same on every machine; rational inversions,
+    # such as the normalization of a rational witness, are free to stay
+    lam, mu = make_element(lam, n), make_element(mu, n)
+    inverse, irrational = CycElt.inverse, []
+
+    def counting(self):
+        if not self.is_rational():
+            irrational.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CycElt, "inverse", counting)
+    p = validate(lam, mu, 2)
+    assert len(stabilizer(p, n)) == (2 if n == 5 else 4)
+    assert irrational == []
 
 
 def test_field_of_moduli_p3():

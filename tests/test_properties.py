@@ -2,18 +2,20 @@
 (anti-)Moebius application, field axioms, inverses of dense values and
 the Galois action, and differential tests of set_maps (also through a
 tiny split prime, against the exact 120-triple index), the cross-ratio
-table, u_orbit, the stabilizer, the six-inversion row table,
-the term formatter, check_order, the k-th root search and its shortcuts,
-the kernel test of span membership and curve transport on the curve's
+table, u_orbit, the stabilizer, the residue-first row matcher (also at
+the least split prime) against the divided row table, the term
+formatter, check_order, the k-th root search and its shortcuts, the
+kernel test of span membership and curve transport on the curve's
 line pushed forward, the integer element arithmetic and its short-cuts
 for rational and zero operands, the inverse down the norm chain, the
 lift as products of coset roots, the scale powers written down from the
 witness, the cocycle check from its recursion and closure, every
 candidate's verdict from the deck-group torsor, the map check by
 cross-multiplication, minimal forms one prime at a time and each
-closed-form subfield step, and validate's collision check by
-cross-multiplication against the code each replaced, and of cross_ratio
-against the normalizing map."""
+closed-form subfield step, and validate's collision check on
+(numerator, denominator) pairs against the code each replaced, and of
+cross_ratio against the normalizing map and its pair form against the
+division in each branch."""
 
 import functools
 import itertools
@@ -26,25 +28,25 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pseudoreal import descent, moduli, moebius
+from pseudoreal import descent, family, moduli, moebius
 from pseudoreal.cli import build_parser
 from pseudoreal.configurations import OmegaError, make_config, u_orbit
 from pseudoreal.cyclotomic import MAX_CONDUCTOR, CycElt, GaloisElement, \
     LimitError, _conjugates, _cyclic, _is_prime, _no_root_mod_p, \
     _norm_chain, _reduced, _root_of_unity_mod, _size_bits, _split_prime, \
     _sympy_field, _sympy_roots, _monomial_roots, _related_roots, \
-    cyclotomic_polynomial, euler_phi, format_poly, is_subgroup, kth_roots, \
-    make_element, subgroups, units
+    common_field, cyclotomic_polynomial, euler_phi, format_poly, \
+    is_subgroup, kth_roots, make_element, subgroups, units
 from pseudoreal.descent import CocycleResult, LiftResult, MonomialIso, \
     WeilDatum, _curve_kernel, check_order, cocycle_check, \
     compose_twist, curve_rows, extend_cyclic, lift_to_monomial, \
     torsor_verdicts, transports_curve
-from pseudoreal.family import ParameterError, _configuration, _twist, \
-    family_cross_ratios, validate
+from pseudoreal.family import ParameterError, _circular_quadruples, \
+    _configuration, _twist, family_cross_ratios, validate
 from pseudoreal.moduli import OracleDisagreement, classify_sigma, stabilizer
 from pseudoreal.moebius import INF, Moebius, SpherePoint, _apply_raw, \
-    _in_orbit, _normalized_triples, _orbit_values, _pairing, _raw_key, \
-    _std_raw, _unrefuted_triples, cross_ratio, g_orbit, \
+    _cross_ratio_pair, _in_orbit, _normalized_triples, _orbit_values, \
+    _pairing, _raw_key, _std_raw, _unrefuted_triples, cross_ratio, g_orbit, \
     moebius_from_triple, set_maps, unify_points
 
 from test_descent import transport_checked_once
@@ -726,7 +728,7 @@ def test_stabilizer_matches_reference_on_the_moduli_pool():
     assert queries
 
 
-# -- the six-inversion row table against the quotient-form table -----------
+# -- the value form of the shape table against the quotient-form table ----
 
 
 def reference_row_targets(lam, mu):
@@ -765,6 +767,95 @@ def test_row_targets_match_the_quotient_form_table(member):
             reference_row_targets(lam, mu)
 
 
+# -- the residue-first matcher against the divided table ---------------------
+
+
+def reference_table(lam, mu, source, a):
+    """The earlier matcher on sigma_a: exact equality with each row of the
+    divided table `reference_row_targets`, each match's map built by the
+    row's builder and checked to carry the set."""
+    slam, smu, target = _twist(lam, mu, GaloisElement(lam.n, a))
+    builders = [t[4] for t in moduli.row_targets(lam, mu)]
+    rows = []
+    for (row, sign, want_l, want_m), build in zip(
+            reference_row_targets(lam, mu), builders):
+        if slam == want_l and smu == want_m:
+            t = build(slam, smu)
+            assert _pairing(t, source, target) is not None
+            rows.append(((row, sign), t))
+    return rows
+
+
+def assert_table_matches_reference(lam, mu):
+    """`_table` on every unit against `reference_table`: the same (row,
+    sign) list and the same maps.  Returns the units it built a twist for,
+    which it does only for those whose residues leave a row."""
+    n = lam.n
+    source = _configuration(lam, mu).points()
+    out = moduli._table(lam, mu, source, units(n))
+    assert [a for a, _, _ in out] == list(units(n))
+    built = []
+    for a, rows, twist in out:
+        assert [((m.row, m.sign), Moebius(*t)) for m, t in rows] == \
+            reference_table(lam, mu, source, a)
+        if twist is None:
+            assert rows == []
+        else:
+            assert twist == _twist(lam, mu, GaloisElement(n, a))
+            built.append(a)
+    return built
+
+
+def _least_split_prime():
+    """`_split_prime` of the matcher at the least prime p = 1 (mod n): its
+    residues collide often, quantities vanish mod p and p may divide a
+    denominator, so the exact test decides more rows."""
+    def split(n):
+        p = n + 1
+        while not _is_prime(p):
+            p += n
+        return p, _root_of_unity_mod(n, p)
+    return mock.patch.object(moduli, "_split_prime", split)
+
+
+@settings(max_examples=40, deadline=None)
+@given(admissible_mu(), st.booleans())
+@example((40, "-4", "2*z"), False)
+@example((8, "-(3 + 2*(z + z^-1))^2", "(3 + 2*(z + z^-1))*z"), False)
+@example((5, "-(-3 + z + z^-1)^2", "(-3 + z + z^-1)*z"), True)
+def test_residue_first_table_matches_the_divided_table(member, least):
+    n, lam, mu = member
+    try:
+        p = validate(make_element(lam, n), make_element(mu, n), 2)
+    except ParameterError:
+        assume(False)
+    lam, mu = p.lam.in_conductor(n), p.mu.in_conductor(n)
+    if least:
+        with _least_split_prime():
+            assert_table_matches_reference(lam, mu)
+    else:
+        built = assert_table_matches_reference(lam, mu)
+        # at the large prime only the hits are built
+        assert built == sorted(stabilizer(p, n))
+
+
+def test_collisions_and_missing_residues_fall_back_to_the_exact_test():
+    # mod 11 the residues of units 2 and 3 of this member leave rows that
+    # the exact test refutes; the large prime refutes them
+    p = validate(make_element("-(-3 + z + z^-1)^2", 5),
+                 make_element("(-3 + z + z^-1)*z", 5), 2)
+    with _least_split_prime():
+        assert assert_table_matches_reference(p.lam, p.mu) == [1, 2, 3, 4]
+    assert assert_table_matches_reference(p.lam, p.mu) == [1, 4]
+    # 11 divides the denominator of lambda = -(23/11)^2 and of mu: no
+    # residues, so every unit is tested exactly
+    p = validate(make_element("-529/121", 5), make_element("23/11*z", 5), 2)
+    with _least_split_prime():
+        assert assert_table_matches_reference(p.lam, p.mu) == [1, 2, 3, 4]
+    assert assert_table_matches_reference(p.lam, p.mu) == [1, 4]
+    assert stabilizer(p, 5) == frozenset({1, 4})
+
+
 # each (row, sign) of the table that admissible members at n <= 24 match,
 # on a member where it is the only row that some sigma matches; rows 5-12
 # matched none of them
@@ -788,12 +879,10 @@ def test_a_table_without_a_matching_row_never_shrinks_the_stabilizer(
                      classify_sigma(p, GaloisElement(n, a)).matched_rows)
                for a in units(n)}
     assert (row,) in matched
-    table = moduli.row_targets
+    without_row = tuple(t for t in moduli._SHAPES if t[:2] != row)
+    assert len(without_row) == len(moduli._SHAPES) - 1
 
-    def without_row(lam, mu):
-        return [t for t in table(lam, mu) if t[:2] != row]
-
-    with mock.patch.object(moduli, "row_targets", without_row):
+    with mock.patch.object(moduli, "_SHAPES", without_row):
         # OracleDisagreement, or the AssertionError of a table whose hits
         # are no subgroup
         with pytest.raises(AssertionError) as exc:
@@ -895,13 +984,14 @@ def test_pairing_matches_apply_then_compare(case):
 def test_a_wrong_row_map_is_an_oracle_disagreement():
     lam, mu = make_element("-4", 8), make_element("2*z", 8)
     source = _configuration(lam, mu).points()
-    twist = _twist(lam, mu, GaloisElement(8, 1))
-    table = moduli.row_targets(lam, mu)
-    assert moduli._table(table, source, *twist)
+    [(_, rows, twist)] = moduli._table(lam, mu, source, [1])
+    assert rows and twist == _twist(lam, mu, GaloisElement(8, 1))
     # z -> 1/z sends -4 to -1/4, off the set
-    wrong = [(*row[:4], lambda sl, sm: Moebius(0, 1, 1, 0)) for row in table]
-    with pytest.raises(OracleDisagreement, match="does not carry"):
-        moduli._table(wrong, source, *twist)
+    wrong = [(*row[:4], lambda sl, sm, mu: (0, 1, 1, 0))
+             for row in moduli._SHAPES]
+    with mock.patch.object(moduli, "_SHAPES", wrong), \
+            pytest.raises(OracleDisagreement, match="does not carry"):
+        moduli._table(lam, mu, source, [1])
 
 
 def test_row_and_witness_checks_make_no_inversion(monkeypatch):
@@ -935,8 +1025,9 @@ def test_row_and_witness_checks_make_no_inversion(monkeypatch):
                             counted(module, module._pairing))
     assert len(stabilizer(p, n)) == 8
     assert len(lift_to_monomial(witness, p, a, n).isos) == 32
-    # eight table hits and sigma_1's row in classify_sigma
-    assert counts == {moduli: [9, 0], descent: [1, 0]}
+    # eight table hits, sigma_1's among them, which classify_sigma matches
+    # once for the stabilizer
+    assert counts == {moduli: [8, 0], descent: [1, 0]}
 
 
 # -- the shared term formatter against the two it replaced -------------------
@@ -1040,6 +1131,35 @@ def test_cross_ratio_is_the_normalizing_map_and_is_invariant(values, inf_at):
     assume(not (a * d - b * c).is_zero())
     M = Moebius(a, b, c, d)
     assert cross_ratio(*map(M, pts)) == value
+
+
+def reference_cross_ratio(a, b, c, d):
+    """The earlier cross_ratio: a division in each infinity branch."""
+    a, b, c, d = (p.value for p in (a, b, c, d))
+    if a is None:
+        return (d - b) / (c - b)
+    if b is None:
+        return (c - a) / (d - a)
+    if c is None:
+        return (d - b) / (d - a)
+    if d is None:
+        return (c - a) / (c - b)
+    return ((c - a) * (d - b)) / ((c - b) * (d - a))
+
+
+@pytest.mark.parametrize("inf_at", [None, 0, 1, 2, 3])
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 3, 4, 5, 8]).flatmap(
+    lambda n: st.lists(elements(n, small), min_size=4, max_size=4)))
+def test_cross_ratio_pair_divides_to_the_earlier_cross_ratio(inf_at, values):
+    pts = [SpherePoint(v) for v in values]
+    if inf_at is not None:
+        pts[inf_at] = INF
+    assume(len({_raw_key(p) for p in unify_points(pts)[1]}) == 4)
+    num, den = _cross_ratio_pair(*pts)
+    value, want = cross_ratio(*pts), reference_cross_ratio(*pts)
+    assert not den.is_zero() and num == want * den
+    assert value.n == want.n and value.coeffs == want.coeffs
 
 
 def brute_order(g, m):
@@ -2192,13 +2312,80 @@ def test_collision_check_matches_the_key_based_intersection(mu):
 
 
 @settings(max_examples=60, deadline=None)
-@given(*[st.sampled_from([3, 4, 5, 8, 12]).flatmap(elements)] * 2)
-def test_product_orbit_test_takes_every_mate_and_matches_the_keys(c, other):
+@given(*[st.sampled_from([3, 4, 5, 8, 12]).flatmap(elements)] * 4)
+def test_product_orbit_test_takes_every_mate_and_matches_the_keys(
+        c, other, s, t):
+    # on pairs: c as (c s, s) and each value v as (v t, t)
     assume(not c.is_zero() and c != 1)
-    assert all(_in_orbit(v, c) for v in _orbit_values(c))
+    assume(not s.is_zero() and not t.is_zero())
+    pair = (c * s, s)
+    assert all(_in_orbit((v * t, t), pair) for v in _orbit_values(c))
     # an unrelated value, also at another conductor
-    assert _in_orbit(other, c) == \
+    assert _in_orbit((other * t, t), pair) == \
         (other.key() in {v.key() for v in g_orbit(c)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4, 5, 8, 12]).flatmap(
+    lambda n: st.lists(elements(n), min_size=4, max_size=4)), st.data())
+def test_pair_orbit_test_matches_the_divided_orbit_values(values, data):
+    e, f, other, t = values
+    assume(not e.is_zero() and not f.is_zero() and e != f
+           and not t.is_zero())
+    c = e / f
+    # an orbit mate of c or an unrelated value, over the denominator t
+    v = data.draw(st.sampled_from(_orbit_values(c) + [other]))
+    assert _in_orbit((v * t, t), (e, f)) == (v in _orbit_values(c))
+
+
+# members whose circular cross-ratios do collide: [1, lam, mu, -mu] is lam
+# at the critical radius (x + 1)^2 + y^2 = 2 of mu = x + iy, 1/lam at
+# (x - 1)^2 + y^2 = 2, and -1 = [inf, 0, mu, -mu] for imaginary mu.  An
+# earlier clause rejects each: [1, lam, mu, -mu] = (2 x - r^2 - 1)/(2 x +
+# r^2 + 1) with x = r cos(theta) meets the other two orbits nowhere else
+COLLIDING = [(4, "-2 + z"), (4, "2 + z"), (12, "-2 + z^3"), (4, "2*z"),
+             (8, "3*z^2")]
+
+
+@pytest.mark.parametrize("n, mu", COLLIDING)
+def test_pair_orbit_test_finds_the_collisions_of_rejected_members(n, mu):
+    mu = make_element(mu, n)
+    lam = -(mu * mu.conjugate())
+    with pytest.raises(ParameterError) as exc:
+        validate(lam, mu, 2)
+    assert exc.value.clause in ("critical_radius", "angle_imaginary")
+    pairs = [_cross_ratio_pair(*q) for q in _circular_quadruples(lam, mu)]
+    cr = family_cross_ratios(lam, mu)
+    ij = list(itertools.combinations(range(3), 2))
+    collide = [_in_orbit(pairs[j], pairs[i]) for i, j in ij]
+    assert collide == [cr[j] in _orbit_values(cr[i]) for i, j in ij]
+    assert any(collide)
+
+
+@pytest.mark.parametrize("reported", range(3))
+def test_the_collision_clause_and_message_divide_only_on_the_error_path(
+        reported):
+    # no admissible member collides, so the orbit test is made to report
+    # the reported-th pair; the message holds the divided cross-ratios in
+    # one field, as before
+    lam = make_element("-(3 + 2*(z + z^-1))^2", 8)
+    mu = make_element("(3 + 2*(z + z^-1))*z", 8)
+    calls = []
+
+    def report(v, c):
+        calls.append((v, c))
+        return len(calls) == reported + 1
+
+    with mock.patch.object(family, "_in_orbit", report), \
+            pytest.raises(ParameterError) as exc:
+        validate(lam, mu, 2)
+    i, j = list(itertools.combinations(range(3), 2))[reported]
+    _, cr = common_field((cross_ratio(INF, 0, 1, lam),
+                          cross_ratio(INF, 0, mu, -mu),
+                          cross_ratio(1, lam, mu, -mu)))
+    assert exc.value.clause == "cross_ratio_collision"
+    assert str(exc.value) == f"cross-ratios {cr[i]} and {cr[j]} share an orbit"
+    assert [v[0] / v[1] for v in calls[-1]] == [cr[j], cr[i]]
 
 
 @settings(max_examples=60, deadline=None)
