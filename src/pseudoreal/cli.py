@@ -41,6 +41,8 @@ from .descent import check_order, extend_cyclic, cocycle_check, \
 
 __all__ = ["main", "build_parser", "SUBCOMMANDS"]
 
+_escape = json.encoder.encode_basestring_ascii
+
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
@@ -376,9 +378,44 @@ def _human(doc: dict) -> str:
     return "".join(lines)
 
 
+def _structured(obj, pad: str = "") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, at the
+    indentation `pad`.  With `indent` set, json runs its pure-Python
+    encoder; this writer takes json's own type dispatch for dicts with str
+    keys, lists and tuples, str (through json's C-accelerated escaper),
+    None, bools and ints, and hands any other value to json.dumps."""
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        # a str item is escaped in place, without a call per leaf
+        items = [_escape(v) if type(v) is str else _structured(v, inner)
+                 for v in obj]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        if not obj:
+            return "{}"
+        items = [f"{_escape(k)}: {_structured(obj[k], inner)}"
+                 for k in sorted(obj)]
+        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
+    # json escapes every newline inside a string, so each one here starts
+    # a line to indent
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def _render(doc: dict, output: str) -> str:
     if output == "structured":
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return _structured(doc) + "\n"
     return _human(doc)
 
 

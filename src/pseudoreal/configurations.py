@@ -87,26 +87,41 @@ def u_orbit(cfg: Configuration) -> list:
     choice of three of the six points to (inf, 0, 1), read the remaining
     three in each order; deduplicated and canonically sorted (720 triples
     when the configuration has no symmetries).  The triples draw on at most
-    90 distinct values, which are ranked once by their coefficients; the
-    triples are deduplicated and sorted on their rank tuples, which order
-    as the coefficient tuples do, and share the ranked elements."""
+    90 distinct values, which are ranked once by their coefficients.  A
+    triple of ranks (a, b, c), each below the number K of values, is the
+    int (a K + b) K + c, so the triples are deduplicated and sorted as
+    ints, which order as the rank tuples and so as the coefficient tuples
+    do, and decoded once into the ranked elements, which they share."""
     _, pts = unify_points(cfg.points())
-    values, rows = {}, []
-    for _, images in _normalized_triples(pts):
-        if any(q.is_infinity for q in images):
-            raise AssertionError("a relabeling sent a point to infinity")
-        rows.append([_raw_key(q) for q in images])
-        for key, q in zip(rows[-1], images):
-            values.setdefault(key, q.value)
+    rows = [images for _, images in _normalized_triples(pts)]
+    # the rows share their images, one point per distinct cross-ratio
+    shared = {id(q): q for row in rows for q in row}
+    if any(q.is_infinity for q in shared.values()):
+        raise AssertionError("a relabeling sent a point to infinity")
+    values = {}
+    for q in shared.values():
+        values.setdefault(_raw_key(q), q.value)
     # the values share one conductor: their int numerators scaled to one
     # common denominator order as their Fraction coefficients do
     common = math.lcm(*(v.den for v in values.values()))
     ranked = sorted(values, key=lambda key: [
         c * (common // values[key].den) for c in values[key].num])
-    rank = {key: i for i, key in enumerate(ranked)}
-    triples = {tuple(rank[key] for key in order)
-               for row in rows for order in itertools.permutations(row)}
-    return [tuple(values[ranked[i]] for i in t) for t in sorted(triples)]
+    order = {key: i for i, key in enumerate(ranked)}
+    rank = {i: order[_raw_key(q)] for i, q in shared.items()}
+    K = len(ranked)
+    codes = set()
+    for row in rows:
+        a, b, c = (rank[id(q)] for q in row)
+        aK, bK, cK = a * K, b * K, c * K
+        codes.update(((aK + b) * K + c, (aK + c) * K + b, (bK + a) * K + c,
+                      (bK + c) * K + a, (cK + a) * K + b, (cK + b) * K + a))
+    elements = [values[key] for key in ranked]
+    out = []
+    for code in sorted(codes):
+        ab, c = divmod(code, K)
+        a, b = divmod(ab, K)
+        out.append((elements[a], elements[b], elements[c]))
+    return out
 
 
 def equivalent(c1: Configuration, c2: Configuration) -> Optional[Moebius]:

@@ -2,11 +2,12 @@
 cross-ratios, generalized-circle membership, and exhaustive enumeration of
 maps between six-point sets.  The enumeration reduces the source's ordered
 triples at a split prime, which refutes almost all of them, and tests the
-rest exactly; it keeps nothing from one call to the next.  Whether a given
-map carries one point set onto another (`_pairing`), and whether a value
-lies in the orbit of a cross-ratio (`_in_orbit`, on cross-ratios kept as
-(numerator, denominator) pairs by `_cross_ratio_pair`), are decided by
-cross-multiplication, with no inversion.
+rest exactly, with no division per triple; it keeps nothing from one call
+to the next.  Whether a given map carries one point set onto another
+(`_pairing`), and whether a value lies in the orbit of a cross-ratio
+(`_in_orbit`, on cross-ratios kept as (numerator, denominator) pairs by
+`_cross_ratio_pair`), are decided by cross-multiplication, with no
+inversion; each product embeds its own operands.
 
 A transformation is stored as projective coefficients (a, b, c, d) for
 z -> (a z + b)/(c z + d), normalized so the first nonzero coefficient is 1;
@@ -300,11 +301,17 @@ def moebius_from_triple(src, dst) -> Moebius:
         raise ValueError("need exactly three source and three target points")
     _require_distinct(src)
     _require_distinct(dst)
-    sa, sb, sc, sd = _std_raw(*src)
-    a, b, c, d = _std_raw(*dst)
-    ia, ib, ic, id_ = d, -b, -c, a
-    return Moebius(ia * sa + ib * sc, ia * sb + ib * sd,
-                   ic * sa + id_ * sc, ic * sb + id_ * sd)
+    return Moebius(*_carry_raw(_std_raw(*src), _std_raw(*dst)))
+
+
+def _carry_raw(src_mat, dst_mat) -> tuple:
+    """Coefficients, up to scale, of the map sending the triple behind the
+    raw matrix src_mat to the one behind dst_mat: the adjugate of dst_mat,
+    which inverts it up to scale, times src_mat (eight products)."""
+    sa, sb, sc, sd = src_mat
+    a, b, c, d = dst_mat
+    return (d * sa - b * sc, d * sb - b * sd,
+            a * sc - c * sa, a * sd - c * sb)
 
 
 def unify_points(points):
@@ -374,22 +381,21 @@ def _pairing(t, A, B) -> Optional[list]:
     normalized.  A degenerate map (ad = bc) pairs no two sets of three or
     more points: it sends every point but at most one to one value.
 
-    Decided by cross-multiplication in one common field, with no inversion:
-    t(x) = (N : D), with (N, D) = (a x + b, c x + d) for finite x (x
-    conjugated first for an anti-map) and (a, c) for x = inf, is inf iff
-    D = 0 and the finite point y iff D != 0 and N = y D."""
+    Decided by cross-multiplication, with no inversion: t(x) = (N : D),
+    with (N, D) = (a x + b, c x + d) for finite x (x conjugated first for
+    an anti-map) and (a, c) for x = inf, is inf iff D = 0 and the finite
+    point y iff D != 0 and N = y D.  Nothing is embedded up front: each
+    product and comparison embeds its own operands, and only coefficients
+    given as ints or Fractions are made field elements."""
     if isinstance(t, Moebius):
         coefficients, anti = t.coefficients(), t.conj_first
     else:
         coefficients, anti = t, False
-    A, B = list(A), list(B)
-    _, pts = unify_points([*A, *B, *coefficients])
-    k = len(A) + len(B)
-    A, B = pts[:len(A)], pts[len(A):k]
-    a, b, c, d = (p.value for p in pts[k:])
-    free = dict(enumerate(B))
+    a, b, c, d = (x if isinstance(x, CycElt) else CycElt.from_rational(x)
+                  for x in coefficients)
+    free = dict(enumerate(_as_points(B)))
     out = []
-    for x in A:
+    for x in _as_points(A):
         if anti:
             x = x.conjugate()
         if x.is_infinity:
@@ -478,14 +484,18 @@ def set_maps(S, T, anti: bool = False) -> list:
     Every map sends some ordered triple of S to a fixed base triple of T,
     and it does so iff normalizing both triples to (inf, 0, 1) puts the
     remaining three points of each set at the same spots.  The base triple
-    is normalized exactly.  The 120 ordered triples of S are first reduced
-    at a split prime (`_unrefuted_triples`).  Reduction is a ring
+    is normalized exactly, once.  The 120 ordered triples of S are first
+    reduced at a split prime (`_unrefuted_triples`).  Reduction is a ring
     homomorphism on the values involved, so a triple whose images reduce
     to other residues than the spots is certified to carry no map.  A
     triple with two of the points behind an image on one residue, or with
     a value that has no residue, is not refuted, so one prime is enough.
-    Each remaining triple is normalized exactly, and the witness matrix is
-    assembled only when its images are the spots.  An anti-map
+    No remaining triple is divided through: the map sending it to the base
+    triple has the coefficients adj(B) S up to scale (`_carry_raw`), for
+    the raw matrices S and B of the two triples to (inf, 0, 1), and it is
+    a map of the sets iff it sends S's other three points onto T's, which
+    `_pairing` decides by cross-multiplication.  Only a map that passes is
+    normalized, which inverts its lead coefficient.  An anti-map
     z -> M(conj z) carries S onto T iff conj(M) carries S onto conj(T), so
     anti maps conjugate the target and the source is reduced as it is.
     """
@@ -500,16 +510,14 @@ def set_maps(S, T, anti: bool = False) -> list:
     tgt = list({_raw_key(p): p for p in tgt}.values())
     if len(src) != 6 or len(tgt) != 6:
         raise ValueError("both sets must contain exactly six points")
-    base, mat = tgt[:3], _std_raw(*tgt[:3])
-    spots = [_apply_raw(mat, p) for p in tgt[3:]]
-    want = sorted(map(_raw_key, spots))
+    base = _std_raw(*tgt[:3])
+    spots = [_apply_raw(base, p) for p in tgt[3:]]
     found = {}
-    for *idx, rest in _unrefuted_triples(n, src, spots):
-        triple = [src[i] for i in idx]
-        mat = _std_raw(*triple)
-        if sorted(_raw_key(_apply_raw(mat, src[x])) for x in rest) != want:
+    for a, b, c, rest in _unrefuted_triples(n, src, spots):
+        mat = _carry_raw(_std_raw(src[a], src[b], src[c]), base)
+        if _pairing(mat, [src[x] for x in rest], tgt[3:]) is None:
             continue
-        m = moebius_from_triple(triple, base)
+        m = Moebius(*mat)
         if anti:
             m = Moebius(*(x.conjugate() for x in m.coefficients()),
                         conj_first=True)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from pseudoreal.configurations import make_config
+from pseudoreal.configurations import make_config, symmetries
 from pseudoreal.cyclotomic import CycElt, make_element
 from pseudoreal.moebius import (
     INF,
@@ -242,6 +242,24 @@ def test_one_cross_ratio_table_counts_its_products(monkeypatch):
     assert len(rows) == 120
     assert counts["mul"] <= 96
     assert counts["store"] <= 216
+
+
+def test_symmetries_invert_an_irrational_element_once_per_map(monkeypatch):
+    # {inf, 0, 1, i, -i, -1}: 24 rotations and 24 anti-maps, each a triple
+    # that the split prime leaves.  Testing a triple divides nothing, so
+    # what is inverted is each map's lead coefficient and the squares'
+    cfg = make_config(*(make_element(x, 4) for x in ("z", "-z", "-1")))
+    inverse, count = CycElt.inverse, [0]
+
+    def counting(self):
+        count[0] += not self.is_rational()
+        return inverse(self)
+
+    monkeypatch.setattr(CycElt, "inverse", counting)
+    sym = symmetries(cfg)
+    found = len(sym.conformal) + len(sym.anticonformal)
+    assert found == 48
+    assert count[0] <= found
 
 
 def test_set_maps_without_a_map_inverts_only_the_spots(monkeypatch):

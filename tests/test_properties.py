@@ -15,10 +15,13 @@ cross-multiplication, minimal forms one prime at a time and each
 closed-form subfield step, and validate's collision check on
 (numerator, denominator) pairs against the code each replaced, and of
 cross_ratio against the normalizing map and its pair form against the
-division in each branch."""
+division in each branch; set_maps on symmetric sets against the exact
+index, u_orbit's int triples against their rank tuples, and the
+structured renderer against json.dumps with indent."""
 
 import functools
 import itertools
+import json
 import math
 import sys
 from fractions import Fraction
@@ -29,7 +32,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pseudoreal import descent, family, moduli, moebius
-from pseudoreal.cli import build_parser
+from pseudoreal.cli import _render, _structured, build_parser
 from pseudoreal.configurations import OmegaError, make_config, u_orbit
 from pseudoreal.cyclotomic import MAX_CONDUCTOR, CycElt, GaloisElement, \
     LimitError, _conjugates, _cyclic, _is_prime, _no_root_mod_p, \
@@ -493,6 +496,25 @@ def reference_u_orbit(cfg):
     return [seen[k] for k in sorted(seen)]
 
 
+def reference_rank_u_orbit(cfg):
+    """The u_orbit before its triples were ints: the relabeled triples
+    deduplicated and sorted as tuples of the ranks of their values."""
+    _, pts = unify_points(cfg.points())
+    values, rows = {}, []
+    for _, images in _normalized_triples(pts):
+        assert all(not q.is_infinity for q in images)
+        rows.append([_raw_key(q) for q in images])
+        for key, q in zip(rows[-1], images):
+            values.setdefault(key, q.value)
+    common = math.lcm(*(v.den for v in values.values()))
+    ranked = sorted(values, key=lambda key: [
+        c * (common // values[key].den) for c in values[key].num])
+    rank = {key: i for i, key in enumerate(ranked)}
+    triples = {tuple(rank[key] for key in order)
+               for row in rows for order in itertools.permutations(row)}
+    return [tuple(values[ranked[i]] for i in t) for t in sorted(triples)]
+
+
 @st.composite
 def point_sets(draw):
     """Six points, repeats dropped, at one of the conductors 1, 3, 4, 5, 8
@@ -541,7 +563,11 @@ def test_u_orbit_of_symmetric_configurations_matches_reference(n, triple):
     for c in (cfg, cfg.conjugate()):
         orbit = u_orbit(c)
         assert len(orbit) < 720
-        assert _orbit_key(orbit) == _orbit_key(reference_u_orbit(c))
+        assert _orbit_key(orbit) == _orbit_key(reference_u_orbit(c)) == \
+            _orbit_key(reference_rank_u_orbit(c))
+        # the triples share their values, one object per distinct value
+        assert len({id(v) for t in orbit for v in t}) == \
+            len({v.coeffs for t in orbit for v in t})
 
 
 @settings(max_examples=25, deadline=None)
@@ -552,7 +578,9 @@ def test_u_orbit_matches_reference(values):
         cfg = make_config(*values)
     except OmegaError:
         assume(False)
-    assert _orbit_key(u_orbit(cfg)) == _orbit_key(reference_u_orbit(cfg))
+    orbit = _orbit_key(u_orbit(cfg))
+    assert orbit == _orbit_key(reference_u_orbit(cfg))
+    assert orbit == _orbit_key(reference_rank_u_orbit(cfg))
 
 
 @settings(max_examples=25, deadline=None)
@@ -570,6 +598,27 @@ def test_set_maps_on_the_table_match_the_product_per_image(S, anti, data):
     for normalize in (_normalized_triples, reference_normalized_triples):
         assert got == [_map_key(m) for m in reference_index_set_maps(
             S, T, anti, normalize)]
+
+
+# -- set_maps on symmetric sets, where many triples carry a map --------------
+
+
+# {inf, 0, 1, i, -i, -1}, the vertices of an octahedron: 24 rotations and
+# 24 anti-maps
+OCTAHEDRAL = (4, ("z", "-z", "-1"))
+
+
+@pytest.mark.parametrize("anti", [False, True])
+@pytest.mark.parametrize("n, triple", [OCTAHEDRAL, *SYMMETRIC])
+def test_set_maps_of_symmetric_sets_match_the_exact_index(n, triple, anti):
+    S = make_config(*(make_element(x, n) for x in triple)).points()
+    z = CycElt.zeta(max(n, 3))
+    for T in (S, [Moebius(z, 1, 1, 2).apply(p) for p in S]):
+        got = [_map_key(m) for m in set_maps(S, T, anti=anti)]
+        assert got == [_map_key(m)
+                       for m in reference_index_set_maps(S, T, anti)]
+        if (n, triple) == OCTAHEDRAL:
+            assert len(got) == 24
 
 
 # -- set_maps through the split prime against the exact index ---------------
@@ -981,6 +1030,38 @@ def test_pairing_matches_apply_then_compare(case):
     assert _pairing(t, A, B) == reference_pairing(t, A, B)
 
 
+def _rational_coefficient(q, kind):
+    """q as an int (when integral), a Fraction or a CycElt at conductor 1."""
+    if kind == "int" and q.denominator == 1:
+        return int(q)
+    return CycElt.from_rational(q) if kind == "conductor 1" else q
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4, 5, 8, 12]), st.data())
+def test_pairing_takes_rational_coefficients_as_given(n, data):
+    # the witnesses hand _pairing int coefficients and the points sit at
+    # conductor n: each product embeds its own operands
+    kinds = ["int", "Fraction", "conductor 1"]
+    coeffs = [_rational_coefficient(q, data.draw(st.sampled_from(kinds)))
+              for q in data.draw(st.lists(coefficients, min_size=4,
+                                          max_size=4))]
+    a, b, c, d = coeffs
+    assume(a * d - b * c != 0)
+    A = [SpherePoint(x) for x in data.draw(
+        st.lists(elements(n), min_size=6, max_size=6))]
+    if data.draw(st.booleans()):
+        A[data.draw(st.integers(0, 5))] = INF
+    assume(all(A[i] != A[j] for i, j in itertools.combinations(range(6), 2)))
+    t = Moebius(*coeffs)
+    B = data.draw(st.permutations([t.apply(x) for x in A]))
+    if data.draw(st.booleans()):
+        moved = SpherePoint(data.draw(elements(n)))
+        assume(moved not in B)
+        B[data.draw(st.integers(0, 5))] = moved
+    assert _pairing(tuple(coeffs), A, B) == reference_pairing(t, A, B)
+
+
 def test_a_wrong_row_map_is_an_oracle_disagreement():
     lam, mu = make_element("-4", 8), make_element("2*z", 8)
     source = _configuration(lam, mu).points()
@@ -1028,6 +1109,51 @@ def test_row_and_witness_checks_make_no_inversion(monkeypatch):
     # eight table hits, sigma_1's among them, which classify_sigma matches
     # once for the stabilizer
     assert counts == {moduli: [8, 0], descent: [1, 0]}
+
+
+# -- the structured renderer against json.dumps with indent -----------------
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+    # non-ASCII and control characters among them
+    st.text(st.characters(), max_size=6),
+    st.text(st.sampled_from("a\n\t\x00\x1f\"\\/\u00e9\u2028\U0001f600"),
+            max_size=4),
+    # no float reaches a document; json.dumps writes it
+    st.floats())
+json_keys = st.text(st.characters(), max_size=5)
+json_trees = st.recursive(json_scalars, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(json_keys, children, max_size=4),
+    # keys that json converts, through json.dumps
+    st.dictionaries(st.integers(-5, 5), children, max_size=3)), max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+@example([])
+@example({})
+@example({"a": [[], {}, ()], "": {"b": [{}]}})
+def test_structured_renderer_matches_json_dumps(doc):
+    want = json.dumps(doc, indent=2, sort_keys=True)
+    assert _structured(doc) == want
+    if isinstance(doc, dict):
+        assert _render(doc, "structured") == want + "\n"
+
+
+def test_structured_renderer_refuses_what_json_refuses():
+    # an integer past the int-to-string limit, which main turns into the
+    # size_limit rejection, and a key order that sort_keys cannot decide
+    huge = {"x": [10 ** (sys.get_int_max_str_digits() + 1)]}
+    for doc, error in ((huge, ValueError), ({1: 0, "a": 1}, TypeError),
+                       ({"a": object()}, TypeError)):
+        with pytest.raises(error):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(error):
+            _structured(doc)
 
 
 # -- the shared term formatter against the two it replaced -------------------
