@@ -155,8 +155,5 @@ def concircular_quadruples(cfg: Configuration) -> list:
     """The four-point subsets of the six-point set lying on a generalized
     circle, each as a canonically sorted tuple of points."""
     pts = sorted(cfg.points(), key=SpherePoint.key)
-    out = []
-    for quad in itertools.combinations(pts, 4):
-        if concircular(*quad):
-            out.append(tuple(quad))
-    return out
+    return [quad for quad in itertools.combinations(pts, 4)
+            if concircular(*quad)]

@@ -33,9 +33,10 @@ to it.
 Supported operations: field arithmetic, the Galois action zeta -> zeta^a
 for units a mod n, complex conjugation (a = -1), sign determination of
 real elements (symbolic zero test, then certified interval refinement),
-minimal polynomials over Q via Galois orbits, fixed fields of subgroups
-of (Z/n)* with explicit primitive elements, k-th roots inside a given
-cyclotomic field, and certified complex interval enclosures.
+minimal polynomials over Q from the traces of the powers of the integral
+den * u by Newton's identities, fixed fields of subgroups of (Z/n)* with
+explicit primitive elements, k-th roots inside a given cyclotomic field,
+and certified complex interval enclosures.
 """
 
 from __future__ import annotations
@@ -111,8 +112,7 @@ class LimitError(CycError):
 # cyclotomic polynomials and unit groups
 
 def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 @functools.cache
@@ -153,9 +153,7 @@ def euler_phi(n: int) -> int:
 def is_subgroup(H: Iterable[int], n: int) -> bool:
     """True iff H (exponents mod n) is a subgroup of (Z/n)*."""
     hs = {a % n for a in H}
-    if not hs or 1 % n not in hs:
-        return False
-    if any(math.gcd(a, n) != 1 for a in hs):
+    if 1 % n not in hs or any(math.gcd(a, n) != 1 for a in hs):
         return False
     return all((a * b) % n in hs for a in hs for b in hs)
 
@@ -912,14 +910,20 @@ def _mpf_to_fraction(x):
     return Fraction(int(p), int(q))
 
 
-def _enclose(u: CycElt, prec: int) -> Box:
-    from mpmath.ctx_iv import MPIntervalContext
+# the interval context of `_enclose`, built on its first call; every call
+# sets the precision, so one context serves them all
+_interval = None
 
-    ctx = MPIntervalContext()
+
+def _enclose(u: CycElt, prec: int) -> Box:
+    global _interval
+    if _interval is None:
+        from mpmath.ctx_iv import MPIntervalContext
+        _interval = MPIntervalContext()
+    ctx = _interval
     ctx.prec = prec
     two_pi = 2 * ctx.pi
-    re = ctx.mpf(0)
-    im = ctx.mpf(0)
+    re = im = ctx.mpf(0)
     for i, c in enumerate(u.coeffs):
         if c == 0:
             continue
@@ -972,41 +976,41 @@ def real_sign(u: CycElt) -> int:
 # minimal polynomials and fixed fields
 
 
-def _conjugates(u: CycElt) -> list:
-    """The distinct Galois conjugates of u in Q(zeta_n), u first; [u] when
-    u is rational.  min_poly multiplies out x - v over them."""
-    out = [u]
-    if u.is_rational():
-        return out
-    seen = {(u.num, u.den)}
-    for a in units(u.n)[1:]:
-        v = u.galois_apply(a)
-        if (v.num, v.den) not in seen:
-            seen.add((v.num, v.den))
-            out.append(v)
-    return out
-
-
 def min_poly(u: CycElt) -> tuple:
-    """Monic irreducible polynomial over Q vanishing at u (ascending coeffs).
+    """Monic irreducible polynomial over Q vanishing at u (ascending
+    coeffs): prod(x - v) over the distinct conjugates v of u, which the
+    Galois group fixes and every rational polynomial vanishing at u has as
+    roots, so of degree d = [Q(u):Q] = phi(n)/s, s = #{a : sigma_a(u) = u}.
 
-    Computed as prod(x - v) over the distinct Galois orbit of u inside
-    Q(zeta_n); irreducibility comes for free since the orbit is full.
-    """
-    # poly with CycElt coefficients, ascending
-    poly = [CycElt.one(u.n)]
-    for v in _conjugates(u):
-        nxt = [CycElt.zero(u.n) for _ in range(len(poly) + 1)]
-        for i, c in enumerate(poly):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - c * v
-        poly = nxt
-    out = []
-    for c in poly:
-        if not c.is_rational():
-            raise AssertionError("orbit product has a non-rational coefficient")
-        out.append(c.as_rational())
-    return tuple(out)
+    For the integral w = den * u, Tr(w^k)/s is the k-th power sum P_k of
+    the conjugates of w.  z^i is a primitive m-th root of unity,
+    m = n/gcd(i, n), of trace mu(m) phi(n)/phi(m) (a Ramanujan sum; mu(m)
+    is minus the second-highest coefficient of Phi_m).  Newton's identities
+    k e_k = sum_(i<=k) (-1)^(i-1) e_(k-i) P_i give ints, as w is integral,
+    and x^j has the coefficient (-1)^(d-j) e_(d-j) / den^(d-j).  The powers
+    of w and the check that the polynomial vanishes at w, w^d plus the
+    lower terms by Horner's rule (`poly_eval`), make 2d - 1 products."""
+    n, phi = u.n, euler_phi(u.n)
+    s = phi if u.is_rational() else len(fixing_subgroup(u))
+    d = phi // s
+    cycs = [cyclotomic_polynomial(n // math.gcd(i, n)) for i in range(phi)]
+    weights = [-c[-2] * phi // (len(c) - 1) for c in cycs]
+    w = power = _reduced(n, list(u.num))
+    e, sums = [1], []
+    for k in range(1, d + 1):
+        if k > 1:
+            power = power * w
+        total, rest = divmod(sum(map(int.__mul__, power.num, weights)), s)
+        sums.append(total)
+        e_k, rest_k = divmod(sum((-1) ** (i - 1) * e[k - i] * sums[i - 1]
+                                 for i in range(1, k + 1)), k)
+        if rest or rest_k:
+            raise AssertionError("a power sum or e_k is not integral")
+        e.append(e_k)
+    coeffs = [(-1) ** j * c for j, c in enumerate(e)][::-1]
+    if not (power + poly_eval(coeffs[:-1], w)).is_zero():
+        raise AssertionError("the polynomial does not vanish at w")
+    return tuple(Fraction(c, u.den ** (d - j)) for j, c in enumerate(coeffs))
 
 
 def poly_eval(poly: Sequence, x: CycElt) -> CycElt:
@@ -1046,8 +1050,10 @@ class Subfield:
 
 def _seed_candidates(n: int):
     yield CycElt.one(n)
-    powers = [_reduced(n, list(num)) for num in _powers_of_zeta(n)[1:]]
-    yield from powers
+    powers = []
+    for num in _powers_of_zeta(n)[1:]:
+        powers.append(_reduced(n, list(num)))
+        yield powers[-1]
     for i, j in itertools.combinations(range(len(powers)), 2):
         yield powers[i] + powers[j]
     for i, j in itertools.combinations(range(len(powers)), 2):
@@ -1064,18 +1070,17 @@ _SEED_BUDGET = 2000
 def fixed_field(H: Iterable[int], n: int) -> Subfield:
     """Fixed field of the subgroup H <= (Z/n)* with a primitive element.
 
-    The primitive element is an H-trace sum_{a in H} sigma_a(seed) over a
-    deterministic list of small seeds, accepted once its minimal polynomial
-    has the right degree phi(n)/|H|.
+    The primitive element is the first H-trace sum_{a in H} sigma_a(seed),
+    over a deterministic sequence of small seeds each built when it is
+    tried, whose minimal polynomial (one `min_poly` a seed) has the degree
+    phi(n)/|H| of the field.
     """
     hs = frozenset(a % n for a in H)
     if not is_subgroup(hs, n):
         raise ValueError("H is not a subgroup of (Z/n)*")
     want = euler_phi(n) // len(hs)
     for seed in itertools.islice(_seed_candidates(n), _SEED_BUDGET):
-        t = CycElt.zero(n)
-        for a in hs:
-            t = t + seed.galois_apply(a)
+        t = sum((seed.galois_apply(a) for a in hs), CycElt.zero(n))
         mp = min_poly(t)
         if len(mp) - 1 == want:
             return Subfield(conductor=n, subgroup=hs, primitive=t, minpoly=mp)
@@ -1086,10 +1091,8 @@ def fixed_field(H: Iterable[int], n: int) -> Subfield:
 
 def fixing_subgroup(u: CycElt, n: Optional[int] = None) -> frozenset:
     """Units a mod n with sigma_a(u) = u; Q(u) is the fixed field of this."""
-    if n is None:
-        n = u.n
-    v = u.in_conductor(n)
-    return frozenset(a for a in units(n) if v.galois_apply(a) == v)
+    v = u.in_conductor(u.n if n is None else n)
+    return frozenset(a for a in units(v.n) if v.galois_apply(a) == v)
 
 
 def same_field(u: CycElt, v: CycElt, n: Optional[int] = None) -> bool:

@@ -316,7 +316,7 @@ def field_of_moduli(p: FamilyParams, n: int) -> ModuliResult:
     r4_rational = (lam * lam).is_rational()
 
     # no sigma sends mu to -mu
-    no_negation = all(mu.galois_apply(a) != -mu for a in units(n))
+    no_negation = -mu not in (mu.galois_apply(a) for a in units(n))
 
     pointwise = fixing_subgroup(lam, n) & fixing_subgroup(mu, n)
     min_def = fixed_field(pointwise, n)

@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from pseudoreal import cyclotomic
 from pseudoreal.cyclotomic import (
     MAX_CONDUCTOR,
     CycElt,
@@ -507,3 +509,57 @@ def test_power_stops_after_the_last_bit(monkeypatch, e):
     assert power == expected
     assert len(calls) == 3
     assert u ** 0 == 1 and u ** 1 == u
+
+
+@pytest.mark.parametrize("n, text", [
+    (40, "z"), (24, "1 + 2*z - z^3 + 5*z^5 - z^6/3 + z^7")])
+def test_min_poly_makes_at_most_2d_minus_1_products(monkeypatch, n, text):
+    # the product over the orbit took d(d + 1)/2 products: 136 for z mod
+    # 40 and 36 for the dense value mod 24
+    u, calls = make_element(text, n), {"mul": 0, "inverse": 0}
+    mul, inverse = CycElt.__mul__, CycElt.inverse
+
+    def counting(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    with monkeypatch.context() as m:
+        m.setattr(CycElt, "__mul__", counting("mul", mul))
+        m.setattr(CycElt, "__rmul__", counting("mul", mul))
+        m.setattr(CycElt, "inverse", counting("inverse", inverse))
+        mp = min_poly(u)
+    d = len(mp) - 1
+    assert d == euler_phi(n) and mp[-1] == 1
+    assert poly_eval(mp, u).is_zero()
+    assert calls["mul"] <= 2 * d - 1
+    assert calls["inverse"] == 0
+    if text == "z":
+        assert mp == cyclotomic_polynomial(n)
+
+
+def test_fixed_field_builds_only_the_seeds_it_tries(monkeypatch):
+    # all 39 powers of zeta mod 40 were built before the first seed was
+    # tried; the field of {1} is Q(zeta_40), and z is the second seed
+    built, tried = [], []
+    reduced, seeds = cyclotomic._reduced, cyclotomic._seed_candidates
+
+    def counting_reduced(*args):
+        if sys._getframe(1).f_code is seeds.__code__:
+            built.append(args)
+        return reduced(*args)
+
+    def counting_seeds(n):
+        for seed in seeds(n):
+            tried.append(seed)
+            yield seed
+
+    with monkeypatch.context() as m:
+        m.setattr(cyclotomic, "_reduced", counting_reduced)
+        m.setattr(cyclotomic, "_seed_candidates", counting_seeds)
+        sf = fixed_field({1}, 40)
+    assert sf.minpoly == cyclotomic_polynomial(40)
+    assert sf.primitive == CycElt.zeta(40)
+    assert tried == [1, CycElt.zeta(40)]
+    assert len(built) == 1

@@ -17,7 +17,9 @@ closed-form subfield step, and validate's collision check on
 cross_ratio against the normalizing map and its pair form against the
 division in each branch; set_maps on symmetric sets against the exact
 index, u_orbit's int triples against their rank tuples, and the
-structured renderer against json.dumps with indent."""
+structured renderer against json.dumps with indent; and min_poly from
+power sums, and fixed_field on every subgroup up to conductor 40,
+against the product over the Galois orbit."""
 
 import functools
 import itertools
@@ -35,11 +37,12 @@ from pseudoreal import descent, family, moduli, moebius
 from pseudoreal.cli import _render, _structured, build_parser
 from pseudoreal.configurations import OmegaError, make_config, u_orbit
 from pseudoreal.cyclotomic import MAX_CONDUCTOR, CycElt, GaloisElement, \
-    LimitError, _conjugates, _cyclic, _is_prime, _no_root_mod_p, \
+    LimitError, Subfield, _cyclic, _is_prime, _no_root_mod_p, \
     _norm_chain, _reduced, _root_of_unity_mod, _size_bits, _split_prime, \
     _sympy_field, _sympy_roots, _monomial_roots, _related_roots, \
-    common_field, cyclotomic_polynomial, euler_phi, format_poly, \
-    is_subgroup, kth_roots, make_element, subgroups, units
+    common_field, cyclotomic_polynomial, euler_phi, fixed_field, \
+    format_poly, is_subgroup, kth_roots, make_element, min_poly, \
+    subgroups, units
 from pseudoreal.descent import CocycleResult, LiftResult, MonomialIso, \
     WeilDatum, _curve_kernel, check_order, cocycle_check, \
     compose_twist, curve_rows, extend_cyclic, lift_to_monomial, \
@@ -2219,10 +2222,22 @@ def reference_inverse(u):
     w = den * u, P the product of the distinct conjugates of w other than
     w."""
     w = _reduced(u.n, list(u.num))
-    p = math.prod(_conjugates(w)[1:], start=CycElt.one(u.n))
+    p = math.prod(reference_conjugates(w)[1:], start=CycElt.one(u.n))
     norm = w * p
     assert norm.is_rational()
     return p * Fraction(u.den, norm.num[0])
+
+
+def reference_conjugates(u):
+    """The distinct Galois conjugates of u in Q(zeta_n), u first; [u] when
+    u is rational."""
+    out, seen = [u], {(u.num, u.den)}
+    for a in units(u.n)[1:]:
+        v = u.galois_apply(a)
+        if (v.num, v.den) not in seen:
+            seen.add((v.num, v.den))
+            out.append(v)
+    return out
 
 
 def test_norm_chain_climbs_the_unit_group_in_prime_steps():
@@ -2526,3 +2541,90 @@ def test_exact_orbit_intersection_matches_the_key_based_one(values, data):
     exact = [{(v.num, v.den) for v in _orbit_values(x)} for x in (c, d)]
     by_key = [{v.key() for v in g_orbit(x)} for x in (c, d)]
     assert len(exact[0] & exact[1]) == len(by_key[0] & by_key[1])
+
+
+# -- min_poly from power sums against the product over the orbit ------------
+
+
+def reference_min_poly(u):
+    """The earlier min_poly: prod(x - v) over the distinct conjugates v of
+    u, multiplied out over the field, with rational coefficients."""
+    poly = [CycElt.one(u.n)]
+    for v in reference_conjugates(u):
+        nxt = [CycElt.zero(u.n)] * (len(poly) + 1)
+        for i, c in enumerate(poly):
+            nxt[i + 1] = nxt[i + 1] + c
+            nxt[i] = nxt[i] - c * v
+        poly = nxt
+    assert all(c.is_rational() for c in poly)
+    return tuple(c.as_rational() for c in poly)
+
+
+@st.composite
+def min_poly_values(draw):
+    """A value at a conductor n up to 120 of one of four kinds: a
+    rational; a vector over a denominator above 1; the trace of such a
+    vector over a random subgroup, fixed by every unit of it; or a vector
+    of coordinates up to 60 bits over a denominator up to 60 bits.  The
+    reference takes seconds on a dense value of high degree, so phi(n) is
+    at most 32, and above conductor 40 at most two coordinates are nonzero
+    and a trace has degree at most 16."""
+    n = draw(st.sampled_from([n for n in range(1, MAX_CONDUCTOR + 1)
+                              if euler_phi(n) <= 32]))
+    kind = draw(st.sampled_from(["rational", "fraction", "trace", "large"]))
+    if kind == "rational":
+        return CycElt.from_rational(draw(core_rationals), n)
+    phi, bound = euler_phi(n), 2 ** 60 if kind == "large" else 5
+    num = [0] * phi
+    for i in draw(st.lists(st.integers(0, phi - 1), min_size=1,
+                           max_size=phi if n <= 40 else 2)):
+        num[i] = draw(st.integers(-bound, bound))
+    den = draw(st.integers(1 if kind == "large" else 2, bound))
+    u = CycElt(n, [Fraction(x, den) for x in num])
+    if kind == "trace":
+        H = draw(st.sampled_from([h for h in subgroups(n)
+                                  if n <= 40 or 16 * len(h) >= phi]))
+        u = sum((u.galois_apply(h) for h in H), CycElt.zero(n))
+    return u
+
+
+@SETTINGS
+@given(min_poly_values())
+@example(CycElt.zeta(40))
+@example(make_element("z + 3*z^7", 120))
+def test_min_poly_matches_the_orbit_product(u):
+    mp = min_poly(u)
+    assert mp == reference_min_poly(u)
+    assert all(type(c) is Fraction for c in mp)
+
+
+def reference_seed_candidates(n):
+    """The seeds of fixed_field in order, with every power of zeta built
+    before the first seed, as the earlier generator built them."""
+    yield CycElt.one(n)
+    powers = [CycElt.zeta(n) ** t for t in range(1, n)]
+    yield from powers
+    for x, y in itertools.combinations(powers, 2):
+        yield x + y
+    for x, y in itertools.combinations(powers, 2):
+        yield x + 2 * y
+        yield x - y
+    for x, y, z in itertools.combinations(powers, 3):
+        yield x + 2 * y + 3 * z
+
+
+def reference_fixed_field(H, n):
+    """The Subfield of the first H-trace of a seed whose orbit product has
+    the degree of the fixed field of H."""
+    for seed in reference_seed_candidates(n):
+        t = sum((seed.galois_apply(a) for a in H), CycElt.zero(n))
+        mp = reference_min_poly(t)
+        if len(mp) - 1 == euler_phi(n) // len(H):
+            return Subfield(conductor=n, subgroup=frozenset(H), primitive=t,
+                            minpoly=mp)
+
+
+def test_fixed_field_matches_the_reference_on_every_subgroup():
+    for n in range(1, 41):
+        for H in subgroups(n):
+            assert fixed_field(H, n) == reference_fixed_field(H, n)
