@@ -154,6 +154,6 @@ def symmetries(cfg: Configuration) -> SymmetryReport:
 def concircular_quadruples(cfg: Configuration) -> list:
     """The four-point subsets of the six-point set lying on a generalized
     circle, each as a canonically sorted tuple of points."""
-    pts = sorted(cfg.points(), key=SpherePoint.key)
+    pts = sorted(cfg.points(), key=SpherePoint.sort_key)
     return [quad for quad in itertools.combinations(pts, 4)
             if concircular(*quad)]

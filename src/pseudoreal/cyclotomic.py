@@ -16,12 +16,15 @@ rational (the 0/1 entries of Moebius matrices, lambda = -4), so a product
 with a rational factor scales the other factor's numerators, a sum with a
 zero term returns the other term, and `embed` and `galois_apply` write a
 rational down as it is; none of these convolves, scatters or reduces.
-`coeffs`, the coordinates as Fractions, is a view derived on first use;
-sorting keys, printing and enclosures read it.  A sorting key is the
-element at the least conductor that holds it, reached from n one prime p
-at a time by a closed-form step down to n/p (`CycElt._step_down`): a
-slice of the coordinates when p | n/p, else one Galois image and a
-trace.  `inverse`
+Printing, keys, hashes and the canonical order read the ints: a
+coordinate is printed from num[i] and den with one gcd when den != 1, the
+key of an element is (n, num, den) at the least conductor that holds it,
+and two keys are ordered by cross-multiplying their coordinates
+(`_compare`).  That least conductor is reached from n one prime p at a
+time by a closed-form step down to n/p (`CycElt._step_down`): a slice of
+the coordinates when p | n/p, else one Galois image and a trace.
+`coeffs`, the coordinates as Fractions, is built on each read, for the
+enclosures and the sympy bridge only.  `inverse`
 stays on the ints: 1/u = den * P / N for the integral w = den * u, where
 x = w * P is taken down a chain of prime-order Galois steps (`_norm_chain`)
 until it is fixed by the whole group, that is, a rational integer N.
@@ -249,7 +252,7 @@ class CycElt:
     """Element of Q(zeta_n): integer numerators over one positive
     denominator, canonical in the power basis mod Phi_n."""
 
-    __slots__ = ("n", "num", "den", "_coeffs")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs: Sequence):
         if n < 1:
@@ -283,7 +286,6 @@ class CycElt:
         _set_n(self, n)
         _set_num(self, tuple(num))
         _set_den(self, den)
-        _set_coeffs(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("CycElt is immutable")
@@ -313,13 +315,8 @@ class CycElt:
 
     @property
     def coeffs(self) -> tuple:
-        """The power-basis coordinates as Fractions (num[i] / den), built
-        on first use."""
-        c = self._coeffs
-        if c is None:
-            c = tuple(Fraction(x, self.den) for x in self.num)
-            _set_coeffs(self, c)
-        return c
+        """The power-basis coordinates as Fractions (num[i] / den)."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def embed(self, m: int) -> "CycElt":
         """Rewrite the element in Q(zeta_m); requires n | m."""
@@ -418,9 +415,17 @@ class CycElt:
         return _reduced(e, out, self.den * (p - 1))
 
     def key(self):
-        """Canonical sort/hash key: minimal conductor + coefficients there."""
+        """Canonical equality and hash key: (n, num, den) at the least
+        conductor n that holds the element, where the integer form is
+        canonical.  It is no sort key: the canonical order compares keys
+        by `_compare` (`sort_key`)."""
         x = self._minimal_form()
-        return (x.n, x.coeffs)
+        return (x.n, x.num, x.den)
+
+    def sort_key(self):
+        """Key of the canonical order, the order of the tuples (n, coeffs)
+        of minimal forms: key() under `_compare`."""
+        return _ordered(self.key())
 
     @property
     def conductor(self) -> int:
@@ -597,13 +602,17 @@ class CycElt:
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.as_rational())  # agree with int/Fraction hashing
+            # agree with int and Fraction hashing
+            if self.den == 1:
+                return hash(self.num[0])
+            return hash(self.as_rational())
         return hash(self.key())
 
     # -- display --------------------------------------------------------------
 
     def __str__(self):
-        return _join_terms(_terms(self.coeffs, "z"))
+        den = self.den
+        return _join_terms(_terms(((c, den) for c in self.num), "z"))
 
     def __repr__(self):
         return f"CycElt({self.n}, {str(self)!r})"
@@ -611,20 +620,25 @@ class CycElt:
 
 # the setters of CycElt's slot descriptors, which write past its
 # immutability guard
-_set_n, _set_num, _set_den, _set_coeffs = (
+_set_n, _set_num, _set_den = (
     getattr(CycElt, slot).__set__ for slot in CycElt.__slots__)
 
 
-def _terms(coeffs, var: str) -> list:
-    """(negative, body) for each nonzero c_i * var^i, ascending in i.
-    LimitError (clause size_limit) when a coefficient has more digits than
+def _terms(pairs, var: str) -> list:
+    """(negative, body) for each nonzero c_i * var^i, ascending in i, for
+    the int pairs (numerator, positive denominator) of the c_i; a body
+    prints c_i in lowest terms, as str(Fraction) does.  LimitError (clause
+    size_limit) when a numerator or denominator has more digits than
     Python converts to a string."""
     terms = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
+    for i, (c, d) in enumerate(pairs):
+        if not c:
             continue
+        if d != 1:
+            g = math.gcd(c, d)
+            c, d = c // g, d // g
         try:
-            body = str(abs(c))
+            body = str(abs(c)) if d == 1 else f"{abs(c)}/{d}"
         except ValueError:  # past sys.get_int_max_str_digits()
             raise _print_limit("a coefficient") from None
         if i:
@@ -650,6 +664,29 @@ def _join_terms(terms) -> str:
     for neg, body in terms[1:]:
         out += (" - " if neg else " + ") + body
     return out
+
+
+def _compare(x: tuple, y: tuple) -> int:
+    """-1, 0 or 1 as the element (n, num, den) = x comes before, with or
+    after the element y in the order of the tuples (n, coeffs): by
+    conductor, then at the first coordinate where the two differ.  Both
+    denominators d and e are positive, so a_i / d < b_i / e iff
+    a_i e < b_i d, and no Fraction is built."""
+    n, x_num, d = x
+    m, y_num, e = y
+    if n != m:
+        return -1 if n < m else 1
+    for a, b in zip(x_num, y_num):
+        a, b = a * e, b * d
+        if a != b:
+            return -1 if a < b else 1
+    return 0
+
+
+# the sort key of `_compare`, on (n, num, den) triples: key() orders
+# minimal forms, and a triple of an element as it is orders it at its own
+# conductor
+_ordered = functools.cmp_to_key(_compare)
 
 
 def common_field(values) -> tuple:
@@ -1023,7 +1060,8 @@ def poly_eval(poly: Sequence, x: CycElt) -> CycElt:
 
 def format_poly(poly: Sequence, var: str = "x") -> str:
     """A rational polynomial (ascending coeffs), highest power first."""
-    return _join_terms(_terms(map(Fraction, poly), var)[::-1])
+    return _join_terms(_terms(((c.numerator, c.denominator)
+                               for c in map(Fraction, poly)), var)[::-1])
 
 
 @dataclass(frozen=True)
@@ -1049,7 +1087,7 @@ class Subfield:
 
 
 def _seed_candidates(n: int):
-    yield CycElt.one(n)
+    """The seeds of `fixed_field` past 1, each built when it is tried."""
     powers = []
     for num in _powers_of_zeta(n)[1:]:
         powers.append(_reduced(n, list(num)))
@@ -1073,13 +1111,17 @@ def fixed_field(H: Iterable[int], n: int) -> Subfield:
     The primitive element is the first H-trace sum_{a in H} sigma_a(seed),
     over a deterministic sequence of small seeds each built when it is
     tried, whose minimal polynomial (one `min_poly` a seed) has the degree
-    phi(n)/|H| of the field.
+    phi(n)/|H| of the field.  The seeds are 1, z, z^2, ... and small sums
+    of powers of z (`_seed_candidates`); the H-trace of 1 is the rational
+    |H|, so 1 is tried only when the field is Q, and it is Q's primitive
+    element.
     """
     hs = frozenset(a % n for a in H)
     if not is_subgroup(hs, n):
         raise ValueError("H is not a subgroup of (Z/n)*")
     want = euler_phi(n) // len(hs)
-    for seed in itertools.islice(_seed_candidates(n), _SEED_BUDGET):
+    seeds = _seed_candidates(n) if want > 1 else [CycElt.one(n)]
+    for seed in itertools.islice(seeds, _SEED_BUDGET):
         t = sum((seed.galois_apply(a) for a in hs), CycElt.zero(n))
         mp = min_poly(t)
         if len(mp) - 1 == want:
@@ -1183,7 +1225,7 @@ def _checked_roots(roots, v: CycElt, k: int) -> tuple:
         if (w.num, w.den) not in seen:
             seen.add((w.num, w.den))
             out.append(w)
-    out.sort(key=lambda w: w.key())
+    out.sort(key=CycElt.sort_key)
     return tuple(out)
 
 

@@ -25,9 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cyclotomic import CycElt, common_field, real_sign
-from .moebius import INF, Moebius, _cross_ratio_pair, _in_orbit, \
-    cross_ratio
+from .cyclotomic import CycElt, _residue, _split_prime, common_field, \
+    real_sign
+from .moebius import INF, Moebius, _in_orbit, _orbit_sides, cross_ratio
 from .configurations import Configuration, make_config, symmetries
 
 __all__ = [
@@ -89,6 +89,39 @@ def _circular_quadruples(lam, mu) -> tuple:
     return ((INF, 0, 1, lam), (INF, 0, mu, -mu), (1, lam, mu, -mu))
 
 
+def _circular_pairs(lam, mu) -> tuple:
+    """The three circular cross-ratios as (numerator, denominator) pairs,
+    as `moebius._cross_ratio_pair` forms them: (lambda, 1), (-mu, mu) and
+    ((mu - 1)(-mu - lambda), (mu - lambda)(-mu - 1)).  lambda and mu may
+    be field elements or their residues."""
+    return ((lam, 1), (-mu, mu),
+            ((mu - 1) * (-mu - lam), (mu - lam) * (-mu - 1)))
+
+
+# the pairs (i, j) of circular cross-ratios whose orbits may meet
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _collision_suspects(lam: CycElt, mu: CycElt) -> list:
+    """The pairs (i, j) of circular cross-ratios (`_PAIRS`) that reduction
+    at the split prime p of the conductor leaves possibly colliding.
+
+    Reduction zeta_n -> r mod p is a ring homomorphism on the elements
+    whose denominator p does not divide.  When lambda and mu have
+    residues, so does every entry of `_circular_pairs`, and a pair whose
+    orbits meet has residues that satisfy one of the six congruences of
+    `_orbit_sides`; a pair that satisfies none is refuted.  Every pair is
+    a suspect when p divides a denominator of lambda or mu."""
+    p, r = _split_prime(lam.n)
+    res = _residue(lam, r, p), _residue(mu, r, p)
+    if None in res:
+        return list(_PAIRS)
+    pairs = _circular_pairs(*res)
+    return [(i, j) for i, j in _PAIRS
+            if any((x - y) % p == 0
+                   for x, y in _orbit_sides(pairs[j], pairs[i]))]
+
+
 def family_cross_ratios(lam: CycElt, mu: CycElt):
     """Cross-ratios of the three circular quadruples: [inf,0,1,lam],
     [inf,0,mu,-mu], [1,lam,mu,-mu]."""
@@ -125,12 +158,14 @@ def validate(lam, mu, k: int) -> FamilyParams:
         raise ParameterError("k_odd", f"k = {k} is odd")
     # defensive exactness check: the three circular cross-ratios must be
     # pairwise inequivalent under the six-map group; two orbits meet iff
-    # one value lies in the other's orbit, decided on (numerator,
-    # denominator) pairs by cross-multiplication, which needs no minimal
-    # forms and no inversion; only the message divides them out
-    pairs = [_cross_ratio_pair(*q) for q in _circular_quadruples(lam, mu)]
-    for i in range(3):
-        for j in range(i + 1, 3):
+    # one value lies in the other's orbit.  Residues at a split prime
+    # refute the pairs that cannot meet; a pair they leave is decided on
+    # (numerator, denominator) pairs by cross-multiplication, which needs
+    # no minimal forms and no inversion; only the message divides them out
+    suspects = _collision_suspects(lam, mu)
+    if suspects:
+        pairs = _circular_pairs(lam, mu)
+        for i, j in suspects:
             if _in_orbit(pairs[j], pairs[i]):
                 _, cr = common_field(family_cross_ratios(lam, mu))
                 raise ParameterError(

@@ -38,6 +38,7 @@ Q(lambda, mu).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .cyclotomic import CycElt, GaloisElement, Subfield, _residue, \
@@ -59,6 +60,17 @@ __all__ = [
 
 class OracleDisagreement(AssertionError):
     """Table-based classification and brute-force enumeration differ."""
+
+
+def _shown(maps) -> list:
+    """The maps as the messages of `OracleDisagreement` show them, sorted:
+    (conj_first, (n, coordinates)) with each coefficient at its least
+    conductor and its coordinates as Fractions."""
+    def coordinates(x):
+        n, num, den = x.key()
+        return n, tuple(Fraction(c, den) for c in num)
+    return sorted((m.conj_first, *map(coordinates, m.coefficients()))
+                  for m in maps)
 
 
 @dataclass(frozen=True)
@@ -231,12 +243,12 @@ def classify_sigma(p: FamilyParams, a) -> SigmaClassification:
     [(_, rows, twist)] = _table(lam, mu, source, [g.exponent])
     slam, smu, target = twist or _twist(lam, mu, g)
 
-    table_keys = {Moebius(*t).key() for _, t in rows}
+    table = [Moebius(*t) for _, t in rows]
     oracle = set_maps(source, target, anti=False)
-    if {m.key() for m in oracle} != table_keys:
+    if set(oracle) != set(table):
         raise OracleDisagreement(
-            f"table witnesses {sorted(table_keys)} != enumeration "
-            f"{sorted(m.key() for m in oracle)} for sigma_{g.exponent}")
+            f"table witnesses {_shown(table)} != enumeration "
+            f"{_shown(oracle)} for sigma_{g.exponent}")
 
     witness = oracle[0] if oracle else None
     return SigmaClassification(
@@ -289,7 +301,7 @@ def stabilizer(p: FamilyParams, n: int) -> frozenset:
             if oracle:
                 raise OracleDisagreement(
                     f"table witnesses [] != enumeration "
-                    f"{sorted(m.key() for m in oracle)} for sigma_{a}")
+                    f"{_shown(oracle)} for sigma_{a}")
             covered.update(a * h % n for h in hits)
     return hits
 

@@ -24,7 +24,8 @@ import itertools
 import operator
 from typing import Optional
 
-from .cyclotomic import CycElt, _residue, _split_prime, common_field
+from .cyclotomic import CycElt, _ordered, _residue, _split_prime, \
+    common_field
 
 __all__ = [
     "SpherePoint",
@@ -65,6 +66,12 @@ class SpherePoint:
         if self.value is None:
             return (0,)
         return (1, self.value.key())
+
+    def sort_key(self):
+        """Infinity first, then the values in the canonical order."""
+        if self.value is None:
+            return (0,)
+        return (1, self.value.sort_key())
 
     def conjugate(self) -> "SpherePoint":
         if self.value is None:
@@ -236,28 +243,37 @@ def _orbit_values(c) -> list:
     return [c, one / c, one - c, one / (one - c), (c - one) / c, c / (c - one)]
 
 
-def _in_orbit(v: tuple, c: tuple) -> bool:
-    """Whether the value of the pair v = (a, b), a/b, is one of the
-    `_orbit_values` of c = e/f for the pair c = (e, f) (neither 0 nor 1),
-    decided by cross-multiplication with six products and no inversion:
-    a/b is c, 1/c, 1 - c = (f - e)/f, 1/(1 - c), (c - 1)/c or c/(c - 1)
-    iff af = eb, ae = bf, af = (f - e)b, a(f - e) = bf, ae = -(f - e)b or
-    -a(f - e) = eb.  Both denominators are nonzero."""
+def _orbit_sides(v: tuple, c: tuple) -> tuple:
+    """The six pairs (x, y) of products, x = y for one of them iff the
+    value of the pair v = (a, b), a/b, is one of the `_orbit_values` of
+    c = e/f for the pair c = (e, f) (neither 0 nor 1), with six products
+    and no inversion: a/b is c, 1/c, 1 - c = (f - e)/f, 1/(1 - c),
+    (c - 1)/c or c/(c - 1) iff af = eb, ae = bf, af = (f - e)b,
+    a(f - e) = bf, ae = -(f - e)b or -a(f - e) = eb.  Both denominators
+    are nonzero.  The entries may be field elements or their residues."""
     a, b = v
     e, f = c
     g = f - e
     af, eb, ae, bf, gb, ag = a * f, e * b, a * e, b * f, g * b, a * g
-    return (af == eb or ae == bf or af == gb or ag == bf
-            or ae == -gb or -ag == eb)
+    return (af, eb), (ae, bf), (af, gb), (ag, bf), (ae, -gb), (-ag, eb)
+
+
+def _in_orbit(v: tuple, c: tuple) -> bool:
+    """Whether a/b for the pair v = (a, b) lies in the orbit of e/f for the
+    pair c = (e, f), decided exactly by cross-multiplication
+    (`_orbit_sides`)."""
+    return any(x == y for x, y in _orbit_sides(v, c))
 
 
 def g_orbit(c: CycElt) -> list:
     """Orbit of a cross-ratio value under the six maps generated by
-    z -> 1/z and z -> z/(z-1); at most six values, canonically sorted."""
+    z -> 1/z and z -> z/(z-1); at most six values, canonically sorted.
+    Each value's key is found once: it drops the repeats, and it orders
+    the values."""
     by_key = {}
     for v in _orbit_values(c):
         by_key.setdefault(v.key(), v)
-    return [by_key[k] for k in sorted(by_key)]
+    return [by_key[k] for k in sorted(by_key, key=_ordered)]
 
 
 def concircular(a, b, c, d) -> bool:
@@ -522,5 +538,7 @@ def set_maps(S, T, anti: bool = False) -> list:
             m = Moebius(*(x.conjugate() for x in m.coefficients()),
                         conj_first=True)
         found[(m.conj_first, *((x.num, x.den) for x in m.coefficients()))] = m
-    return sorted(found.values(), key=lambda m: (
-        m.conj_first, *(x.coeffs for x in m.coefficients())))
+    # the maps share one conductor, so the canonical order on their
+    # coefficients as they are is the order of their Fraction coordinates
+    return sorted(found.values(), key=lambda m: (m.conj_first, *(
+        _ordered((x.n, x.num, x.den)) for x in m.coefficients())))

@@ -9,7 +9,9 @@ leading underscore, not a dunder) defined at module or class level counts
 as used when some module of the package loads it or reads it as an
 attribute; one that only the tests use belongs in the tests.  The tables
 that `functools.cache` keeps are pinned by name, so a new per-conductor
-table, or a per-query memo, is a reviewed change."""
+table, or a per-query memo, is a reviewed change.  Only the interval
+enclosure and the sympy bridge read an element's Fraction view `coeffs`,
+so printing, keys, hashes and orders stay on the int numerators."""
 
 import ast
 from pathlib import Path
@@ -167,3 +169,50 @@ def test_src_keeps_exactly_the_pinned_cache_tables():
     cached = {p.name: cached_functions(p.read_text())
               for p in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in cached.items() if names} == CACHED
+
+
+def coeffs_reads(source: str) -> list:
+    """(function, callee) for each read of an attribute `coeffs` in
+    source: the innermost function around it, and the function of the call
+    that takes it as a positional argument (None when there is none)."""
+    reads = []
+
+    def visit(node, function, callee):
+        if isinstance(node, ast.Attribute) and node.attr == "coeffs" \
+                and isinstance(node.ctx, ast.Load):
+            reads.append((function, callee))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            called = None
+            if isinstance(node, ast.Call) and child in node.args:
+                called = getattr(node.func, "id",
+                                 getattr(node.func, "attr", None))
+            visit(child, function, called)
+
+    visit(ast.parse(source), None, None)
+    return reads
+
+
+def test_coeffs_reads_are_found():
+    assert coeffs_reads(
+        "def f(u):\n"
+        "    return g(u.coeffs), [c for c in u.coeffs]\n"
+        "class C:\n"
+        "    def coeffs(self):\n"
+        "        return self.num\n"
+        "    def h(self, coeffs):\n"
+        "        self.coeffs = coeffs\n"
+        "        return self.x.coeffs[0]\n") == [
+            ("f", "g"), ("f", None), ("h", None)]
+
+
+def test_only_enclosures_and_sympy_read_the_fraction_coordinates():
+    # printing, keys, hashes and orders read the int numerators; the
+    # Fraction view `coeffs` feeds the interval enclosure and the sympy
+    # factorization only
+    reads = {p.name: coeffs_reads(p.read_text())
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in reads.items() if found} == {
+        "cyclotomic.py": [("_enclose", "enumerate"),
+                          ("kth_roots", "_sympy_roots")]}

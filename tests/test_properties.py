@@ -17,9 +17,12 @@ closed-form subfield step, and validate's collision check on
 cross_ratio against the normalizing map and its pair form against the
 division in each branch; set_maps on symmetric sets against the exact
 index, u_orbit's int triples against their rank tuples, and the
-structured renderer against json.dumps with indent; and min_poly from
+structured renderer against json.dumps with indent; min_poly from
 power sums, and fixed_field on every subgroup up to conductor 40,
-against the product over the Galois orbit."""
+against the product over the Galois orbit, with the seed 1 tried only
+for Q; the integer printer, keys, hashes and order against the Fraction
+printer and the Fraction tuples; and validate's residue step against the
+exact orbit test."""
 
 import functools
 import itertools
@@ -33,7 +36,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pseudoreal import descent, family, moduli, moebius
+from pseudoreal import cyclotomic, descent, family, moduli, moebius
 from pseudoreal.cli import _render, _structured, build_parser
 from pseudoreal.configurations import OmegaError, make_config, u_orbit
 from pseudoreal.cyclotomic import MAX_CONDUCTOR, CycElt, GaloisElement, \
@@ -1428,11 +1431,12 @@ def test_sympy_roots_match_the_expression_construction(n, k, c, data):
 
 
 def _canonical(n, coeff_lists):
-    return tuple(sorted({CycElt(n, c) for c in coeff_lists}, key=CycElt.key))
+    return tuple(sorted({CycElt(n, c) for c in coeff_lists},
+                        key=CycElt.sort_key))
 
 
 def _distinct(roots):
-    return tuple(sorted(set(roots), key=CycElt.key))
+    return tuple(sorted(set(roots), key=CycElt.sort_key))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 12, 16, 24])
@@ -2350,6 +2354,13 @@ def reference_minimal_form(u):
     return n, u.coeffs
 
 
+def fraction_key(u):
+    """u.key() in the earlier form: the least conductor holding u and u's
+    coordinates there as Fractions, read from the int key (n, num, den)."""
+    n, num, den = u.key()
+    return n, tuple(Fraction(c, den) for c in num)
+
+
 def _subfield_values(n, u, subgroups_of_n):
     """A rational, u and u's trace over each subgroup: sums of Galois
     conjugates over a subgroup fall into subfields."""
@@ -2364,7 +2375,8 @@ def test_key_matches_the_fraction_minimal_form(n, data):
     u = CycElt(n, data.draw(raw_coefficients(n)))
     H = data.draw(st.sampled_from(subgroups(n)))
     for w in _subfield_values(n, u, [H]):
-        assert w.key() == ref_key(n, w.coeffs) == reference_minimal_form(w)
+        assert fraction_key(w) == ref_key(n, w.coeffs) == \
+            reference_minimal_form(w)
 
 
 def test_key_matches_the_divisor_loop_at_every_conductor():
@@ -2373,7 +2385,7 @@ def test_key_matches_the_divisor_loop_at_every_conductor():
         u = CycElt(n, [Fraction(i * i - 5 * i + 2, 3)
                        for i in range(euler_phi(n))])
         for w in _subfield_values(n, u, subgroups(n)):
-            assert w.key() == reference_minimal_form(w), (n, w)
+            assert fraction_key(w) == reference_minimal_form(w), (n, w)
 
 
 # -- the closed-form subfield steps against the kernel units they replaced --
@@ -2506,9 +2518,9 @@ def test_pair_orbit_test_finds_the_collisions_of_rejected_members(n, mu):
 @pytest.mark.parametrize("reported", range(3))
 def test_the_collision_clause_and_message_divide_only_on_the_error_path(
         reported):
-    # no admissible member collides, so the orbit test is made to report
-    # the reported-th pair; the message holds the divided cross-ratios in
-    # one field, as before
+    # no admissible member collides, so the residue step is made to keep
+    # every pair and the orbit test to report the reported-th one; the
+    # message holds the divided cross-ratios in one field, as before
     lam = make_element("-(3 + 2*(z + z^-1))^2", 8)
     mu = make_element("(3 + 2*(z + z^-1))*z", 8)
     calls = []
@@ -2517,7 +2529,9 @@ def test_the_collision_clause_and_message_divide_only_on_the_error_path(
         calls.append((v, c))
         return len(calls) == reported + 1
 
-    with mock.patch.object(family, "_in_orbit", report), \
+    with mock.patch.object(family, "_collision_suspects",
+                           lambda lam, mu: list(family._PAIRS)), \
+            mock.patch.object(family, "_in_orbit", report), \
             pytest.raises(ParameterError) as exc:
         validate(lam, mu, 2)
     i, j = list(itertools.combinations(range(3), 2))[reported]
@@ -2628,3 +2642,203 @@ def test_fixed_field_matches_the_reference_on_every_subgroup():
     for n in range(1, 41):
         for H in subgroups(n):
             assert fixed_field(H, n) == reference_fixed_field(H, n)
+
+
+def test_fixed_field_tries_the_seed_1_only_for_q():
+    # the H-trace of 1 is the rational |H|, so past Q the search starts at
+    # z; every other seed is tried as before, in the same order
+    for n in range(1, 41):
+        for H in subgroups(n):
+            want = euler_phi(n) // len(H)
+            traces = []
+            for seed in reference_seed_candidates(n):
+                traces.append(sum((seed.galois_apply(a) for a in H),
+                                  CycElt.zero(n)))
+                if len(min_poly(traces[-1])) - 1 == want:
+                    break
+            tried = []
+            with mock.patch.object(cyclotomic, "min_poly",
+                                   lambda t: tried.append(t) or min_poly(t)):
+                sf = fixed_field(H, n)
+            assert tried == (traces[1:] if want > 1 else traces[:1])
+            assert sf.primitive == traces[-1]
+
+
+# -- printing, keys, hashes and the order on the integer numerators ----------
+
+
+def reference_str(u):
+    """The Fraction printer that CycElt.__str__ replaced: the terms of the
+    coordinates as reduced Fractions, and the size_limit rejection where
+    Python refuses to convert an integer of one of them to a string."""
+    try:
+        return reference_elt_str(u.coeffs)
+    except ValueError:
+        raise LimitError("size_limit", "result too large to print: a "
+                         "coefficient passes Python's "
+                         f"{sys.get_int_max_str_digits()}-digit limit for "
+                         "integer strings") from None
+
+
+MIXED = [1, 3, 4, 5, 7, 8, 12, 24]
+
+
+@SETTINGS
+@given(st.sampled_from(MIXED).flatmap(lambda n: elements(n, printed)),
+       st.sampled_from([1, 2, 3]))
+def test_integer_printer_matches_the_fraction_printer(u, mult):
+    for v in (u, u.embed(mult * u.n), -u, u * Fraction(5, 6)):
+        assert str(v) == reference_str(v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(MIXED).flatmap(
+    lambda n: st.tuples(elements(n), st.integers(0, euler_phi(n) - 1))),
+    st.sampled_from(["numerator", "denominator", "both"]), st.booleans())
+def test_integer_printer_raises_the_fraction_printers_size_limit(
+        case, where, negative):
+    # 7^k has more than k * 0.8 decimal digits
+    u, i = case
+    huge = 7 ** (2 * sys.get_int_max_str_digits() + 10)
+    c = {"numerator": Fraction(huge, 3), "denominator": Fraction(2, huge),
+         "both": Fraction(huge, huge + 1)}[where]
+    coeffs = list(u.coeffs)
+    coeffs[i] = -c if negative else c
+    v = CycElt(u.n, coeffs)
+    if not sys.get_int_max_str_digits():  # no limit: both print
+        assert str(v) == reference_str(v)
+        return
+    with pytest.raises(LimitError) as want:
+        reference_str(v)
+    with pytest.raises(LimitError) as got:
+        str(v)
+    assert got.value.clause == want.value.clause == "size_limit"
+    assert str(got.value) == str(want.value)
+
+
+def fraction_tuple(u):
+    """The earlier tuple order of an element as it is: (n, coeffs)."""
+    return u.n, u.coeffs
+
+
+@st.composite
+def related_values(draw):
+    """Elements at mixed conductors, with equal values at several
+    conductors, repeats, and values that differ in one coordinate."""
+    drawn = draw(st.lists(element_and_multiple(), min_size=1, max_size=3))
+    values = [x for x, _ in drawn] + [x.embed(m) for x, m in drawn]
+    x = draw(st.sampled_from(values))
+    bump = [0] * euler_phi(x.n)
+    bump[draw(st.integers(0, len(bump) - 1))] = draw(coefficients)
+    return values + [x, -x, x + CycElt(x.n, bump)]
+
+
+@SETTINGS
+@given(related_values())
+def test_canonical_order_is_the_order_of_the_fraction_tuples(values):
+    for x in values:
+        for y in values:
+            a, b = fraction_tuple(x), fraction_tuple(y)
+            assert cyclotomic._compare((x.n, x.num, x.den),
+                                       (y.n, y.num, y.den)) == \
+                (a > b) - (a < b)
+    # on minimal forms: the order of the earlier keys, ties included
+    assert [fraction_key(v) for v in sorted(values, key=CycElt.sort_key)] \
+        == sorted(map(fraction_key, values))
+
+
+@SETTINGS
+@given(related_values())
+def test_key_and_hash_agree_with_equality(values):
+    keys = [(x.key(), hash(x)) for x in values]
+    for x, (key, digest) in zip(values, keys):
+        for y, (other, other_digest) in zip(values, keys):
+            assert (x == y) == (key == other)
+            if x == y:
+                assert digest == other_digest
+
+
+@SETTINGS
+@given(st.fractions(min_value=-9, max_value=9, max_denominator=8),
+       st.sampled_from(MIXED))
+def test_rationals_hash_like_int_and_fraction(q, n):
+    u = CycElt.from_rational(q, n)
+    assert hash(u) == hash(q) == hash(Fraction(q))
+    if q.denominator == 1:
+        assert hash(u) == hash(int(q)) and {int(q): u}[u] == u
+    assert {q: n}[u] == n
+
+
+# -- validate's residue step against the exact orbit test --------------------
+
+
+def assert_suspects_cover_the_collisions(lam, mu):
+    """Every pair of circular cross-ratios that the exact test finds in one
+    orbit is a suspect of the residue step, and `_circular_pairs` holds
+    the cross-ratios as `_cross_ratio_pair` forms them.  Returns the pairs
+    that collide."""
+    exact = [_cross_ratio_pair(*q) for q in _circular_quadruples(lam, mu)]
+    closed = family._circular_pairs(lam, mu)
+    assert all(a * d == b * c for (a, b), (c, d) in zip(exact, closed))
+    collide = [(i, j) for i, j in family._PAIRS
+               if _in_orbit(exact[j], exact[i])]
+    suspects = family._collision_suspects(lam, mu)
+    assert set(collide) <= set(suspects)
+    return collide, suspects
+
+
+@SETTINGS
+@given(st.sampled_from([3, 4, 5, 8, 12]).flatmap(
+    lambda n: st.tuples(elements(n), elements(n))),
+    st.sampled_from(["free", "-1", "2", "1/2", "mu^2"]),
+    st.sampled_from([None, "lam", "mu"]))
+def test_residue_step_keeps_every_pair_the_exact_test_accepts(
+        values, force, blow):
+    # lambda in {-1, 2, 1/2}, the orbit of -1 = [inf, 0, mu, -mu], and
+    # lambda = mu^2, where [1, lambda, mu, -mu] = -1, force orbit mates;
+    # a term z/p puts the split prime p into a denominator
+    lam, mu = values
+    n = mu.n
+    p = _split_prime(n)[0]
+    if blow == "mu":
+        mu = mu + CycElt.zeta(n) * Fraction(1, p)
+    lam = {"free": lam, "-1": -1, "2": 2, "1/2": Fraction(1, 2),
+           "mu^2": mu * mu}[force]
+    lam = CycElt.from_rational(lam, n) if not isinstance(lam, CycElt) \
+        else lam
+    if blow == "lam":
+        lam = lam + CycElt.zeta(n) * Fraction(1, p)
+    points = [CycElt.zero(n), CycElt.one(n), lam, mu, -mu]
+    assume(len({(x.num, x.den) for x in points}) == 5)
+    collide, suspects = assert_suspects_cover_the_collisions(lam, mu)
+    if force in ("-1", "2", "1/2") and blow != "lam":
+        assert (0, 1) in collide
+    elif force == "mu^2" and blow != "lam":
+        assert (1, 2) in collide
+    if blow:
+        assert suspects == list(family._PAIRS)
+
+
+@pytest.mark.parametrize("n, mu", COLLIDING)
+@pytest.mark.parametrize("blow", [False, True])
+def test_residue_step_keeps_the_collisions_of_rejected_members(n, mu, blow):
+    mu = make_element(mu, n)
+    lam = -(mu * mu.conjugate())
+    if blow:
+        lam = lam + Fraction(1, _split_prime(n)[0])
+    collide, _ = assert_suspects_cover_the_collisions(lam, mu)
+    assert collide or blow
+
+
+def test_admissible_members_run_no_exact_orbit_test():
+    # the residue step refutes every pair of the moduli-sweep members
+    exact, members = [], 0
+    with mock.patch.object(family, "_in_orbit",
+                           lambda v, c: exact.append(v) or _in_orbit(v, c)):
+        for q in corpus.pool("moduli-sweep"):
+            args = dict(a.split("=", 1) for a in q.argv if "=" in a)
+            n = int(q.argv[q.argv.index("--conductor") + 1])
+            validate(make_element(args["--lambda"], n),
+                     make_element(args["--mu"], n), 2)
+            members += 1
+    assert members >= 40 and exact == []
