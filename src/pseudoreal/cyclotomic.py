@@ -12,10 +12,15 @@ the work that can change the value: a list longer than phi(n) (a
 convolution, a scatter) is reduced mod Phi_n in one integer pass (Phi_n is
 monic and integral), a shorter one is padded, and the gcd is taken only
 when den != 1, since gcd(1, *num) = 1.  Most operands in the geometry are
-rational (the 0/1 entries of Moebius matrices, lambda = -4), so a product
-with a rational factor scales the other factor's numerators, a sum with a
-zero term returns the other term, and `embed` and `galois_apply` write a
-rational down as it is; none of these convolves, scatters or reduces.
+rational (the 0/1 entries of Moebius matrices, lambda = -4).  An int, a
+Fraction, or a rational element whose conductor divides the other
+operand's is a scalar (`CycElt._scalar`), taken before any embedding: a
+product scales the other operand's numerators and a sum shifts its
+constant coordinate, at the other operand's conductor, which is the lcm,
+with no wrapper built and no embedding made.  A rational and an element
+of another conductor compare with no embedding, and `embed` and
+`galois_apply` write a rational down as it is; none of these convolves,
+scatters or reduces.
 Printing, keys, hashes and the canonical order read the ints: a
 coordinate is printed from num[i] and den with one gcd when den != 1, the
 key of an element is (n, num, den) at the least conductor that holds it,
@@ -34,12 +39,15 @@ statement about conjugation, signs and ordering of real elements refers
 to it.
 
 Supported operations: field arithmetic, the Galois action zeta -> zeta^a
-for units a mod n, complex conjugation (a = -1), sign determination of
-real elements (symbolic zero test, then certified interval refinement),
-minimal polynomials over Q from the traces of the powers of the integral
-den * u by Newton's identities, fixed fields of subgroups of (Z/n)* with
-explicit primitive elements, k-th roots inside a given cyclotomic field,
-and certified complex interval enclosures.
+for units a mod n and the units whose action fixes an element or sends it
+to a given one (residues at a split prime refute a unit, and the units
+left are tested exactly), complex conjugation (a = -1), sign
+determination of real elements (symbolic zero test, then certified
+interval refinement), minimal polynomials over Q from the traces of the
+powers of the integral den * u by Newton's identities (Phi_n for zeta_n),
+fixed fields of subgroups of (Z/n)* with explicit primitive elements,
+k-th roots inside a given cyclotomic field, and certified complex
+interval enclosures.
 """
 
 from __future__ import annotations
@@ -457,16 +465,45 @@ class CycElt:
             return CycElt.from_rational(x, n)
         return None
 
+    def _scalar(self, x) -> Optional[tuple]:
+        """(numerator, positive denominator) of x when x is a scalar for
+        self: an int, a Fraction, or a rational element whose conductor
+        divides self's, which self's conductor holds as it is; None
+        otherwise."""
+        if isinstance(x, CycElt):
+            if self.n % x.n == 0 and not any(x.num[1:]):
+                return x.num[0], x.den
+            return None
+        if isinstance(x, int):
+            return x, 1
+        if isinstance(x, Fraction):
+            return x.numerator, x.denominator
+        return None
+
+    def _shifted(self, sign: int, y: int, d: int) -> "CycElt":
+        """sign * self + y/d, for sign = +-1 and ints y and d > 0, at
+        self's conductor, in one construction."""
+        if not y and sign == 1:
+            return self
+        den = math.lcm(self.den, d)
+        f = sign * (den // self.den)
+        num = [x * f for x in self.num]
+        num[0] += y * (den // d)
+        return _reduced(self.n, num, den)
+
     def _combine(self, other, sign: int):
-        """self + sign * other over one common denominator."""
-        o = self._coerce(other, self.n)
-        if o is None:
+        """self + sign * other over one common denominator.  A scalar side
+        (`_scalar`) shifts the other side's constant coordinate, with no
+        wrapper and no embedding."""
+        s = self._scalar(other)
+        if s is not None:
+            return self._shifted(1, sign * s[0], s[1])
+        if not isinstance(other, CycElt):
             return NotImplemented
-        a, b = self._unify(o)
-        if b.is_zero():
-            return a
-        if a.is_zero():
-            return b if sign == 1 else -b
+        s = other._scalar(self)
+        if s is not None:
+            return other._shifted(sign, *s)
+        a, b = self._unify(other)
         den = math.lcm(a.den, b.den)
         fa, fb = den // a.den, sign * (den // b.den)
         return _reduced(a.n, [x * fa + y * fb for x, y in zip(a.num, b.num)],
@@ -487,17 +524,18 @@ class CycElt:
         return (-self)._combine(other, 1)
 
     def __mul__(self, other):
-        o = self._coerce(other, self.n)
-        if o is None:
-            return NotImplemented
-        a, b = self._unify(o)
-        # a rational factor (zero included) scales the other one's
-        # numerators; the product stays in the power basis
-        if a.is_rational():
-            a, b = b, a
-        if b.is_rational():
-            y = b.num[0]
-            return _reduced(a.n, [x * y for x in a.num], a.den * b.den)
+        # a scalar factor (`_scalar`, zero included) scales the other one's
+        # numerators at its own conductor, the lcm: no wrapper, no
+        # embedding, and the product stays in the power basis
+        a, s = self, self._scalar(other)
+        if s is None:
+            if not isinstance(other, CycElt):
+                return NotImplemented
+            a, s = other, other._scalar(self)
+        if s is not None:
+            y, d = s
+            return _reduced(a.n, [x * y for x in a.num], a.den * d)
+        a, b = self._unify(other)
         # integer convolution over the nonzero terms, reduced once
         terms = [(j, y) for j, y in enumerate(b.num) if y]
         out = [0] * (2 * len(a.num) - 1)
@@ -597,6 +635,12 @@ class CycElt:
                     and self.den == other.denominator and self.is_rational())
         if not isinstance(other, CycElt):
             return NotImplemented
+        if self.n != other.n and (self.is_rational() or other.is_rational()):
+            # a rational is rational at every conductor, and an element
+            # irrational at its own is irrational at every one: no
+            # embedding
+            return (self.num[0] == other.num[0] and self.den == other.den
+                    and self.is_rational() and other.is_rational())
         a, b = self._unify(other)
         return a.num == b.num and a.den == b.den
 
@@ -1026,8 +1070,15 @@ def min_poly(u: CycElt) -> tuple:
     k e_k = sum_(i<=k) (-1)^(i-1) e_(k-i) P_i give ints, as w is integral,
     and x^j has the coefficient (-1)^(d-j) e_(d-j) / den^(d-j).  The powers
     of w and the check that the polynomial vanishes at w, w^d plus the
-    lower terms by Horner's rule (`poly_eval`), make 2d - 1 products."""
+    lower terms by Horner's rule (`poly_eval`), make 2d - 1 products.
+
+    zeta_n itself, the power-basis vector (0, 1, 0, ..., 0) over 1, is a
+    primitive n-th root of unity: its minimal polynomial is Phi_n
+    (`cyclotomic_polynomial`), returned with no product.  It is the first
+    seed of `fixed_field` and the primitive element of Q(zeta_n)."""
     n, phi = u.n, euler_phi(u.n)
+    if u.den == 1 and u.num == (0, 1) + (0,) * (phi - 2):
+        return tuple(map(Fraction, cyclotomic_polynomial(n)))
     s = phi if u.is_rational() else len(fixing_subgroup(u))
     d = phi // s
     cycs = [cyclotomic_polynomial(n // math.gcd(i, n)) for i in range(phi)]
@@ -1132,9 +1183,35 @@ def fixed_field(H: Iterable[int], n: int) -> Subfield:
 
 
 def fixing_subgroup(u: CycElt, n: Optional[int] = None) -> frozenset:
-    """Units a mod n with sigma_a(u) = u; Q(u) is the fixed field of this."""
+    """Units a mod n with sigma_a(u) = u; Q(u) is the fixed field of this.
+
+    Reduction at the split prime p of n is a ring homomorphism on the
+    elements whose denominator p does not divide, so a unit under which
+    the residue of u moves, u(r^a) != u(r), moves u and is refuted; the
+    units left are tested exactly (`_galois_matches`)."""
     v = u.in_conductor(u.n if n is None else n)
-    return frozenset(a for a in units(v.n) if v.galois_apply(a) == v)
+    return _galois_matches(v, v)
+
+
+def _galois_matches(v: CycElt, w: CycElt) -> frozenset:
+    """The units a mod n with sigma_a(v) = w, for v and w at one conductor
+    n.
+
+    Reduction zeta_n -> r at the split prime p of n (`_split_prime`) is a
+    ring homomorphism on the elements whose denominator p does not divide,
+    and it sends sigma_a(v) to v evaluated at r^a (`_residue`).  So a unit
+    with v(r^a) != w(r) mod p is refuted at once, and only the units left
+    are tested exactly by `galois_apply`.  Every unit is tested exactly
+    when p divides the denominator of v or w, which then have no
+    residue."""
+    n = v.n
+    p, r = _split_prime(n)
+    target = _residue(w, r, p)
+    candidates = units(n)
+    if target is not None and v.den % p:
+        candidates = [a for a in candidates
+                      if _residue(v, pow(r, a, p), p) == target]
+    return frozenset(a for a in candidates if v.galois_apply(a) == w)
 
 
 def same_field(u: CycElt, v: CycElt, n: Optional[int] = None) -> bool:

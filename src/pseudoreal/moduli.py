@@ -29,10 +29,17 @@ the table on every other exponent in one pass, and enumerates one
 exponent of each coset of the table's hits outside them, where no map may
 exist: the hits are a subgroup of the true stabilizer, so each coset lies
 wholly inside it or wholly outside, and a coset the table missed shows up
-as a disagreement at its representative.  The stabilizer then yields the
-field of moduli as an explicit fixed field, and the subgroup fixing
-(lambda, mu) pointwise yields the minimal field of definition candidate
-Q(lambda, mu).
+as a disagreement at its representative.  Each such enumeration, and
+`classify_sigma`'s on an exponent the table matched no row of, runs first
+on residues at the split prime (`_refuted`): a representative whose
+residues leave no ordered triple has no map, and `set_maps` runs only
+where a triple survives or a residue is undefined.  The stabilizer then
+yields the field of moduli as an explicit fixed field, and the subgroup
+fixing (lambda, mu) pointwise yields the minimal field of definition
+candidate Q(lambda, mu).  Both fixing subgroups and the negation test
+(does some sigma send mu to -mu) refute a unit by its residue at the
+split prime and test the units left exactly
+(`cyclotomic._galois_matches`).
 """
 
 from __future__ import annotations
@@ -41,9 +48,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cyclotomic import CycElt, GaloisElement, Subfield, _residue, \
-    _split_prime, fixed_field, fixing_subgroup, is_subgroup, units
-from .moebius import Moebius, _pairing, set_maps
+from .cyclotomic import CycElt, GaloisElement, Subfield, _galois_matches, \
+    _residue, _split_prime, fixed_field, fixing_subgroup, is_subgroup, units
+from .moebius import Moebius, _pairing, _residue_triples, set_maps
 from .family import FamilyParams, _configuration, _twist
 
 __all__ = [
@@ -229,10 +236,39 @@ def _table(lam, mu, source, exponents) -> list:
     return out
 
 
+def _refuted(lam, mu, a: int) -> bool:
+    """Whether reduction at the split prime p of the conductor n of lambda
+    and mu certifies that no Moebius map carries the configuration of
+    (lambda, mu) onto its sigma_a twist; the twist is not built.
+
+    zeta_n -> r mod p (`cyclotomic._split_prime`) is a ring homomorphism on
+    the elements whose denominator p does not divide, and it sends
+    sigma_a(x) to x evaluated at r^a.  So the source points (inf, 0, 1,
+    lambda, mu, -mu) reduce to p (infinity), 0, 1 and lambda, mu and -mu
+    at r, and the twisted points off (inf, 0, 1) to lambda, mu and -mu at
+    r^a.  A map would leave its triple among `moebius._residue_triples`
+    of these residues, as in `set_maps`, so an empty filter refutes it.
+    False, leaving the exact enumeration to decide, when p divides the
+    denominator of lambda or mu."""
+    p, r = _split_prime(lam.n)
+    ra = pow(r, a, p)
+    res = (_residue(lam, r, p), _residue(mu, r, p),
+           _residue(lam, ra, p), _residue(mu, ra, p))
+    if None in res:
+        return False
+    l, m, la, ma = res
+    return next(_residue_triples(p, [p, 0, 1, l, m, -m % p],
+                                 [la, ma, -ma % p]), None) is None
+
+
 def classify_sigma(p: FamilyParams, a) -> SigmaClassification:
     """Match sigma_a against the twelve shapes (`_table`) and verify
     against the brute-force map enumeration between the two six-point
-    sets."""
+    sets.  Where the table matches no row, the enumeration is first run on
+    residues at the split prime (`_refuted`): an empty residue filter
+    certifies that no map exists, and `set_maps` runs only where a triple
+    survives or a residue is undefined, the only places it can find a
+    map."""
     if isinstance(a, GaloisElement):
         g = a
     else:
@@ -244,7 +280,8 @@ def classify_sigma(p: FamilyParams, a) -> SigmaClassification:
     slam, smu, target = twist or _twist(lam, mu, g)
 
     table = [Moebius(*t) for _, t in rows]
-    oracle = set_maps(source, target, anti=False)
+    oracle = [] if not rows and _refuted(lam, mu, g.exponent) \
+        else set_maps(source, target, anti=False)
     if set(oracle) != set(table):
         raise OracleDisagreement(
             f"table witnesses {_shown(table)} != enumeration "
@@ -274,7 +311,11 @@ def stabilizer(p: FamilyParams, n: int) -> frozenset:
     with such a row.  The hits H_table lie in the true stabilizer H (each
     row's map is checked) and must form a subgroup.  Each other coset of
     H_table has one exponent enumerated: it is no table hit, so the
-    enumeration must find no map.  That decides H: since H_table <= H and
+    enumeration must find no map.  Its residues at the split prime are
+    enumerated first (`_refuted`), which certifies that no map exists for
+    almost every representative; `set_maps` runs, with its twisted set,
+    only where a triple survives or a residue is undefined, which is
+    wherever a map exists.  That decides H: since H_table <= H and
     H is a group, a in H gives a H_table <= H, and a not in H gives
     a H_table disjoint from H.  An exponent of H that the table missed
     lies in a coset outside H_table, all of it in H, so that coset's
@@ -296,12 +337,14 @@ def stabilizer(p: FamilyParams, n: int) -> frozenset:
     covered = set(hits)
     for a in units(n):  # the least of each coset
         if a not in covered:
-            _, _, target = twists[a] or _twist(lam, mu, GaloisElement(n, a))
-            oracle = set_maps(source, target, anti=False)
-            if oracle:
-                raise OracleDisagreement(
-                    f"table witnesses [] != enumeration "
-                    f"{_shown(oracle)} for sigma_{a}")
+            if not _refuted(lam, mu, a):
+                _, _, target = twists[a] or \
+                    _twist(lam, mu, GaloisElement(n, a))
+                oracle = set_maps(source, target, anti=False)
+                if oracle:
+                    raise OracleDisagreement(
+                        f"table witnesses [] != enumeration "
+                        f"{_shown(oracle)} for sigma_{a}")
             covered.update(a * h % n for h in hits)
     return hits
 
@@ -327,8 +370,8 @@ def field_of_moduli(p: FamilyParams, n: int) -> ModuliResult:
 
     r4_rational = (lam * lam).is_rational()
 
-    # no sigma sends mu to -mu
-    no_negation = -mu not in (mu.galois_apply(a) for a in units(n))
+    # no sigma sends mu to -mu; residues refute almost every unit
+    no_negation = not _galois_matches(mu, -mu)
 
     pointwise = fixing_subgroup(lam, n) & fixing_subgroup(mu, n)
     min_def = fixed_field(pointwise, n)

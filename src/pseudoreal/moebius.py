@@ -7,7 +7,8 @@ to the next.  Whether a given map carries one point set onto another
 (`_pairing`), and whether a value lies in the orbit of a cross-ratio
 (`_in_orbit`, on cross-ratios kept as (numerator, denominator) pairs by
 `_cross_ratio_pair`), are decided by cross-multiplication, with no
-inversion; each product embeds its own operands.
+inversion; each product embeds its own operands, except a rational one,
+which scales the other with no embedding.
 
 A transformation is stored as projective coefficients (a, b, c, d) for
 z -> (a z + b)/(c z + d), normalized so the first nonzero coefficient is 1;
@@ -401,8 +402,10 @@ def _pairing(t, A, B) -> Optional[list]:
     with (N, D) = (a x + b, c x + d) for finite x (x conjugated first for
     an anti-map) and (a, c) for x = inf, is inf iff D = 0 and the finite
     point y iff D != 0 and N = y D.  Nothing is embedded up front: each
-    product and comparison embeds its own operands, and only coefficients
-    given as ints or Fractions are made field elements."""
+    product and comparison embeds its own operands, and a rational one,
+    such as a coefficient 1 or the point 0, is taken as a scalar with no
+    embedding; only coefficients given as ints or Fractions are made field
+    elements."""
     if isinstance(t, Moebius):
         coefficients, anti = t.coefficients(), t.conj_first
     else:
@@ -440,7 +443,23 @@ def _unrefuted_triples(n: int, src: list, spots: list):
     """The entries of `_TRIPLES` for the ordered triples of the six points
     src that reduction at the split prime of conductor n leaves possible:
     those whose images under the map to (inf, 0, 1) may be the points
-    `spots`, which lie off inf, 0 and 1.
+    `spots`, which lie off inf, 0 and 1: the points are reduced, and
+    their residues filtered (`_residue_triples`); every triple is yielded
+    when a point or spot has no residue."""
+    p, r = _split_prime(n)
+    # infinity reduces to p, the point at infinity of P^1(F_p)
+    res = [p if q.is_infinity else _residue(q.value, r, p) for q in src]
+    want = [_residue(q.value, r, p) for q in spots]
+    if None in res or None in want:
+        yield from _TRIPLES
+    else:
+        yield from _residue_triples(p, res, want)
+
+
+def _residue_triples(p: int, res: list, want: list):
+    """The entries of `_TRIPLES` for the ordered triples of six points with
+    the residues `res` (p for infinity) whose images under the map to
+    (inf, 0, 1) may be three points with the residues `want`.
 
     Reduction zeta_n -> r mod p (`cyclotomic._split_prime`) sends each
     element whose denominator p does not divide to its residue in F_p, and
@@ -450,17 +469,11 @@ def _unrefuted_triples(n: int, src: list, spots: list):
     in P^1(F_p), every factor is a unit at the prime, so the image reduces
     to the cross-ratio of the residues.  A triple whose images are the
     spots then has the spots' residues as the residues of its images, so a
-    triple whose image residues differ from the spots' is refuted.  Any
-    other triple is yielded: one with two of its four points on one
-    residue, or every triple when a point or spot has no residue."""
-    p, r = _split_prime(n)
-    # infinity reduces to p, the point at infinity of P^1(F_p)
-    res = [p if q.is_infinity else _residue(q.value, r, p) for q in src]
-    want = [_residue(q.value, r, p) for q in spots]
-    if None in res or None in want:
-        yield from _TRIPLES
-        return
-    want.sort()
+    triple whose image residues differ from `want` is refuted.  Any other
+    triple is yielded, among them every one with two of its four points
+    on one residue: a triple that carries the points onto the spots is
+    never refuted, so a triple-free result certifies that no map does."""
+    want = sorted(want)
     # x - y and its inverse, 1 where infinity drops the factor; `clash`
     # holds the points that share a residue with another
     diff, inv, clash = {}, {}, set()
@@ -502,10 +515,13 @@ def set_maps(S, T, anti: bool = False) -> list:
     remaining three points of each set at the same spots.  The base triple
     is normalized exactly, once.  The 120 ordered triples of S are first
     reduced at a split prime (`_unrefuted_triples`).  Reduction is a ring
-    homomorphism on the values involved, so a triple whose images reduce
-    to other residues than the spots is certified to carry no map.  A
-    triple with two of the points behind an image on one residue, or with
-    a value that has no residue, is not refuted, so one prime is enough.
+    homomorphism on the elements whose denominator p does not divide, so a
+    triple whose images reduce to other residues than the spots is
+    certified to carry no map.  A triple with two of the points behind an
+    image on one residue, or with a value that has no residue, is not
+    refuted, so one prime is enough.  The filter reads residues alone
+    (`_residue_triples`), so `moduli` runs it before it builds a twist:
+    when it leaves no triple, this call would find no map.
     No remaining triple is divided through: the map sending it to the base
     triple has the coefficients adj(B) S up to scale (`_carry_raw`), for
     the raw matrices S and B of the two triples to (inf, 0, 1), and it is

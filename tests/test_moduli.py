@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pseudoreal import moduli
+from pseudoreal import cyclotomic, moebius, moduli
 from pseudoreal.cyclotomic import (
     CycElt,
     GaloisElement,
@@ -16,8 +16,9 @@ from pseudoreal.cyclotomic import (
     units,
 )
 from pseudoreal.family import ParameterError, _twist, validate
-from pseudoreal.moebius import INF, Moebius, SpherePoint
+from pseudoreal.moebius import INF, Moebius, SpherePoint, set_maps
 from pseudoreal.moduli import (
+    OracleDisagreement,
     RowMatch,
     classify_sigma,
     field_of_moduli,
@@ -190,46 +191,183 @@ def test_stabilizers_of_worked_examples():
     assert stabilizer(p8, 8) == frozenset({1, 3, 5, 7})
 
 
-@pytest.mark.parametrize("n, want", [
-    (5, {1, 4}), (8, {1, 3, 5, 7}), (40, {1, 19, 21, 39})])
-def test_stabilizer_enumerates_sigma_1_and_one_exponent_per_coset(
-        n, want, monkeypatch):
-    # the table matches sigma_1 once, in classify_sigma, and every other
-    # unit in the stabilizer's one pass; the enumeration runs once per
-    # coset of the stabilizer, sigma_1 first, and there finds the identity
-    # alone
+STABILIZERS = [(5, {1, 4}), (8, {1, 3, 5, 7}), (40, {1, 19, 21, 39})]
+
+
+def _count_stabilizer_work(n, monkeypatch):
+    """Run `stabilizer` on lambda = -4, mu = 2 zeta_n, recording the
+    `set_maps` calls (target, maps found), the `classify_sigma` and
+    `_table` calls and the exponents `_refuted` was asked about, with its
+    answers."""
     p = validate(-4, make_element("2*z", n), 2)
-    lam, mu = p.lam.in_conductor(n), p.mu.in_conductor(n)
-    twisted = {tuple(_twist(lam, mu, GaloisElement(n, a))[2]): a
-               for a in units(n)}
-    assert len(twisted) == euler_phi(n)
-    found, targets, classified, tables = [], [], [], []
-    set_maps, classify, table = \
-        moduli.set_maps, moduli.classify_sigma, moduli._table
+    calls = {"set_maps": [], "classified": [], "tables": 0, "refuted": []}
+    set_maps, classify, table, refuted = moduli.set_maps, \
+        moduli.classify_sigma, moduli._table, moduli._refuted
 
     def counting_set_maps(source, target, **kw):
-        targets.append(tuple(target))
-        found.append(set_maps(source, target, **kw))
-        return found[-1]
+        calls["set_maps"].append((tuple(target), set_maps(source, target,
+                                                          **kw)))
+        return calls["set_maps"][-1][1]
+
+    def counting_table(*args):
+        calls["tables"] += 1
+        return table(*args)
+
+    def counting_refuted(lam, mu, a):
+        calls["refuted"].append((a, refuted(lam, mu, a)))
+        return calls["refuted"][-1][1]
 
     monkeypatch.setattr(moduli, "set_maps", counting_set_maps)
     monkeypatch.setattr(moduli, "classify_sigma",
-                        lambda p, g: classified.append(g.exponent)
+                        lambda p, g: calls["classified"].append(g.exponent)
                         or classify(p, g))
-    monkeypatch.setattr(moduli, "_table",
-                        lambda *args: tables.append(1) or table(*args))
-    assert stabilizer(p, n) == want
+    monkeypatch.setattr(moduli, "_table", counting_table)
+    monkeypatch.setattr(moduli, "_refuted", counting_refuted)
+    return p, stabilizer(p, n), calls
+
+
+def _cosets(exponents, want, n):
+    return {frozenset(a * h % n for h in want) for a in exponents}
+
+
+@pytest.mark.parametrize("n, want", STABILIZERS)
+def test_stabilizer_enumerates_sigma_1_and_one_exponent_per_coset(
+        n, want, monkeypatch):
+    # the table matches sigma_1 once, in classify_sigma, and every other
+    # unit in the stabilizer's one pass.  One exponent of each other coset
+    # is enumerated on residues at the split prime, which refute it, so
+    # set_maps runs once, on sigma_1, and finds the identity alone
+    p, stab, calls = _count_stabilizer_work(n, monkeypatch)
+    assert stab == want
     index = euler_phi(n) // len(want)
-    assert classified == [1]
-    assert len(tables) == 2
+    assert calls["classified"] == [1]
+    assert calls["tables"] == 2
+    lam, mu = p.lam.in_conductor(n), p.mu.in_conductor(n)
+    [(target, maps)] = calls["set_maps"]
+    assert target == tuple(_twist(lam, mu, GaloisElement(n, 1))[2])
+    assert len(maps) == 1 and maps[0].is_identity
+    # one exponent of each other coset, each refuted; the enumeration
+    # agrees that it has no map
+    exponents = [a for a, _ in calls["refuted"]]
+    assert all(refuted for _, refuted in calls["refuted"])
+    assert len(exponents) == index - 1
+    assert not set(exponents) & want
+    assert len(_cosets(exponents, want, n)) == index - 1
+    source = _twist(lam, mu, GaloisElement(n, 1))[2]
+    for a in exponents:
+        target = _twist(lam, mu, GaloisElement(n, a))[2]
+        assert set_maps(source, target) == []
+
+
+@pytest.mark.parametrize("n, want", STABILIZERS)
+def test_stabilizer_without_the_residue_filter_enumerates_each_coset(
+        n, want, monkeypatch):
+    # with the filter keeping every triple, nothing is refuted, and each
+    # coset's representative is enumerated exactly, sigma_1 first
+    monkeypatch.setattr(moduli, "_residue_triples",
+                        lambda p, res, want: iter(moebius._TRIPLES))
+    p, stab, calls = _count_stabilizer_work(n, monkeypatch)
+    assert stab == want
+    index = euler_phi(n) // len(want)
+    assert not any(refuted for _, refuted in calls["refuted"])
+    found = [maps for _, maps in calls["set_maps"]]
     assert len(found) == index
     assert len(found[0]) == 1 and found[0][0].is_identity
     assert all(maps == [] for maps in found[1:])
-    # one exponent of each coset, sigma_1 first
-    exponents = [twisted[t] for t in targets]
+    lam, mu = p.lam.in_conductor(n), p.mu.in_conductor(n)
+    twisted = {tuple(_twist(lam, mu, GaloisElement(n, a))[2]): a
+               for a in units(n)}
+    exponents = [twisted[target] for target, _ in calls["set_maps"]]
     assert exponents[0] == 1
-    assert len({frozenset(a * h % n for h in want) for a in exponents}) \
-        == index
+    assert len(_cosets(exponents, want, n)) == index
+
+
+@pytest.mark.parametrize("n, dropped", [(5, {4}), (8, {5, 7}),
+                                        (40, {19, 21})])
+def test_a_hit_the_table_drops_is_an_oracle_disagreement(
+        n, dropped, monkeypatch):
+    # the hits left form a subgroup; the dropped coset has a map, so the
+    # residues leave a triple of it and set_maps finds the map
+    table = moduli._table
+    monkeypatch.setattr(moduli, "_table", lambda *args: [
+        (a, [] if a in dropped else rows, twist)
+        for a, rows, twist in table(*args)])
+    p = validate(-4, make_element("2*z", n), 2)
+    with pytest.raises(OracleDisagreement, match="table witnesses \\[\\]"):
+        stabilizer(p, n)
+
+
+def test_the_pinned_n40_member_does_its_no_answers_on_residues(
+        monkeypatch):
+    # an operation count, the same on every machine, for the slowest
+    # moduli-sweep query: lambda = -4, mu = 2 zeta_40
+    n = 40
+    p = validate(-4, make_element("2*z", n), 2)
+    calls = {"set_maps": 0, "exact": 0, "matches": 0, "embed": 0,
+             "pairing": 0, "mul": 0}
+    inside = {"matches": False, "pairing": False}
+    set_maps, matches, pairing = \
+        moduli.set_maps, cyclotomic._galois_matches, moduli._pairing
+    galois_apply, embed, mul = \
+        CycElt.galois_apply, CycElt.embed, CycElt.__mul__
+
+    def counting_set_maps(*args, **kw):
+        calls["set_maps"] += 1
+        return set_maps(*args, **kw)
+
+    def within(name, fn):
+        def call(*args):
+            inside[name] = True
+            try:
+                return fn(*args)
+            finally:
+                inside[name] = False
+        return call
+
+    def counting_matches(v, w):
+        out = within("matches", matches)(v, w)
+        calls["matches"] += len(out)
+        return out
+
+    def counting_galois_apply(self, a):
+        calls["exact"] += inside["matches"]
+        return galois_apply(self, a)
+
+    def counting_embed(self, m):
+        calls["embed"] += inside["pairing"] and m != self.n
+        return embed(self, m)
+
+    def counting_pairing(*args):
+        calls["pairing"] += 1
+        return within("pairing", pairing)(*args)
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(moduli, "set_maps", counting_set_maps)
+    monkeypatch.setattr(cyclotomic, "_galois_matches", counting_matches)
+    monkeypatch.setattr(moduli, "_galois_matches", counting_matches)
+    monkeypatch.setattr(moduli, "_pairing", counting_pairing)
+    monkeypatch.setattr(CycElt, "galois_apply", counting_galois_apply)
+    monkeypatch.setattr(CycElt, "embed", counting_embed)
+    res = field_of_moduli(p, n)
+    assert sorted(res.stabilizer) == [1, 19, 21, 39]
+    assert not res.hypothesis_no_negation  # sigma_21(mu) = -mu
+    # set_maps on sigma_1 alone; every other coset refuted on residues
+    assert calls["set_maps"] == 1
+    # the exact Galois images of fixing_subgroup and the negation test are
+    # the fixers and the hits: 16 for lambda, 1 for mu, 1 negation and 4
+    # for the moduli field's primitive element
+    assert calls["exact"] == calls["matches"] == 16 + 1 + 1 + 4
+    # the pairings of the table's hits take 1 and 0 as scalars
+    assert calls["pairing"] == 4 and calls["embed"] == 0
+    z = CycElt.zeta(n)
+    assert res.min_def_field.primitive == z
+    monkeypatch.setattr(CycElt, "__mul__", counting_mul)
+    monkeypatch.setattr(CycElt, "__rmul__", counting_mul)
+    assert min_poly(z) == res.min_def_field.minpoly
+    assert calls["mul"] == 0
 
 
 @pytest.mark.parametrize("n, lam, mu", [

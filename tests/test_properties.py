@@ -21,13 +21,18 @@ structured renderer against json.dumps with indent; min_poly from
 power sums, and fixed_field on every subgroup up to conductor 40,
 against the product over the Galois orbit, with the seed 1 tried only
 for Q; the integer printer, keys, hashes and order against the Fraction
-printer and the Fraction tuples; and validate's residue step against the
-exact orbit test."""
+printer and the Fraction tuples; validate's residue step against the
+exact orbit test; and fixing_subgroup and the Galois matches against the
+exact loop over every unit, the residue refutation of a stabilizer coset
+against set_maps, min_poly of zeta_n against the orbit product at every
+conductor, and products, sums and equality with scalar operands against
+the wrapped-and-embedded arithmetic."""
 
 import functools
 import itertools
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -2842,3 +2847,185 @@ def test_admissible_members_run_no_exact_orbit_test():
                      make_element(args["--mu"], n), 2)
             members += 1
     assert members >= 40 and exact == []
+
+
+# -- Galois fixers, refuted cosets, Phi_n and scalar operands against the
+# -- exact loops and the wrapped-and-embedded arithmetic they replaced -------
+
+
+def reference_fixing_subgroup(u, n):
+    """The earlier fixing_subgroup: every unit tested by an exact Galois
+    image."""
+    v = u.in_conductor(n)
+    return frozenset(a for a in units(n) if v.galois_apply(a) == v)
+
+
+@st.composite
+def fixed_values(draw):
+    """(u, m): a value at a conductor n <= 120 and a multiple m <= 120 of
+    n.  The value is a rational, a sparse vector, or its trace over a
+    random subgroup, fixed by every unit of it; with a denominator that
+    the split prime of n or of m divides, when drawn, so that it has no
+    residue there."""
+    n = draw(st.integers(1, MAX_CONDUCTOR))
+    m = draw(st.sampled_from(range(n, MAX_CONDUCTOR + 1, n)))
+    kind = draw(st.sampled_from(["rational", "vector", "trace"]))
+    den = draw(st.integers(1, 6)) * draw(st.sampled_from(
+        [1, _split_prime(n)[0], _split_prime(m)[0]]))
+    if kind == "rational":
+        return CycElt.from_rational(Fraction(draw(st.integers(-9, 9)), den),
+                                    n), m
+    phi = euler_phi(n)
+    num = [0] * phi
+    for i in draw(st.lists(st.integers(0, phi - 1), min_size=1,
+                           max_size=4)):
+        num[i] = draw(st.integers(-5, 5))
+    u = CycElt(n, [Fraction(x, den) for x in num])
+    if kind == "trace":
+        H = draw(st.sampled_from(subgroups(n)))
+        u = sum((u.galois_apply(h) for h in H), CycElt.zero(n))
+    return u, m
+
+
+@SETTINGS
+@given(fixed_values(), st.data())
+@example((CycElt.from_rational(-4, 40), 40), None)
+@example((make_element("2*z", 40), 40), None)
+@example((CycElt(5, [0, Fraction(1, _split_prime(5)[0])]), 40), None)
+def test_fixing_subgroup_matches_the_exact_loop(case, data):
+    u, m = case
+    assert cyclotomic.fixing_subgroup(u, m) == reference_fixing_subgroup(u, m)
+    # sigma_a(v) = w for w = -v and a conjugate of v: the negation test of
+    # field_of_moduli and any other target
+    v = u.in_conductor(m)
+    b = data.draw(st.sampled_from(units(m))) if data else 1
+    for w in (-v, v.galois_apply(b)):
+        assert cyclotomic._galois_matches(v, w) == frozenset(
+            a for a in units(m) if v.galois_apply(a) == w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(admissible_mu(), st.booleans())
+@example((40, "-4", "2*z"), False)
+@example((5, "-529/121", "23/11*z"), True)
+@example((5, "-(-3 + z + z^-1)^2", "(-3 + z + z^-1)*z"), True)
+def test_a_refuted_coset_has_no_map(member, least):
+    # every unit whose residues the filter refutes, at the large split
+    # prime or at the least one, where residues collide and p may divide a
+    # denominator, has no map onto its twist; the stabilizer is never
+    # refuted
+    n, lam, mu = member
+    try:
+        p = validate(make_element(lam, n), make_element(mu, n), 2)
+    except ParameterError:
+        assume(False)
+    lam, mu = p.lam.in_conductor(n), p.mu.in_conductor(n)
+    source = _configuration(lam, mu).points()
+    if least:
+        with _least_split_prime():
+            refuted = [a for a in units(n) if moduli._refuted(lam, mu, a)]
+    else:
+        refuted = [a for a in units(n) if moduli._refuted(lam, mu, a)]
+    for a in refuted:
+        assert set_maps(source, _twist(lam, mu, GaloisElement(n, a))[2]) \
+            == []
+    assert not set(refuted) & stabilizer(p, n)
+
+
+def reference_cyclotomic_orbit_product(n):
+    """prod(x - zeta_n^a) over the units a mod n, multiplied out with
+    coefficients in Z[y]/(y^n - 1), where a product with zeta_n^a is a
+    rotation, and each coefficient then taken into Q(zeta_n), where it
+    must be rational.  The product over the field (`reference_min_poly`)
+    takes seconds at the large prime conductors."""
+    poly = [[1] + [0] * (n - 1)]
+    for a in units(n):
+        nxt = [[0] * n for _ in range(len(poly) + 1)]
+        for i, c in enumerate(poly):
+            for j, x in enumerate(c):
+                nxt[i + 1][j] += x
+                nxt[i][(j + a) % n] -= x
+        poly = nxt
+    coeffs = [CycElt(n, c) for c in poly]
+    assert all(c.is_rational() for c in coeffs)
+    return tuple(c.as_rational() for c in coeffs)
+
+
+def test_min_poly_of_zeta_matches_the_orbit_product_at_every_conductor():
+    for n in range(1, MAX_CONDUCTOR + 1):
+        z = CycElt.zeta(n)
+        mp = min_poly(z)
+        assert all(type(c) is Fraction for c in mp)
+        assert mp == reference_cyclotomic_orbit_product(n), n
+        if euler_phi(n) <= 32:
+            assert mp == reference_min_poly(z), n
+        if n <= 40:
+            # neighbours of zeta_n go the power-sum way
+            for v in (z * Fraction(1, 2), -z, z + 1):
+                assert min_poly(v) == reference_min_poly(v), (n, v)
+
+
+def reference_wrapped(op, u, v):
+    """(n, num, den) of op(u, v) by the earlier route: an int or Fraction
+    side wrapped as an element at the other side's conductor, both sides
+    embedded at the lcm, and their Fraction vectors combined and reduced
+    mod Phi_n."""
+    if not isinstance(u, CycElt):
+        u = CycElt.from_rational(u, v.n)
+    if not isinstance(v, CycElt):
+        v = CycElt.from_rational(v, u.n)
+    n = math.lcm(u.n, v.n)
+    a, b = u.embed(n).coeffs, v.embed(n).coeffs
+    poly = {"*": lambda: _ref_pmul(a, b), "+": lambda: _ref_padd(a, b),
+            "-": lambda: _ref_padd(a, _ref_pneg(b))}[op]()
+    vec = ref_vec(n, poly)
+    den = math.lcm(*(c.denominator for c in vec))
+    return n, tuple(c.numerator * (den // c.denominator) for c in vec), den
+
+
+@st.composite
+def scalar_operands(draw):
+    """(x, q): an element x at a conductor m <= 40 (a sparse vector, a
+    rational or zero) and an operand q that is an int, a Fraction, or a
+    rational element (zero included) at conductor 1, at a divisor of m
+    or at a conductor that does not divide m."""
+    m = draw(st.sampled_from([2, 3, 4, 5, 8, 12, 15, 20, 24, 40]))
+    phi = euler_phi(m)
+    num = [0] * phi
+    for i in draw(st.lists(st.integers(0, phi - 1), max_size=3)):
+        num[i] = draw(small_or_huge_ints)
+    x = CycElt(m, [Fraction(c, draw(st.integers(1, 6))) for c in num])
+    scalar = st.one_of(small_or_huge_ints, core_rationals)
+    q = draw(scalar)
+    where = draw(st.sampled_from(["int or Fraction", "1", "dividing",
+                                  "non-dividing"]))
+    if where == "int or Fraction":
+        return x, q
+    e = {"1": 1,
+         "dividing": draw(st.sampled_from(
+             [d for d in range(1, m + 1) if m % d == 0])),
+         "non-dividing": draw(st.sampled_from(
+             [d for d in range(2, 13) if m % d and math.lcm(m, d) <= 120]))
+         }[where]
+    return x, CycElt.from_rational(q, e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalar_operands())
+@example((make_element("2*z", 40), CycElt.one()))
+@example((make_element("2*z", 40), CycElt.zero(5)))
+@example((make_element("2*z", 8), CycElt.from_rational(Fraction(-1, 3), 3)))
+@example((CycElt.from_rational(7, 12), CycElt.from_rational(2, 8)))
+@example((make_element("3 + z", 5), CycElt.from_rational(3)))
+@example((CycElt.from_rational(3, 4), CycElt.from_rational(3, 3)))
+def test_scalar_operands_match_the_wrapped_and_embedded_reference(case):
+    # equality too: a rational against an element of another conductor
+    # compares with no embedding
+    x, q = case
+    for op, u, v in [("*", x, q), ("*", q, x), ("+", x, q), ("+", q, x),
+                     ("-", x, q), ("-", q, x)]:
+        w = {"*": operator.mul, "+": operator.add, "-": operator.sub}[op](
+            u, v)
+        assert (w.n, w.num, w.den) == reference_wrapped(op, u, v)
+    _, gap, _ = reference_wrapped("-", x, q)
+    assert (x == q) == (q == x) == (not any(gap))
