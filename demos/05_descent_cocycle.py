@@ -23,7 +23,7 @@ print("Moebius witness for rho:", T)
 # Over Q(zeta_8) the lift does not exist: two scale squares have no
 # square root in the field.  The diagnostics name them.
 lift8 = lift_to_monomial(T, p8, rho8, 8)
-print("\nlift over Q(zeta_8):", len(lift8.isos), "isomorphisms")
+print("\nlift over Q(zeta_8):", lift8.count, "isomorphisms")
 for miss in lift8.missing:
     print("  missing:", miss)
 
@@ -32,11 +32,11 @@ for miss in lift8.missing:
 p16 = validate(-4, make_element("2*z^2", 16), 2)
 rho = GaloisElement(16, 3)
 lift16 = lift_to_monomial(Moebius(0, -4, 1, 0), p16, rho, 16)
-print("\nlift over Q(zeta_16):", len(lift16.isos), "isomorphisms")
+print("\nlift over Q(zeta_16):", lift16.count, "isomorphisms")
 print("coordinate permutation (1-based):",
       [i + 1 for i in lift16.perm])
 print("scale squares:", [str(v) for v in lift16.powers])
-print("one candidate:", lift16.isos[0])
+print("one candidate:", lift16.first)
 
 # Extend one candidate along the cyclic group <3> <= (Z/16)* of order 4
 # via f_{g^j} = (f_{g^(j-1)})^g o f_g, and verify the Weil cocycle
@@ -44,18 +44,18 @@ print("one candidate:", lift16.isos[0])
 # recursion, f_g transports the curve and the closure f_{g^4} is the identity.
 print("\ncocycle verification:")
 closing = 0
-for f in lift16.isos:
+for f in lift16.maps():
     datum = extend_cyclic(f, 3, 4, p16, 16)
     result = cocycle_check(datum)
     assert result.ok == datum.closes
     closing += result.ok
 print(f"candidates whose datum closes (f_rho^4 = identity): "
-      f"{closing} of {len(lift16.isos)}")
+      f"{closing} of {lift16.count}")
 
 # The candidates are delta o f0 for diagonal maps delta with square-root-
-# of-unity scales, so one closure of f0 = lift16.isos[0] and a linear map
+# of-unity scales, so one closure of f0 = lift16.first and a linear map
 # over Z/2 on the exponent vectors of delta decide them all at once.
-datum0 = extend_cyclic(lift16.isos[0], 3, 4, p16, 16)
+datum0 = extend_cyclic(lift16.first, 3, 4, p16, 16)
 verdicts = torsor_verdicts(lift16, datum0)
 torsor_closing = sum(ok for _, ok, _ in verdicts)
 print(f"closing candidates read from one closure of f0: {torsor_closing}")

@@ -9,10 +9,10 @@ rejection (including a conductor above MAX_CONDUCTOR, clause
 conductor_limit, checked before any operand, and an element expression
 above MAX_SIZE_BITS or a result too large to print, integers in the
 document included, clause size_limit, a lift of more than MAX_LIFTS
-maps, clause lift_limit, and a k-th root search past the factorization
-bounds of `kth_roots`, clause root_limit), 2 usage error, 3 internal
-error (a failed internal cross-check, reported with status and error
-kind internal_error).  Every exit-1 document has status rejected.
+maps to print, clause lift_limit, and a k-th root search past the
+factorization bounds of `kth_roots`, clause root_limit), 2 usage error, 3
+internal error (a failed internal cross-check, reported with status and
+error kind internal_error).  Every exit-1 document has status rejected.
 `weil-check`'s `descends` is `closing_count > 0`: with missing roots it
 reads false, which says only that no monomial datum is defined over
 Q(zeta_n), not that the curve has no model over the fixed field.  The
@@ -263,7 +263,7 @@ def _cmd_lift(p, args):
         "mobius_witness": _map_doc(witness),
         "coordinate_permutation": [i + 1 for i in lift.perm],
         "scale_powers": [str(v) for v in lift.powers],
-        "count": len(lift.isos),
+        "count": lift.count,
         "isomorphisms": lift.texts(),
         "missing_roots": [str(msg) for msg in lift.missing],
     }
@@ -275,12 +275,12 @@ def _cmd_weil_check(p, args):
     check_order(g, d, n)
     witness, lift = _lift_witness(
         p, sigma, "generator does not preserve the configuration class")
-    verdicts = []
-    if lift.isos:
+    texts, verdicts = lift.texts(), []   # lift_limit before any datum
+    if lift.ok:
         # the datum of f0, the first map, certifies f_g's transport and gives
         # the closure that every verdict is read from; its cocycle check
         # decides f0 again
-        datum = extend_cyclic(lift.isos[0], g, d, p, n)
+        datum = extend_cyclic(lift.first, g, d, p, n)
         verdicts = torsor_verdicts(lift, datum)
         chk = cocycle_check(datum)
         if (datum.closes, chk.ok, chk.failing) != verdicts[0]:
@@ -292,7 +292,7 @@ def _cmd_weil_check(p, args):
         "closes": closes,
         "cocycle_ok": ok,
         "failing_pair": list(pair) if pair else None,
-    } for text, (closes, ok, pair) in zip(lift.texts(), verdicts)]
+    } for text, (closes, ok, pair) in zip(texts, verdicts)]
     closing = sum(c["cocycle_ok"] for c in candidates)
     return {
         "mobius_witness": _map_doc(witness),

@@ -1079,7 +1079,7 @@ def min_poly(u: CycElt) -> tuple:
     n, phi = u.n, euler_phi(u.n)
     if u.den == 1 and u.num == (0, 1) + (0,) * (phi - 2):
         return tuple(map(Fraction, cyclotomic_polynomial(n)))
-    s = phi if u.is_rational() else len(fixing_subgroup(u))
+    s = len(fixing_subgroup(u))
     d = phi // s
     cycs = [cyclotomic_polynomial(n // math.gcd(i, n)) for i in range(phi)]
     weights = [-c[-2] * phi // (len(c) - 1) for c in cycs]
@@ -1183,13 +1183,12 @@ def fixed_field(H: Iterable[int], n: int) -> Subfield:
 
 
 def fixing_subgroup(u: CycElt, n: Optional[int] = None) -> frozenset:
-    """Units a mod n with sigma_a(u) = u; Q(u) is the fixed field of this.
-
-    Reduction at the split prime p of n is a ring homomorphism on the
-    elements whose denominator p does not divide, so a unit under which
-    the residue of u moves, u(r^a) != u(r), moves u and is refuted; the
-    units left are tested exactly (`_galois_matches`)."""
+    """Units a mod n with sigma_a(u) = u; Q(u) is the fixed field of this:
+    every unit for a rational u, else `_galois_matches`, which refutes the
+    units that move u's residue at the split prime and tests the rest."""
     v = u.in_conductor(u.n if n is None else n)
+    if v.is_rational():
+        return frozenset(units(v.n))
     return _galois_matches(v, v)
 
 

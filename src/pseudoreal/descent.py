@@ -64,10 +64,8 @@ __all__ = [
     "torsor_verdicts",
 ]
 
-# The most monomial isomorphisms one lift may list (clause lift_limit): the
-# k = 8 family lift at conductor 64 has 8^5, and lift and weil-check spend
-# about 5 and 17 us on each, most of it printing and rendering the map
-# (2.3 and 6.9 MB of document); the k = 10 lift at conductor 80 has 10^5
+# The most maps of one lift that LiftResult.texts prints (clause lift_limit;
+# the library never lists them), the count of the k = 8 lift at conductor 64
 MAX_LIFTS = 8 ** 5
 
 
@@ -243,7 +241,10 @@ class MissingRoot:
 
 @dataclass(frozen=True)
 class LiftResult:
-    isos: tuple
+    """The lifts over one witness as root sets: with c_1 = 1, the `count`
+    maps of `perm` taking one root of each set, in product order; `first`
+    (f0) takes the first of each, and is None when roots are missing."""
+    first: Optional[MonomialIso]
     missing: tuple
     perm: tuple
     powers: tuple         # the d_i = c_i^k, normalized d_1 = 1
@@ -251,11 +252,25 @@ class LiftResult:
 
     @property
     def ok(self) -> bool:
-        return bool(self.isos)
+        return self.first is not None
+
+    @property
+    def count(self) -> int:
+        return math.prod(len(r) for r in self.roots)
+
+    def maps(self):
+        """Every map of the lift, in canonical order."""
+        for rest in itertools.product(*self.roots):
+            yield MonomialIso._of(self.perm, [self.first.scales[0], *rest],
+                                  self.first.k)
 
     def texts(self) -> list:
-        """str(f) for every map of isos, in order, built from the root sets
-        that isos is the product of: each distinct scale is printed once."""
+        """str(f) for every map, in order, each distinct scale printed once;
+        more than MAX_LIFTS maps is the lift_limit rejection."""
+        if self.count > MAX_LIFTS:
+            raise LimitError("lift_limit", f"the lift has {self.count} "
+                             f"monomial isomorphisms, more than the maximum "
+                             f"{MAX_LIFTS}")
         shown = {}
 
         def slot(c, source):
@@ -273,14 +288,14 @@ class LiftResult:
 
 def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
                      m: int) -> LiftResult:
-    """All monomial isomorphisms over Q(zeta_m) covering the Moebius map T
-    between the branch sets of (lambda, mu) and its sigma_a twist.
+    """The monomial isomorphisms over Q(zeta_m), as root sets, covering the
+    Moebius map T between the branch sets of (lambda, mu) and its twist.
 
     The coordinate permutation is forced by T's action on branch values;
     the k-th powers of the scales are written down from the witness T and
     certified by one curve-transport check; the scale vector itself exists
     only when the field contains the needed k-th roots.  When roots are
-    missing the result is empty and lists them.
+    missing the result has no first map and lists them.
     """
     if T.conj_first:
         raise ValueError("T must be a plain Moebius map")
@@ -333,27 +348,14 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
             missing.append(MissingRoot(coordinate=i + 1, value=di,
                                        k=p.k, conductor=m))
         roots.append(r)
-    if missing:
-        return LiftResult(isos=(), missing=tuple(missing), perm=perm,
-                          powers=tuple(d), roots=tuple(roots[1:]))
-
-    # d_1 = 1, so each roots[i] is a coset of the k-th roots of unity in the
-    # field: the maps with c_1 = 1 are every lift once, and the product of
-    # the canonically ordered roots[i] lists them in canonical order
-    count = math.prod(len(r) for r in roots[1:])
-    if count > MAX_LIFTS:
-        raise LimitError("lift_limit", f"the lift has {count} monomial "
-                         f"isomorphisms, more than the maximum {MAX_LIFTS}")
-    one = CycElt.one(m)
-    ordered = [MonomialIso._of(perm, [one, *rest], p.k)
-               for rest in itertools.product(*roots[1:])]
-    return LiftResult(isos=tuple(ordered), missing=(), perm=perm,
+    # d_1 = 1: each other root set is a coset of the k-th roots of unity
+    first = None if missing else MonomialIso._of(
+        perm, [CycElt.one(m), *(r[0] for r in roots[1:])], p.k)
+    return LiftResult(first=first, missing=tuple(missing), perm=perm,
                       powers=tuple(d), roots=tuple(roots[1:]))
 
 
 def _restrict(a: GaloisElement, m: int) -> int:
-    if a.conductor == m:
-        return a.exponent
     if a.conductor % m == 0:
         return a.exponent % m
     if m % a.conductor == 0:
@@ -408,9 +410,8 @@ def extend_cyclic(f_gen: MonomialIso, g: int, d: int,
         maps[exponent] = current
         current = compose_twist(current, f_gen, gen)
         exponent = (exponent * g) % m
-    closure = current   # f_{g^d}
     return WeilDatum(conductor=m, generator=g, order=d, params=p,
-                     maps=dict(maps), closure=closure)
+                     maps=maps, closure=current)   # current = f_{g^d}
 
 
 @dataclass(frozen=True)
@@ -494,8 +495,8 @@ def _closure_pair(g: int, d: int, m: int) -> tuple:
 
 def torsor_verdicts(lift: LiftResult, datum: WeilDatum) -> list:
     """(closes, cocycle_ok, failing_pair) of the datum that `extend_cyclic`
-    builds from each map of lift.isos, in order, read from `datum`, the
-    one built from f0 = lift.isos[0] (a lift with missing roots has none).
+    builds from each map of lift.maps(), in order, read from `datum`, the
+    one built from f0 = lift.first (a lift with missing roots has none).
 
     The roots of unity of Q(zeta_m) are the omega^j, j mod M = lcm(2, m)
     (`cyclotomic._unity_exponent`).  Candidate e, e_1 = 0, has the scales
@@ -508,10 +509,10 @@ def torsor_verdicts(lift: LiftResult, datum: WeilDatum) -> list:
     its datum follows the recursion and f_g transports the curve, so it is
     a cocycle iff it closes, and fails first at the closure pair
     otherwise."""
-    if not lift.isos:
+    if lift.missing:
         raise ValueError("the lift has missing roots, so no maps")
     m, g, d = datum.conductor, datum.generator % datum.conductor, datum.order
-    f0 = lift.isos[0]
+    f0 = lift.first
     if (datum.closure if d == 1 else datum.maps[g]) != f0:
         raise ValueError("the datum is not extended from the lift's first map")
     big = math.lcm(2, m)
@@ -521,9 +522,9 @@ def torsor_verdicts(lift: LiftResult, datum: WeilDatum) -> list:
     pair = _closure_pair(g, d, m) if d > 1 else None
     beta = [_unity_exponent(c) for c in datum.closure.scales]
     if datum.closure.perm != tuple(range(6)) or None in beta:
-        return [(False, False, pair)] * len(lift.isos)
+        return [(False, False, pair)] * lift.count
     # the exponent of each root against the first of its coset, in the
-    # order that isos takes the product of the root sets
+    # order that maps() takes the product of the root sets
     exponents = []
     for r in lift.roots:
         inv = r[0].inverse()

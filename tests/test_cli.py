@@ -550,7 +550,7 @@ def test_lift_prints_each_distinct_scale_once(capsys, monkeypatch):
     g = GaloisElement(32, 17)
     witness = classify_sigma(p, g).witness
     lift = lift_to_monomial(witness, p, g, 32)
-    scales = {(c.num, c.den) for f in lift.isos for c in f.scales}
+    scales = {(c.num, c.den) for f in lift.maps() for c in f.scales}
     printed = []
     text = CycElt.__str__
     monkeypatch.setattr(CycElt, "__str__",
@@ -595,7 +595,7 @@ def test_weil_check_reports_a_torsor_the_oracle_disputes(capsys,
     # failing is an internal error
     monkeypatch.setattr("pseudoreal.cli.torsor_verdicts",
                         lambda lift, datum: [(False, False, (3, 11))]
-                        * len(lift.isos))
+                        * lift.count)
     code, doc = run_json(capsys, "weil-check", "--conductor", "16", "--k",
                          "2", "--lambda=-4", "--mu=2*z^2", "--generator", "3",
                          "--order", "4")

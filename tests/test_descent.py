@@ -1,12 +1,14 @@
 import contextlib
 import itertools
+import time
 from unittest import mock
 
 import pytest
 
 from pseudoreal import descent
 
-from pseudoreal.cyclotomic import CycElt, GaloisElement, make_element
+from pseudoreal.cyclotomic import CycElt, GaloisElement, LimitError, \
+    make_element
 from pseudoreal.family import validate
 from pseudoreal.moebius import Moebius
 from pseudoreal.descent import (
@@ -122,9 +124,10 @@ def test_lift_identity_contains_deck_translates():
     p = pi4_params()
     lift = lift_to_monomial(Moebius.identity(), p, GaloisElement(16, 1), 16)
     assert lift.ok
-    assert len(lift.isos) == 32          # 2^6 sign patterns, projectively
-    assert any(f.is_identity for f in lift.isos)
-    assert all(f.perm == tuple(range(6)) for f in lift.isos)
+    assert lift.count == 32          # 2^6 sign patterns, projectively
+    maps = tuple(lift.maps())
+    assert any(f.is_identity for f in maps)
+    assert all(f.perm == tuple(range(6)) for f in maps)
     assert list(lift.powers) == [CycElt.one(16)] * 6
 
 
@@ -139,10 +142,11 @@ def test_lift_pi4_over_zeta16():
     assert list(lift.powers) == [CycElt.one(16), p.lam.in_conductor(16),
                                  CycElt.one(16), p.lam.in_conductor(16),
                                  smu, -smu]
-    assert len(lift.isos) == 32
+    assert lift.count == 32
+    maps = tuple(lift.maps())
     for s2, s4 in itertools.product((1, -1), repeat=2):
-        assert swap_iso(s2, s4) in lift.isos
-    for f in lift.isos:
+        assert swap_iso(s2, s4) in maps
+    for f in maps:
         assert transports_curve(f, p, rho)
 
 
@@ -150,7 +154,7 @@ def test_lift_pi4_over_zeta8_reports_missing_radicals():
     p = pi4_params(8)
     rho = GaloisElement(8, 3)
     lift = lift_to_monomial(Moebius(0, -4, 1, 0), p, rho, 8)
-    assert not lift.ok and lift.isos == ()
+    assert not lift.ok and lift.count == 0 and tuple(lift.maps()) == ()
     coords = {miss.coordinate for miss in lift.missing}
     assert coords == {5, 6}
     for miss in lift.missing:
@@ -159,6 +163,30 @@ def test_lift_pi4_over_zeta8_reports_missing_radicals():
     # the blocked powers are sigma(mu) and -sigma(mu)
     smu = p.mu.galois_apply(rho)
     assert {m.value for m in lift.missing} == {smu, -smu}
+
+
+# lambda = -4, mu = 2 zeta_8 at n = 8k, past the k = 8 of MAX_LIFTS: under
+# sigma_(n/2 + 1) the lift has k^5 maps, returned as root sets and f0 alone;
+# only printing them is the lift_limit rejection
+@pytest.mark.parametrize("k", [10, 12, 14])
+def test_a_lift_past_the_print_limit_builds_one_map(k, monkeypatch):
+    n = 8 * k
+    p = validate(-4, make_element(f"2*z^{k}", n), k)
+    g = GaloisElement(n, n // 2 + 1)
+    built, of = [], MonomialIso._of
+    monkeypatch.setattr(MonomialIso, "_of",
+                        lambda *args: built.append(args) or of(*args))
+    start = time.perf_counter()
+    lift = lift_to_monomial(classify_sigma(p, g).witness, p, g, n)
+    assert time.perf_counter() - start < 1
+    assert lift.count == k ** 5 and len(built) <= 1
+    assert lift.first.scales == (1, *(r[0] for r in lift.roots))
+    assert [c ** k for c in lift.first.scales] == list(lift.powers)
+    assert transports_curve(lift.first, p, g)
+    assert next(lift.maps()) == lift.first
+    with pytest.raises(LimitError, match=f"has {k ** 5} monomial") as exc:
+        lift.texts()
+    assert exc.value.clause == "lift_limit"
 
 
 def test_torsor_of_a_lift_with_missing_roots_names_the_cause():
@@ -180,13 +208,14 @@ def test_lift_builds_its_maps_without_rechecking_them():
     with mock.patch.object(descent, "common_field",
                            wraps=descent.common_field) as counted:
         lift = lift_to_monomial(witness, p, g, 32)
-    assert len(lift.isos) == 1024 and counted.call_count == 0
+        maps = tuple(lift.maps())
+    assert len(maps) == 1024 and counted.call_count == 0
 
 
 def test_lift_builds_its_maps_without_comparing_c1_with_one():
-    # each of the 1024 maps has c_1 = 1 by construction; the lift makes 96
-    # comparisons in all, and made 1120 when every map compared its c_1
-    # with 1
+    # each of the 1024 maps has c_1 = 1 by construction; the lift and its
+    # maps make 26 comparisons in all, and made 1120 when every map
+    # compared its c_1 with 1
     p = validate(-4, make_element("2*z^4", 32), 4)
     g = GaloisElement(32, 17)
     witness = classify_sigma(p, g).witness
@@ -194,9 +223,9 @@ def test_lift_builds_its_maps_without_comparing_c1_with_one():
     eq = CycElt.__eq__
     with mock.patch.object(CycElt, "__eq__",
                            lambda u, v: compared.append(v) or eq(u, v)):
-        lift = lift_to_monomial(witness, p, g, 32)
-    assert len(lift.isos) == 1024 and len(compared) < 1024
-    assert all(f.scales[0] == 1 for f in lift.isos)
+        maps = tuple(lift_to_monomial(witness, p, g, 32).maps())
+    assert len(maps) == 1024 and len(compared) < 1024
+    assert all(f.scales[0] == 1 for f in maps)
     # a product and the checking constructor still divide by the first scale
     f = MonomialIso((1, 0, 2, 3, 4, 5), [1, 2, 3, 4, 5, 6], 4)
     ff = f.compose(f)
@@ -269,7 +298,7 @@ def test_closure_set_equals_cocycle_pass_set_by_exhaustion():
     rho = GaloisElement(16, 3)
     lift = lift_to_monomial(Moebius(0, -4, 1, 0), p, rho, 16)
     outcomes = set()
-    for f in lift.isos:
+    for f in lift.maps():
         datum = extend_cyclic(f, 3, 4, p, 16)
         chk = cocycle_check(datum)
         assert chk.ok == datum.closes
@@ -342,8 +371,8 @@ def test_lift_maps_carry_their_scale_powers():
     # same map from its scales
     p, g = pi4_params(), GaloisElement(16, 3)
     lift = lift_to_monomial(Moebius(0, -4, 1, 0), p, g, 16)
-    assert len(lift.isos) == 2 ** 5
-    for f in lift.isos:
+    assert lift.count == 2 ** 5
+    for f in lift.maps():
         assert [c.in_conductor(16) ** f.k for c in f.scales] \
             == list(lift.powers)
         assert transports_curve(f, p, g)
@@ -376,9 +405,11 @@ def transport_checked_once(lift, p, a, m):
     reads only a map's permutation and scale powers, and every map of a
     lift has the lift's (`test_lift_maps_carry_their_scale_powers`), so the
     candidates' data need no check of their own for their generator map,
-    nor for the identity that an order-1 datum checks."""
+    nor for the identity that an order-1 datum checks.  The block gets the
+    lift's maps, built once: the lift's check is keyed on these objects."""
     check, gen = descent.transports_curve, GaloisElement(m, a)
-    ids, verdicts = {id(f) for f in lift.isos}, {}
+    maps = tuple(lift.maps())
+    ids, verdicts = {id(f) for f in maps}, {}
 
     def once(f, params, t):
         if params is not p:
@@ -389,7 +420,7 @@ def transport_checked_once(lift, p, a, m):
         return verdicts[key]
 
     with mock.patch.object(descent, "transports_curve", once):
-        yield
+        yield maps
 
 
 def test_transport_checked_once_gives_every_candidates_verdict():
@@ -398,16 +429,16 @@ def test_transport_checked_once_gives_every_candidates_verdict():
     p, a = pi4_params(), 3
     lift = lift_to_monomial(Moebius(0, -4, 1, 0), p, GaloisElement(16, a), 16)
 
-    def verdicts():
+    def verdicts(maps):
         out = []
-        for f in lift.isos:
+        for f in maps:
             datum = extend_cyclic(f, a, 4, p, 16)
             out.append((datum.closes, cocycle_check(datum)))
         return out
 
-    want = verdicts()
+    want = verdicts(lift.maps())
     with mock.patch.object(descent, "transports_curve",
                            wraps=descent.transports_curve) as counted:
-        with transport_checked_once(lift, p, a, 16):
-            assert verdicts() == want
+        with transport_checked_once(lift, p, a, 16) as maps:
+            assert verdicts(maps) == want
     assert counted.call_count == 1

@@ -357,9 +357,10 @@ def test_the_pinned_n40_member_does_its_no_answers_on_residues(
     # set_maps on sigma_1 alone; every other coset refuted on residues
     assert calls["set_maps"] == 1
     # the exact Galois images of fixing_subgroup and the negation test are
-    # the fixers and the hits: 16 for lambda, 1 for mu, 1 negation and 4
-    # for the moduli field's primitive element
-    assert calls["exact"] == calls["matches"] == 16 + 1 + 1 + 4
+    # the fixers and the hits: 1 for mu, 1 negation and 4 for the moduli
+    # field's primitive element; every unit fixes the rational lambda, so
+    # its fixing subgroup takes none
+    assert calls["exact"] == calls["matches"] == 1 + 1 + 4
     # the pairings of the table's hits take 1 and 0 as scalars
     assert calls["pairing"] == 4 and calls["embed"] == 0
     z = CycElt.zeta(n)

@@ -323,7 +323,8 @@ def transport_lift(member):
     n, lam, mu, k, a = member
     p = validate(make_element(lam, n), make_element(mu, n), k)
     g = GaloisElement(n, a)
-    return p, g, lift_to_monomial(classify_sigma(p, g).witness, p, g, n)
+    lift = lift_to_monomial(classify_sigma(p, g).witness, p, g, n)
+    return p, g, tuple(lift.maps())
 
 
 @SETTINGS
@@ -331,8 +332,8 @@ def transport_lift(member):
 def test_transports_curve_matches_the_pulled_back_rows(member, data):
     # a lift's map, which transports, or one with a scale multiplied by a
     # drawn element or with two slots of its permutation swapped
-    p, g, lift = transport_lift(member)
-    f = lift.isos[data.draw(st.integers(0, len(lift.isos) - 1))]
+    p, g, maps = transport_lift(member)
+    f = maps[data.draw(st.integers(0, len(maps) - 1))]
     change = data.draw(st.sampled_from(["none", "scale", "perm"]))
     perm, scales = list(f.perm), list(f.scales)
     if change == "scale":
@@ -1116,7 +1117,7 @@ def test_row_and_witness_checks_make_no_inversion(monkeypatch):
         monkeypatch.setattr(module, "_pairing",
                             counted(module, module._pairing))
     assert len(stabilizer(p, n)) == 8
-    assert len(lift_to_monomial(witness, p, a, n).isos) == 32
+    assert lift_to_monomial(witness, p, a, n).count == 32
     # eight table hits, sigma_1's among them, which classify_sigma matches
     # once for the stabilizer
     assert counts == {moduli: [8, 0], descent: [1, 0]}
@@ -1568,13 +1569,18 @@ def reference_lift_isos(lift, p, g, m):
 
 
 def assert_lift_matches_reference(T, p, g, m):
+    """The lift's first map, count and maps, in order and as printed,
+    against the reference enumeration."""
     lift = lift_to_monomial(T, p, g, m)
+    maps = tuple(lift.maps())
     if lift.missing:
-        assert lift.isos == ()
+        assert lift.first is None and lift.count == 0 and maps == ()
         return lift
     expected = reference_lift_isos(lift, p, g, m)
-    assert lift.isos == expected
-    assert [str(f) for f in lift.isos] == [str(f) for f in expected]
+    assert (lift.first, lift.count) == (expected[0], len(expected))
+    assert maps == expected
+    assert [str(f) for f in (lift.first, *maps)] == \
+        [str(f) for f in (expected[0], *expected)]
     return lift
 
 
@@ -1590,14 +1596,14 @@ def _witness_lift(p, n, a):
     (24, "-4", "2*z", 2, 13, 32), (32, "-4", "2*z^4", 4, 17, 1024)])
 def test_lift_matches_the_normalized_k6_build(n, lam, mu, k, a, count):
     p = validate(make_element(lam, n), make_element(mu, n), k)
-    assert len(_witness_lift(p, n, a).isos) == count
+    assert _witness_lift(p, n, a).count == count
 
 
 def test_identity_lift_matches_the_normalized_k6_build():
     p = validate(-4, make_element("2*z^2", 16), 2)
     lift = assert_lift_matches_reference(Moebius.identity(), p,
                                          GaloisElement(16, 1), 16)
-    assert len(lift.isos) == 32
+    assert lift.count == 32
 
 
 # a full lift at k = 4 holds 1024 maps, and its reference builds 4096
@@ -1674,7 +1680,7 @@ def test_scale_powers_of_the_descent_pool_match_the_nullspace():
         lift = assert_powers_match_reference(classify_sigma(p, g).witness,
                                              p, g)
         missing += bool(lift.missing)
-        full += bool(lift.isos)
+        full += lift.ok
     assert (missing, full) == (29, 3)
 
 
@@ -1738,7 +1744,7 @@ def test_cocycle_check_matches_the_pair_table(n, lam, mu, k, a, count,
     p, lift = _family_lift(n, lam, mu, k, a)
     d = brute_order(a, n)
     results = []
-    for f in lift.isos:
+    for f in lift.maps():
         datum = extend_cyclic(f, a, d, p, n)
         results.append(cocycle_check(datum))
         assert results[-1] == reference_cocycle_check(datum)
@@ -1757,9 +1763,10 @@ def test_cocycle_check_on_a_tampered_datum_agrees_with_the_pair_table(
     n, lam, mu, k, a = case
     p, lift = _family_lift(n, lam, mu, k, a)
     d = brute_order(a, n)
-    # an index, not sampled_from(lift.isos), which hashes all 1024 maps of
-    # the k = 4 member to probe them, each hash six minimal forms
-    f = lift.isos[data.draw(st.integers(0, len(lift.isos) - 1))]
+    # an index, not sampled_from(maps), which hashes all 1024 maps of the
+    # k = 4 member to probe them, each hash six minimal forms
+    maps = tuple(lift.maps())
+    f = maps[data.draw(st.integers(0, len(maps) - 1))]
     datum = extend_cyclic(f, a, d, p, n)
     e = pow(a, data.draw(st.integers(0, d - 1)), n)
     if transports:
@@ -1815,8 +1822,8 @@ def oracle_verdicts(lift, p, a, d, n):
     weil-check ran before the torsor, with transport checked once for the
     lift."""
     out = []
-    with transport_checked_once(lift, p, a, n):
-        for f in lift.isos:
+    with transport_checked_once(lift, p, a, n) as maps:
+        for f in maps:
             datum = extend_cyclic(f, a, d, p, n)
             chk = cocycle_check(datum)
             out.append((datum.closes, chk.ok, chk.failing))
@@ -1824,8 +1831,8 @@ def oracle_verdicts(lift, p, a, d, n):
 
 
 def assert_torsor_matches_oracle(p, lift, a, d, n):
-    got = (torsor_verdicts(lift, extend_cyclic(lift.isos[0], a, d, p, n))
-           if lift.isos else [])
+    got = (torsor_verdicts(lift, extend_cyclic(lift.first, a, d, p, n))
+           if lift.ok else [])
     assert got == oracle_verdicts(lift, p, a, d, n)
     return got
 
@@ -1934,8 +1941,9 @@ def assert_torsor_matches_oracle_on_any_lift(perm, roots, k, a, d, n):
     products of the given root sets, with curve transport accepted."""
     isos = tuple(MonomialIso(perm, (1, *rest), k)
                  for rest in itertools.product(*roots))
-    lift = LiftResult(isos=isos, missing=(), perm=tuple(perm), powers=(),
-                      roots=tuple(roots))
+    lift = LiftResult(first=isos[0], missing=(), perm=tuple(perm),
+                      powers=(), roots=tuple(roots))
+    assert tuple(lift.maps()) == isos
     p = validate(-4, make_element("2*z^2", 16), 2)
     with mock.patch.object(descent, "transports_curve", lambda *args: True):
         return assert_torsor_matches_oracle(p, lift, a, d, n)
