@@ -330,11 +330,13 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
 
     roots = []
     missing = []
-    # the powers often repeat, or differ from an earlier one by a rational
-    # times a root of unity, so their roots follow from earlier ones;
-    # kth_roots decides such a value (d_1 = 1) by itself
+    # c_1 = 1, so d_1 needs no search, and each root set of d_2..d_6 is a
+    # coset of the k-th roots of unity.  The powers often repeat, or differ
+    # from an earlier one by a rational times a root of unity, so their
+    # roots follow from earlier ones; kth_roots decides such a value by
+    # itself
     searched = []
-    for i, di in enumerate(d):
+    for i, di in enumerate(d[1:], start=2):
         r = next((u_roots for u, u_roots in searched if u == di), None)
         if r is None and _monomial_form(di) is None:
             for u, u_roots in searched:
@@ -345,14 +347,13 @@ def lift_to_monomial(T: Moebius, p: FamilyParams, a: GaloisElement,
             r = kth_roots(di, p.k, m)
             searched.append((di, r))
         if not r:
-            missing.append(MissingRoot(coordinate=i + 1, value=di,
+            missing.append(MissingRoot(coordinate=i, value=di,
                                        k=p.k, conductor=m))
         roots.append(r)
-    # d_1 = 1: each other root set is a coset of the k-th roots of unity
     first = None if missing else MonomialIso._of(
-        perm, [CycElt.one(m), *(r[0] for r in roots[1:])], p.k)
+        perm, [CycElt.one(m), *(r[0] for r in roots)], p.k)
     return LiftResult(first=first, missing=tuple(missing), perm=perm,
-                      powers=tuple(d), roots=tuple(roots[1:]))
+                      powers=tuple(d), roots=tuple(roots))
 
 
 def _restrict(a: GaloisElement, m: int) -> int:

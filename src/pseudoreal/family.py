@@ -12,6 +12,17 @@ The admissibility clauses are encoded without square roots:
     excluded radii are the roots > 0 of r^2 +- 2 cos(theta) r - 1, and
     -(lambda + 1) = r^2 - 1, mu + conj(mu) = 2 r cos(theta))
 
+These clauses also keep the orbits of the three circular cross-ratios
+under the six maps generated by z -> 1/z and z -> z/(z - 1) disjoint.  With
+s = r^2 > 1 and t = mu + conj(mu), t^2 <= 4s < (s + 1)^2, and the values
+[inf, 0, 1, lambda], [inf, 0, mu, -mu] and [1, lambda, mu, -mu] are -s, -1
+and c = (t - s - 1)/(t + s + 1).  The orbit of -1 is {-1, 2, 1/2}: -s < -1
+is not in it, c = -1 iff t = 0 (purely imaginary mu), and c = 2 or 1/2
+needs |t| = 3(s + 1).  In the orbit of -s, c = -s iff t = 1 - s and c = -1/s
+iff t = s - 1 (the critical radius); c = 1 + s or 1/(1 + s) needs
+|t| = (s + 1)(s + 2)/s, and c = (1 + s)/s or s/(1 + s) needs
+|t| = (s + 1)(2s + 1), both above s + 1.
+
 For admissible parameters the configuration has a trivial conformal
 symmetry group and a unique anticonformal symmetry z -> lambda/conj(z)
 whose square is the identity on the sphere; the curve upstairs is
@@ -25,9 +36,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cyclotomic import CycElt, _residue, _split_prime, common_field, \
-    real_sign
-from .moebius import INF, Moebius, _in_orbit, _orbit_sides, cross_ratio
+from .cyclotomic import CycElt, common_field, real_sign
+from .moebius import INF, Moebius, cross_ratio
 from .configurations import Configuration, make_config, symmetries
 
 __all__ = [
@@ -89,39 +99,6 @@ def _circular_quadruples(lam, mu) -> tuple:
     return ((INF, 0, 1, lam), (INF, 0, mu, -mu), (1, lam, mu, -mu))
 
 
-def _circular_pairs(lam, mu) -> tuple:
-    """The three circular cross-ratios as (numerator, denominator) pairs,
-    as `moebius._cross_ratio_pair` forms them: (lambda, 1), (-mu, mu) and
-    ((mu - 1)(-mu - lambda), (mu - lambda)(-mu - 1)).  lambda and mu may
-    be field elements or their residues."""
-    return ((lam, 1), (-mu, mu),
-            ((mu - 1) * (-mu - lam), (mu - lam) * (-mu - 1)))
-
-
-# the pairs (i, j) of circular cross-ratios whose orbits may meet
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-
-
-def _collision_suspects(lam: CycElt, mu: CycElt) -> list:
-    """The pairs (i, j) of circular cross-ratios (`_PAIRS`) that reduction
-    at the split prime p of the conductor leaves possibly colliding.
-
-    Reduction zeta_n -> r mod p is a ring homomorphism on the elements
-    whose denominator p does not divide.  When lambda and mu have
-    residues, so does every entry of `_circular_pairs`, and a pair whose
-    orbits meet has residues that satisfy one of the six congruences of
-    `_orbit_sides`; a pair that satisfies none is refuted.  Every pair is
-    a suspect when p divides a denominator of lambda or mu."""
-    p, r = _split_prime(lam.n)
-    res = _residue(lam, r, p), _residue(mu, r, p)
-    if None in res:
-        return list(_PAIRS)
-    pairs = _circular_pairs(*res)
-    return [(i, j) for i, j in _PAIRS
-            if any((x - y) % p == 0
-                   for x, y in _orbit_sides(pairs[j], pairs[i]))]
-
-
 def family_cross_ratios(lam: CycElt, mu: CycElt):
     """Cross-ratios of the three circular quadruples: [inf,0,1,lam],
     [inf,0,mu,-mu], [1,lam,mu,-mu]."""
@@ -130,7 +107,9 @@ def family_cross_ratios(lam: CycElt, mu: CycElt):
 
 def validate(lam, mu, k: int) -> FamilyParams:
     """Check every admissibility clause; raise ParameterError naming the
-    first violated one."""
+    first violated one.  Admissible parameters have circular cross-ratios
+    in disjoint orbits (see the module docstring), so no clause tests
+    them."""
     _, (lam, mu) = common_field((lam, mu))
     if mu.is_zero():
         raise ParameterError("mu_zero", "mu = 0")
@@ -156,21 +135,6 @@ def validate(lam, mu, k: int) -> FamilyParams:
         raise ParameterError("k_small", f"k = {k} < 2")
     if k % 2 != 0:
         raise ParameterError("k_odd", f"k = {k} is odd")
-    # defensive exactness check: the three circular cross-ratios must be
-    # pairwise inequivalent under the six-map group; two orbits meet iff
-    # one value lies in the other's orbit.  Residues at a split prime
-    # refute the pairs that cannot meet; a pair they leave is decided on
-    # (numerator, denominator) pairs by cross-multiplication, which needs
-    # no minimal forms and no inversion; only the message divides them out
-    suspects = _collision_suspects(lam, mu)
-    if suspects:
-        pairs = _circular_pairs(lam, mu)
-        for i, j in suspects:
-            if _in_orbit(pairs[j], pairs[i]):
-                _, cr = common_field(family_cross_ratios(lam, mu))
-                raise ParameterError(
-                    "cross_ratio_collision",
-                    f"cross-ratios {cr[i]} and {cr[j]} share an orbit")
     return FamilyParams(lam=lam, mu=mu, k=k)
 
 

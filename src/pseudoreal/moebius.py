@@ -4,11 +4,9 @@ maps between six-point sets.  The enumeration reduces the source's ordered
 triples at a split prime, which refutes almost all of them, and tests the
 rest exactly, with no division per triple; it keeps nothing from one call
 to the next.  Whether a given map carries one point set onto another
-(`_pairing`), and whether a value lies in the orbit of a cross-ratio
-(`_in_orbit`, on cross-ratios kept as (numerator, denominator) pairs by
-`_cross_ratio_pair`), are decided by cross-multiplication, with no
-inversion; each product embeds its own operands, except a rational one,
-which scales the other with no embedding.
+(`_pairing`) is decided by cross-multiplication, with no inversion; each
+product embeds its own operands, except a rational one, which scales the
+other with no embedding.
 
 A transformation is stored as projective coefficients (a, b, c, d) for
 z -> (a z + b)/(c z + d), normalized so the first nonzero coefficient is 1;
@@ -242,28 +240,6 @@ def _orbit_values(c) -> list:
         raise ValueError("orbit undefined for 0 and 1")
     one = CycElt.one(c.n)
     return [c, one / c, one - c, one / (one - c), (c - one) / c, c / (c - one)]
-
-
-def _orbit_sides(v: tuple, c: tuple) -> tuple:
-    """The six pairs (x, y) of products, x = y for one of them iff the
-    value of the pair v = (a, b), a/b, is one of the `_orbit_values` of
-    c = e/f for the pair c = (e, f) (neither 0 nor 1), with six products
-    and no inversion: a/b is c, 1/c, 1 - c = (f - e)/f, 1/(1 - c),
-    (c - 1)/c or c/(c - 1) iff af = eb, ae = bf, af = (f - e)b,
-    a(f - e) = bf, ae = -(f - e)b or -a(f - e) = eb.  Both denominators
-    are nonzero.  The entries may be field elements or their residues."""
-    a, b = v
-    e, f = c
-    g = f - e
-    af, eb, ae, bf, gb, ag = a * f, e * b, a * e, b * f, g * b, a * g
-    return (af, eb), (ae, bf), (af, gb), (ag, bf), (ae, -gb), (-ag, eb)
-
-
-def _in_orbit(v: tuple, c: tuple) -> bool:
-    """Whether a/b for the pair v = (a, b) lies in the orbit of e/f for the
-    pair c = (e, f), decided exactly by cross-multiplication
-    (`_orbit_sides`)."""
-    return any(x == y for x, y in _orbit_sides(v, c))
 
 
 def g_orbit(c: CycElt) -> list:

@@ -131,9 +131,12 @@ def test_lift_identity_contains_deck_translates():
     assert list(lift.powers) == [CycElt.one(16)] * 6
 
 
-def test_lift_pi4_over_zeta16():
+def test_lift_pi4_over_zeta16(monkeypatch):
     p = pi4_params()
     rho = GaloisElement(16, 3)
+    kth_roots, searched = descent.kth_roots, []
+    monkeypatch.setattr(descent, "kth_roots",
+                        lambda v, *a: searched.append(v) or kth_roots(v, *a))
     lift = lift_to_monomial(Moebius(0, -4, 1, 0), p, rho, 16)
     assert lift.ok and not lift.missing
     assert lift.perm == (1, 0, 3, 2, 4, 5)
@@ -142,6 +145,10 @@ def test_lift_pi4_over_zeta16():
     assert list(lift.powers) == [CycElt.one(16), p.lam.in_conductor(16),
                                  CycElt.one(16), p.lam.in_conductor(16),
                                  smu, -smu]
+    # c_1 = 1 needs no search: d_3 = 1 is the first power searched that
+    # equals 1, after d_2, and d_4 repeats d_2
+    assert searched == [p.lam, 1, smu, -smu]
+    assert all(v is not lift.powers[0] for v in searched)
     assert lift.count == 32
     maps = tuple(lift.maps())
     for s2, s4 in itertools.product((1, -1), repeat=2):

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,9 @@ from pseudoreal.family import (
     validate,
 )
 
+FAMILY = Path(__file__).resolve().parent.parent / "src" / "pseudoreal" / \
+    "family.py"
+
 
 def test_validate_accepts_worked_parameters():
     p = validate(-4, make_element("2*z", 3), 2)
@@ -25,8 +30,8 @@ def test_validate_accepts_worked_parameters():
 
 
 def test_validate_makes_no_inversion(monkeypatch):
-    # the divided cross-ratios take one inversion each; validate tests
-    # them as (numerator, denominator) pairs
+    # the divided cross-ratios take one inversion each; validate tests no
+    # cross-ratio, since its clauses keep their orbits disjoint
     lam, mu = make_element("-4", 8), make_element("2*z", 8)
     inverse, count = CycElt.inverse, [0]
 
@@ -41,23 +46,55 @@ def test_validate_makes_no_inversion(monkeypatch):
     assert (ratios, count[0]) == (3, 0)
 
 
+MU3 = make_element("2*z", 3)
+
+# one or more members per clause of validate, each rejected by that clause
+# first; the critical radius at theta = pi/3 is the one of
+# test_validate_rejects_critical_radius
+CLAUSE_CASES = [
+    ((-4, make_element("0", 3), 2), "mu_zero"),
+    ((-5, MU3, 2), "modulus"),
+    ((Fraction(-1, 4), make_element("z/2", 3), 2), "radius"),
+    ((-4, make_element("2", 3), 2), "angle_real"),
+    ((-4, make_element("-2", 3), 2), "angle_real"),
+    ((-4, make_element("2*z", 4), 2), "angle_imaginary"),
+    ((-4, make_element("2*z^3", 4), 2), "angle_imaginary"),
+    ((make_element("-(2 + z^6 + z^24)", 30),
+      make_element("(1 + z^6 + z^24) * z^5", 30), 2), "critical_radius"),
+    ((-4, MU3, 3), "k_odd"),
+    ((-4, MU3, 1), "k_small"),
+    ((-4, MU3, 0), "k_small"),
+]
+
+
+def raised_clauses(source: str) -> set:
+    """The clause literals that source passes first to ParameterError(...);
+    a clause that is no literal fails `ast.literal_eval`."""
+    return {ast.literal_eval(node.args[0])
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "ParameterError"}
+
+
 def test_validate_clause_order_and_diagnostics():
-    mu3 = make_element("2*z", 3)
-    cases = [
-        ((-5, mu3, 2), "modulus"),
-        ((Fraction(-1, 4), make_element("z/2", 3), 2), "radius"),
-        ((-4, make_element("2", 3), 2), "angle_real"),
-        ((-4, make_element("-2", 3), 2), "angle_real"),
-        ((-4, make_element("2*z", 4), 2), "angle_imaginary"),
-        ((-4, make_element("2*z^3", 4), 2), "angle_imaginary"),
-        ((-4, mu3, 3), "k_odd"),
-        ((-4, mu3, 1), "k_small"),
-        ((-4, mu3, 0), "k_small"),
-    ]
-    for args, clause in cases:
+    for args, clause in CLAUSE_CASES:
         with pytest.raises(ParameterError) as err:
             validate(*args)
         assert err.value.clause == clause, args
+
+
+def test_every_clause_of_validate_is_reached_by_a_member():
+    # the table's members reach their clauses (the test above), so a
+    # clause that none of them reaches, as the cross-ratio collision
+    # clause was, fails here
+    assert raised_clauses(
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise ParameterError('a', 'x')\n"
+        "    raise ParameterError(\n"
+        "        'b', f'{x}')\n") == {"a", "b"}
+    assert raised_clauses(FAMILY.read_text()) == \
+        {clause for _, clause in CLAUSE_CASES}
 
 
 def test_validate_rejects_critical_radius():

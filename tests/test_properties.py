@@ -5,26 +5,27 @@ tiny split prime, against the exact 120-triple index), the cross-ratio
 table, u_orbit, the stabilizer, the residue-first row matcher (also at
 the least split prime) against the divided row table, the term
 formatter, check_order, the k-th root search and its shortcuts, the
-kernel test of span membership and curve transport on the curve's
-line pushed forward, the integer element arithmetic and its short-cuts
-for rational and zero operands, the inverse down the norm chain, the
-lift as products of coset roots, the scale powers written down from the
-witness, the cocycle check from its recursion and closure, every
-candidate's verdict from the deck-group torsor, the map check by
+kernel test of span membership and curve transport on the curve's line
+pushed forward, the integer element arithmetic and its short-cuts for
+rational and zero operands, the inverse down the norm chain, the lift as
+products of coset roots, the scale powers written down from the witness,
+the cocycle check from its recursion and closure, every candidate's
+verdict from the deck-group torsor, the map check by
 cross-multiplication, minimal forms one prime at a time and each
-closed-form subfield step, and validate's collision check on
-(numerator, denominator) pairs against the code each replaced, and of
+closed-form subfield step against the code each replaced, and of
 cross_ratio against the normalizing map and its pair form against the
-division in each branch; set_maps on symmetric sets against the exact
-index, u_orbit's int triples against their rank tuples, and the
-structured renderer against json.dumps with indent; min_poly from
-power sums, and fixed_field on every subgroup up to conductor 40,
-against the product over the Galois orbit, with the seed 1 tried only
-for Q; the integer printer, keys, hashes and order against the Fraction
-printer and the Fraction tuples; validate's residue step against the
-exact orbit test; and fixing_subgroup and the Galois matches against the
-exact loop over every unit, the residue refutation of a stabilizer coset
-against set_maps, min_poly of zeta_n against the orbit product at every
+division in each branch; validate's clauses against the key-based orbit
+intersection of the circular cross-ratios, which they keep disjoint
+without a test of their own, and the closed form of [1, lambda, mu,
+-mu]; set_maps on symmetric sets against the exact index, u_orbit's int
+triples against their rank tuples, and the structured renderer against
+json.dumps with indent; min_poly from power sums, and fixed_field on
+every subgroup up to conductor 40, against the product over the Galois
+orbit, with the seed 1 tried only for Q; the integer printer, keys,
+hashes and order against the Fraction printer and the Fraction tuples;
+and fixing_subgroup and the Galois matches against the exact loop over
+every unit, the residue refutation of a stabilizer coset against
+set_maps, min_poly of zeta_n against the orbit product at every
 conductor, and products, sums and equality with scalar operands against
 the wrapped-and-embedded arithmetic."""
 
@@ -41,26 +42,26 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pseudoreal import cyclotomic, descent, family, moduli, moebius
+from pseudoreal import cyclotomic, descent, moduli, moebius
 from pseudoreal.cli import _render, _structured, build_parser
 from pseudoreal.configurations import OmegaError, make_config, u_orbit
 from pseudoreal.cyclotomic import MAX_CONDUCTOR, CycElt, GaloisElement, \
     LimitError, Subfield, _cyclic, _is_prime, _no_root_mod_p, \
     _norm_chain, _reduced, _root_of_unity_mod, _size_bits, _split_prime, \
     _sympy_field, _sympy_roots, _monomial_roots, _related_roots, \
-    common_field, cyclotomic_polynomial, euler_phi, fixed_field, \
+    cyclotomic_polynomial, euler_phi, fixed_field, \
     format_poly, is_subgroup, kth_roots, make_element, min_poly, \
     subgroups, units
 from pseudoreal.descent import CocycleResult, LiftResult, MonomialIso, \
     WeilDatum, _curve_kernel, check_order, cocycle_check, \
     compose_twist, curve_rows, extend_cyclic, lift_to_monomial, \
     torsor_verdicts, transports_curve
-from pseudoreal.family import ParameterError, _circular_quadruples, \
-    _configuration, _twist, family_cross_ratios, validate
+from pseudoreal.family import ParameterError, _configuration, _twist, \
+    family_cross_ratios, validate
 from pseudoreal.moduli import OracleDisagreement, classify_sigma, stabilizer
 from pseudoreal.moebius import INF, Moebius, SpherePoint, _apply_raw, \
-    _cross_ratio_pair, _in_orbit, _normalized_triples, _orbit_values, \
-    _pairing, _raw_key, _std_raw, _unrefuted_triples, cross_ratio, g_orbit, \
+    _cross_ratio_pair, _normalized_triples, _orbit_values, _pairing, \
+    _raw_key, _std_raw, _unrefuted_triples, cross_ratio, g_orbit, \
     moebius_from_triple, set_maps, unify_points
 
 from test_descent import transport_checked_once
@@ -2455,60 +2456,43 @@ def test_step_down_matches_the_kernel_units_at_every_conductor():
                 assert_step(w, p)
 
 
-# -- validate's collision check against the minimal-form keys ----------------
+# -- validate's clauses against the minimal-form keys of the cross-ratios ---
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([3, 4, 5, 8, 12]).flatmap(elements))
+@example(make_element("2*z", 3))
+@example(make_element("2 + z", 5))
+@example(make_element("-2 + z", 4))
+@example(make_element("2 + z", 4))
+@example(make_element("2*z", 4))
 def test_collision_check_matches_the_key_based_intersection(mu):
+    # validate tests no cross-ratio: every member it admits has circular
+    # cross-ratios in disjoint orbits, and wherever the cross-ratios are
+    # defined (mu not 0 or +-1, so t - lambda + 1 = |mu + 1|^2 != 0) they
+    # are lambda, -1 and the closed form of the family module docstring.
+    # Two admissible members lead the examples, then three of COLLIDING
+    # (below), which only the critical_radius and angle_imaginary clauses
+    # keep out
     lam = -(mu * mu.conjugate())
+    assume(all(mu != x for x in (0, 1, -1)))
+    t = mu + mu.conjugate()
+    cr = family_cross_ratios(lam, mu)
+    assert cr == (lam, -1, (t + lam - 1) / (t - lam + 1))
     try:
         validate(lam, mu, 2)
-        collided = False
-    except ParameterError as exc:
-        assume(exc.clause == "cross_ratio_collision")
-        collided = True
-    cr = family_cross_ratios(lam, mu)
-    exact = [{(v.num, v.den) for v in _orbit_values(c)} for c in cr]
+    except ParameterError:
+        return
     by_key = [{v.key() for v in g_orbit(c)} for c in cr]
-    pairs = list(itertools.combinations(range(3), 2))
-    assert [len(exact[i] & exact[j]) for i, j in pairs] == \
-        [len(by_key[i] & by_key[j]) for i, j in pairs]
-    assert collided == any(by_key[i] & by_key[j] for i, j in pairs)
-
-
-@settings(max_examples=60, deadline=None)
-@given(*[st.sampled_from([3, 4, 5, 8, 12]).flatmap(elements)] * 4)
-def test_product_orbit_test_takes_every_mate_and_matches_the_keys(
-        c, other, s, t):
-    # on pairs: c as (c s, s) and each value v as (v t, t)
-    assume(not c.is_zero() and c != 1)
-    assume(not s.is_zero() and not t.is_zero())
-    pair = (c * s, s)
-    assert all(_in_orbit((v * t, t), pair) for v in _orbit_values(c))
-    # an unrelated value, also at another conductor
-    assert _in_orbit((other * t, t), pair) == \
-        (other.key() in {v.key() for v in g_orbit(c)})
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([3, 4, 5, 8, 12]).flatmap(
-    lambda n: st.lists(elements(n), min_size=4, max_size=4)), st.data())
-def test_pair_orbit_test_matches_the_divided_orbit_values(values, data):
-    e, f, other, t = values
-    assume(not e.is_zero() and not f.is_zero() and e != f
-           and not t.is_zero())
-    c = e / f
-    # an orbit mate of c or an unrelated value, over the denominator t
-    v = data.draw(st.sampled_from(_orbit_values(c) + [other]))
-    assert _in_orbit((v * t, t), (e, f)) == (v in _orbit_values(c))
+    assert not any(by_key[i] & by_key[j]
+                   for i, j in itertools.combinations(range(3), 2))
 
 
 # members whose circular cross-ratios do collide: [1, lam, mu, -mu] is lam
 # at the critical radius (x + 1)^2 + y^2 = 2 of mu = x + iy, 1/lam at
-# (x - 1)^2 + y^2 = 2, and -1 = [inf, 0, mu, -mu] for imaginary mu.  An
-# earlier clause rejects each: [1, lam, mu, -mu] = (2 x - r^2 - 1)/(2 x +
-# r^2 + 1) with x = r cos(theta) meets the other two orbits nowhere else
+# (x - 1)^2 + y^2 = 2, and -1 = [inf, 0, mu, -mu] for imaginary mu.
+# `critical_radius` or `angle_imaginary` rejects each, and the family module
+# docstring shows that the orbits meet nowhere else
 COLLIDING = [(4, "-2 + z"), (4, "2 + z"), (12, "-2 + z^3"), (4, "2*z"),
              (8, "3*z^2")]
 
@@ -2520,40 +2504,9 @@ def test_pair_orbit_test_finds_the_collisions_of_rejected_members(n, mu):
     with pytest.raises(ParameterError) as exc:
         validate(lam, mu, 2)
     assert exc.value.clause in ("critical_radius", "angle_imaginary")
-    pairs = [_cross_ratio_pair(*q) for q in _circular_quadruples(lam, mu)]
     cr = family_cross_ratios(lam, mu)
-    ij = list(itertools.combinations(range(3), 2))
-    collide = [_in_orbit(pairs[j], pairs[i]) for i, j in ij]
-    assert collide == [cr[j] in _orbit_values(cr[i]) for i, j in ij]
-    assert any(collide)
-
-
-@pytest.mark.parametrize("reported", range(3))
-def test_the_collision_clause_and_message_divide_only_on_the_error_path(
-        reported):
-    # no admissible member collides, so the residue step is made to keep
-    # every pair and the orbit test to report the reported-th one; the
-    # message holds the divided cross-ratios in one field, as before
-    lam = make_element("-(3 + 2*(z + z^-1))^2", 8)
-    mu = make_element("(3 + 2*(z + z^-1))*z", 8)
-    calls = []
-
-    def report(v, c):
-        calls.append((v, c))
-        return len(calls) == reported + 1
-
-    with mock.patch.object(family, "_collision_suspects",
-                           lambda lam, mu: list(family._PAIRS)), \
-            mock.patch.object(family, "_in_orbit", report), \
-            pytest.raises(ParameterError) as exc:
-        validate(lam, mu, 2)
-    i, j = list(itertools.combinations(range(3), 2))[reported]
-    _, cr = common_field((cross_ratio(INF, 0, 1, lam),
-                          cross_ratio(INF, 0, mu, -mu),
-                          cross_ratio(1, lam, mu, -mu)))
-    assert exc.value.clause == "cross_ratio_collision"
-    assert str(exc.value) == f"cross-ratios {cr[i]} and {cr[j]} share an orbit"
-    assert [v[0] / v[1] for v in calls[-1]] == [cr[j], cr[i]]
+    assert any(cr[j] in _orbit_values(cr[i])
+               for i, j in itertools.combinations(range(3), 2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -2780,81 +2733,6 @@ def test_rationals_hash_like_int_and_fraction(q, n):
     if q.denominator == 1:
         assert hash(u) == hash(int(q)) and {int(q): u}[u] == u
     assert {q: n}[u] == n
-
-
-# -- validate's residue step against the exact orbit test --------------------
-
-
-def assert_suspects_cover_the_collisions(lam, mu):
-    """Every pair of circular cross-ratios that the exact test finds in one
-    orbit is a suspect of the residue step, and `_circular_pairs` holds
-    the cross-ratios as `_cross_ratio_pair` forms them.  Returns the pairs
-    that collide."""
-    exact = [_cross_ratio_pair(*q) for q in _circular_quadruples(lam, mu)]
-    closed = family._circular_pairs(lam, mu)
-    assert all(a * d == b * c for (a, b), (c, d) in zip(exact, closed))
-    collide = [(i, j) for i, j in family._PAIRS
-               if _in_orbit(exact[j], exact[i])]
-    suspects = family._collision_suspects(lam, mu)
-    assert set(collide) <= set(suspects)
-    return collide, suspects
-
-
-@SETTINGS
-@given(st.sampled_from([3, 4, 5, 8, 12]).flatmap(
-    lambda n: st.tuples(elements(n), elements(n))),
-    st.sampled_from(["free", "-1", "2", "1/2", "mu^2"]),
-    st.sampled_from([None, "lam", "mu"]))
-def test_residue_step_keeps_every_pair_the_exact_test_accepts(
-        values, force, blow):
-    # lambda in {-1, 2, 1/2}, the orbit of -1 = [inf, 0, mu, -mu], and
-    # lambda = mu^2, where [1, lambda, mu, -mu] = -1, force orbit mates;
-    # a term z/p puts the split prime p into a denominator
-    lam, mu = values
-    n = mu.n
-    p = _split_prime(n)[0]
-    if blow == "mu":
-        mu = mu + CycElt.zeta(n) * Fraction(1, p)
-    lam = {"free": lam, "-1": -1, "2": 2, "1/2": Fraction(1, 2),
-           "mu^2": mu * mu}[force]
-    lam = CycElt.from_rational(lam, n) if not isinstance(lam, CycElt) \
-        else lam
-    if blow == "lam":
-        lam = lam + CycElt.zeta(n) * Fraction(1, p)
-    points = [CycElt.zero(n), CycElt.one(n), lam, mu, -mu]
-    assume(len({(x.num, x.den) for x in points}) == 5)
-    collide, suspects = assert_suspects_cover_the_collisions(lam, mu)
-    if force in ("-1", "2", "1/2") and blow != "lam":
-        assert (0, 1) in collide
-    elif force == "mu^2" and blow != "lam":
-        assert (1, 2) in collide
-    if blow:
-        assert suspects == list(family._PAIRS)
-
-
-@pytest.mark.parametrize("n, mu", COLLIDING)
-@pytest.mark.parametrize("blow", [False, True])
-def test_residue_step_keeps_the_collisions_of_rejected_members(n, mu, blow):
-    mu = make_element(mu, n)
-    lam = -(mu * mu.conjugate())
-    if blow:
-        lam = lam + Fraction(1, _split_prime(n)[0])
-    collide, _ = assert_suspects_cover_the_collisions(lam, mu)
-    assert collide or blow
-
-
-def test_admissible_members_run_no_exact_orbit_test():
-    # the residue step refutes every pair of the moduli-sweep members
-    exact, members = [], 0
-    with mock.patch.object(family, "_in_orbit",
-                           lambda v, c: exact.append(v) or _in_orbit(v, c)):
-        for q in corpus.pool("moduli-sweep"):
-            args = dict(a.split("=", 1) for a in q.argv if "=" in a)
-            n = int(q.argv[q.argv.index("--conductor") + 1])
-            validate(make_element(args["--lambda"], n),
-                     make_element(args["--mu"], n), 2)
-            members += 1
-    assert members >= 40 and exact == []
 
 
 # -- Galois fixers, refuted cosets, Phi_n and scalar operands against the
